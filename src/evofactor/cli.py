@@ -27,6 +27,7 @@ from .evolution import (
     EvolutionConfig,
     EvolutionResult,
     PerfTracker,
+    ScoreCache,
     composite_scores,
     load_checkpoints,
     run_evolution,
@@ -45,7 +46,6 @@ from .market_data import (
     save_snapshot,
     to_normalized_prices,
     to_relative_returns,
-    window_matrices,
 )
 from .seeds import FactorRecord, load_library, save_library
 
@@ -374,7 +374,7 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     ecfg = evolution_config(cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
+    scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
     pool_map = {rec.name: rec for rec in result.pool}
     n_steps = rm.values.shape[1]
     cost_model = portfolio.CostModel(ecfg.cost_rate)
@@ -389,7 +389,7 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
                 realized = rm.values[:, t]
                 try:
                     composite, _ = composite_scores(
-                        pool_map, result.tracker, norm, rm, ecfg, t, k_top=k
+                        pool_map, result.tracker, scorer, ecfg, t, k_top=k
                     )
                     sel = portfolio.select_top_m(composite, ecfg.m)
                     weights = portfolio.equal_weights(sel, t)
@@ -411,12 +411,12 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
     library = load_library(args.library)
     rows = portfolio.read_ledger(args.ledger[0])
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
     ecfg = evolution_config(cfg)
+    scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
     date_to_t = {date: t - 1 for t, date in enumerate(rm.dates)}
     index_of = {asset: i for i, asset in enumerate(table.asset_ids)}
     names = sorted(rec.name for rec in library)
-    exprs = {rec.name: rec.expr for rec in library}
+    records = {rec.name: rec for rec in library}
     with open(outdir / "score_heatmap.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["factor"] + [row.date for row in rows])
@@ -427,13 +427,10 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
                 for name in names:
                     cells[name].append("")
                 continue
-            prices_win, returns_win = window_matrices(norm, rm, t, ecfg.lookback)
             held = [index_of[a] for a in row.selected_assets if a in index_of]
             idx = held if held else list(range(len(table.asset_ids)))
             for name in names:
-                scores = dsl.normalize_scores(
-                    dsl.evaluate_cross_section(exprs[name], prices_win, returns_win)
-                )
+                scores = dsl.normalize_scores(scorer.scores(records[name], t))
                 cells[name].append(repr(float(scores[idx].mean())))
         for name in names:
             writer.writerow([name] + cells[name])

@@ -15,6 +15,21 @@ All arithmetic is total: division by ~0 and log of a non-positive value
 yield the neutral score 0.0, and any NaN/inf produced by overflow is
 scrubbed to 0.0 at the node boundary. Window lengths are restricted to the
 whitelist {3, 7, 14, 21}; trees are capped at depth 12 and 64 nodes.
+
+Panel form: `evaluate_panel` evaluates a tree once over an (n_assets, steps)
+span, with `last` taken as the identity, and reads column j as the score of
+the step ending at column j. Every operator is causal, so this equals the
+windowed score of that step whenever the span holds the step's whole window
+and two static conditions hold on the tree (`panel_equivalent`):
+
+  (a) its receptive field fits the window: `receptive_field(expr) <=
+      lookback`, where a leaf reads 1 column, a windowed op adds window-1
+      and `lag`/`ts_delta` add window;
+  (b) no `last` has a time-series ancestor, so every `last` is only ever
+      read at the window's final position, where it is the identity.
+
+Under (a) the final position never reaches the edge padding, so a window
+and a longer span ending on the same column give bit-identical scores.
 """
 
 from __future__ import annotations
@@ -383,14 +398,16 @@ def _eval_ts(op: str, child: np.ndarray, window: int) -> np.ndarray:
     raise ExprError(f"unknown time-series op {op!r}")
 
 
-def _eval(expr: Expr, prices: np.ndarray, returns: np.ndarray) -> np.ndarray:
+def _eval(
+    expr: Expr, prices: np.ndarray, returns: np.ndarray, panel: bool = False
+) -> np.ndarray:
     if isinstance(expr, Feature):
         return prices if expr.name == "prices" else returns
     steps = prices.shape[1]
     if isinstance(expr, Const):
         return np.full((prices.shape[0], steps), float(expr.value))
     if isinstance(expr, Unary):
-        x = _eval(expr.child, prices, returns)
+        x = _eval(expr.child, prices, returns, panel)
         if expr.op == "abs":
             out = np.abs(x)
         elif expr.op == "log":
@@ -405,8 +422,8 @@ def _eval(expr: Expr, prices: np.ndarray, returns: np.ndarray) -> np.ndarray:
             raise ExprError(f"unknown unary op {expr.op!r}")
         return _scrub(out)
     if isinstance(expr, Binary):
-        a = _eval(expr.left, prices, returns)
-        b = _eval(expr.right, prices, returns)
+        a = _eval(expr.left, prices, returns, panel)
+        b = _eval(expr.right, prices, returns, panel)
         if expr.op == "add":
             out = a + b
         elif expr.op == "sub":
@@ -424,12 +441,23 @@ def _eval(expr: Expr, prices: np.ndarray, returns: np.ndarray) -> np.ndarray:
             raise ExprError(f"unknown binary op {expr.op!r}")
         return _scrub(out)
     if isinstance(expr, TimeSeries):
-        x = _eval(expr.child, prices, returns)
+        x = _eval(expr.child, prices, returns, panel)
         return _scrub(_eval_ts(expr.op, x, expr.window))
     if isinstance(expr, Last):
-        x = _eval(expr.child, prices, returns)
-        return np.repeat(x[:, -1:], steps, axis=1)
+        x = _eval(expr.child, prices, returns, panel)
+        return x if panel else np.repeat(x[:, -1:], steps, axis=1)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _eval_span(expr: Expr, prices: np.ndarray, returns: np.ndarray, panel: bool) -> np.ndarray:
+    prices = np.asarray(prices, dtype=np.float64)
+    returns = np.asarray(returns, dtype=np.float64)
+    if prices.shape != returns.shape or prices.ndim != 2:
+        raise ValueError("prices and returns must share an (n, steps) shape")
+    # Overflow and invalid operations are scrubbed to 0 by policy, so the
+    # corresponding numpy warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _eval(expr, prices, returns, panel)
 
 
 def evaluate_cross_section(
@@ -440,15 +468,46 @@ def evaluate_cross_section(
     prices and returns are (n_assets, lookback) matrices sharing a step; the
     result is the (n_assets,) vector of raw scores. Guaranteed finite.
     """
-    prices = np.asarray(prices, dtype=np.float64)
-    returns = np.asarray(returns, dtype=np.float64)
-    if prices.shape != returns.shape or prices.ndim != 2:
-        raise ValueError("prices and returns must share an (n, lookback) shape")
-    # Overflow and invalid operations are scrubbed to 0 by policy, so the
-    # corresponding numpy warnings are noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _eval(expr, prices, returns)
-    return _scrub(out[:, -1].copy())
+    return _scrub(_eval_span(expr, prices, returns, panel=False)[:, -1].copy())
+
+
+def evaluate_panel(expr: Expr, prices: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """Evaluate one expression at every step of an (n_assets, steps) span.
+
+    Column j of the (n_assets, steps) result is the score with column j as
+    the latest step, `last` taken as the identity (see the module notes for
+    when it equals evaluate_cross_section on that step's window). Guaranteed
+    finite.
+    """
+    return _scrub(np.array(_eval_span(expr, prices, returns, panel=True)))
+
+
+def receptive_field(expr: Expr) -> int:
+    """Trailing columns the final value of expr reads, its own included.
+
+    A leaf reads 1; a windowed op adds window-1 to its child's field and
+    lag/ts_delta add window (they read column p-window). Other nodes read
+    the widest of their children.
+    """
+    if isinstance(expr, (Feature, Const)):
+        return 1
+    if isinstance(expr, TimeSeries):
+        extra = expr.window if expr.op in ("lag", "ts_delta") else expr.window - 1
+        return receptive_field(expr.child) + extra
+    return max(receptive_field(kid) for kid in children(expr))
+
+
+def _last_under_ts(expr: Expr, under_ts: bool = False) -> bool:
+    if isinstance(expr, Last) and under_ts:
+        return True
+    under_ts = under_ts or isinstance(expr, TimeSeries)
+    return any(_last_under_ts(kid, under_ts) for kid in children(expr))
+
+
+def panel_equivalent(expr: Expr, lookback: int) -> bool:
+    """True when evaluate_panel reproduces windowed scores of this lookback:
+    the receptive field fits it and no `last` has a time-series ancestor."""
+    return receptive_field(expr) <= lookback and not _last_under_ts(expr)
 
 
 def evaluate(expr: Expr, window: Window) -> float:

@@ -194,6 +194,67 @@ class PerfTracker:
         raise ValueError(f"unknown quality metric {metric!r}")
 
 
+class ScoreCache:
+    """Raw factor scores by step over one price panel: the run's one scorer.
+
+    A factor that dsl.panel_equivalent admits is evaluated a block of
+    `lookback` steps at a time: the first request at step t evaluates steps
+    t..t+lookback-1 in one dsl.evaluate_panel call over their price columns
+    plus lookback-1 columns of history, and later steps are served from that
+    block until t leaves it. Other factors take the windowed path, one step
+    per block. Each factor keeps one block, so memory is bounded by the live
+    pool times lookback times n_assets; drop() frees a factor that left the
+    pool. Entries are keyed by name and remember the expression object they
+    were computed from, so a name reused for another expression is
+    re-evaluated rather than served stale.
+    """
+
+    def __init__(self, norm: NormalizedPrices, rm: ReturnMatrix, lookback: int) -> None:
+        self.norm = norm
+        self.rm = rm
+        self.lookback = lookback
+        self._last_step = norm.values.shape[1] - 1
+        # name -> (expr, panel_equivalent, first step, (steps, n_assets) rows)
+        self._blocks: dict[str, tuple[dsl.Expr, bool, int, np.ndarray]] = {}
+
+    def names(self) -> list[str]:
+        return sorted(self._blocks)
+
+    def drop(self, name: str) -> None:
+        self._blocks.pop(name, None)
+
+    def scores(self, record: FactorRecord, t: int) -> np.ndarray:
+        """(n_assets,) raw scores of record at price step t; read-only."""
+        entry = self._blocks.get(record.name)
+        if entry is None or entry[0] is not record.expr:
+            panel = dsl.panel_equivalent(record.expr, self.lookback)
+        else:
+            _, panel, start, rows = entry
+            if start <= t < start + len(rows):
+                return rows[t - start]
+        rows = self._evaluate(record.expr, panel, t)
+        self._blocks[record.name] = (record.expr, panel, t, rows)
+        return rows[0]
+
+    def _evaluate(self, expr: dsl.Expr, panel: bool, t: int) -> np.ndarray:
+        lookback = self.lookback
+        if not lookback <= t <= self._last_step:
+            raise ValueError(f"step {t} outside the scorable steps {lookback}..{self._last_step}")
+        if panel:
+            # The slices stop at the panel's end, which cuts the last block short.
+            block = dsl.evaluate_panel(
+                expr,
+                self.norm.values[:, t - lookback + 1 : t + lookback],
+                self.rm.values[:, t - lookback : t + lookback - 1],
+            )
+            rows = np.ascontiguousarray(block[:, lookback - 1 :].T)
+        else:
+            prices, returns = window_matrices(self.norm, self.rm, t, lookback)
+            rows = dsl.evaluate_cross_section(expr, prices, returns)[None, :]
+        rows.flags.writeable = False
+        return rows
+
+
 def filter_factor_versions(values: Mapping[str, float]) -> list[str]:
     """Per base factor, keep the latest version and the best-valued one.
 
@@ -217,20 +278,31 @@ def _report_window(t: int, cfg: EvolutionConfig) -> int:
 def _update_tracker(
     tracker: PerfTracker,
     pool: Mapping[str, FactorRecord],
-    norm: NormalizedPrices,
-    rm: ReturnMatrix,
+    scorer: ScoreCache,
     t: int,
     cfg: EvolutionConfig,
 ) -> None:
-    prices_win, returns_win = window_matrices(norm, rm, t, cfg.lookback)
-    realized = rm.values[:, t]
+    realized = scorer.rm.values[:, t]
+    realized_ranks = metrics.ranks(realized)
     for name in sorted(pool):
-        scores = dsl.evaluate_cross_section(pool[name].expr, prices_win, returns_win)
+        scores = scorer.scores(pool[name], t)
         sel = portfolio.select_top_m(scores, cfg.m)
         gross = float(realized[sel].mean())
-        ic = metrics.spearman_rank_corr(scores, realized).value
+        ic = metrics.spearman_rank_corr(scores, realized_ranks).value
         recall, _ = metrics.recall_precision_at_n(scores, realized, cfg.recall_n)
         tracker.add(name, t, gross, ic, recall)
+
+
+def _check_table(rm: ReturnMatrix, cfg: EvolutionConfig) -> None:
+    """Fail before the loop on a config the table cannot serve."""
+    if rm.values.shape[1] < cfg.warmup_steps + 2:
+        raise ValueError("dataset shorter than warmup_steps + 2 return steps")
+    n_assets = rm.values.shape[0]
+    for key in ("m", "recall_n"):
+        if getattr(cfg, key) > n_assets:
+            raise ValueError(
+                f"config key {key}={getattr(cfg, key)} exceeds the table's {n_assets} assets"
+            )
 
 
 def warmup(
@@ -238,16 +310,14 @@ def warmup(
 ) -> PerfTracker:
     """Populate standalone factor series for steps lookback..warmup_steps."""
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
-    n_steps = rm.values.shape[1]
-    if n_steps < cfg.warmup_steps + 2:
-        raise ValueError("dataset shorter than warmup_steps + 2 return steps")
+    _check_table(rm, cfg)
     if not pool:
         raise ValueError("empty factor pool")
+    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
     pool_map = {rec.name: rec for rec in pool}
     tracker = PerfTracker()
     for t in range(cfg.lookback, cfg.warmup_steps + 1):
-        _update_tracker(tracker, pool_map, norm, rm, t, cfg)
+        _update_tracker(tracker, pool_map, scorer, t, cfg)
     return tracker
 
 
@@ -292,8 +362,7 @@ def clean_factor_pool(
 def benchmark_gate(
     candidate: FactorRecord,
     tracker: PerfTracker,
-    norm: NormalizedPrices,
-    rm: ReturnMatrix,
+    scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
     pool: Mapping[str, FactorRecord],
@@ -309,9 +378,8 @@ def benchmark_gate(
     ics: list[float] = []
     base: list[float] = []
     for u in range(start, t + 1):
-        prices_win, returns_win = window_matrices(norm, rm, u, cfg.lookback)
-        scores = dsl.evaluate_cross_section(candidate.expr, prices_win, returns_win)
-        realized = rm.values[:, u]
+        scores = scorer.scores(candidate, u)
+        realized = scorer.rm.values[:, u]
         sel = portfolio.select_top_m(scores, cfg.m)
         grosses.append(float(realized[sel].mean()))
         ics.append(metrics.spearman_rank_corr(scores, realized).value)
@@ -485,8 +553,7 @@ def _weights_for(
 def composite_scores(
     pool: Mapping[str, FactorRecord],
     tracker: PerfTracker,
-    norm: NormalizedPrices,
-    rm: ReturnMatrix,
+    scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
     k_top: int | None = None,
@@ -505,11 +572,7 @@ def composite_scores(
     }
     ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
     used = ranked[: cfg.k_top if k_top is None else k_top]
-    prices_win, returns_win = window_matrices(norm, rm, t, cfg.lookback)
-    rows = [
-        dsl.normalize_scores(dsl.evaluate_cross_section(pool[n].expr, prices_win, returns_win))
-        for n in used
-    ]
+    rows = [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
     return portfolio.aggregate_scores(rows), used
 
 
@@ -529,10 +592,9 @@ def run_evolution(
     remaining ledger rows; the tracker is rebuilt by deterministic replay.
     """
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
+    _check_table(rm, cfg)
     n_steps = rm.values.shape[1]
-    if n_steps < cfg.warmup_steps + 2:
-        raise ValueError("dataset shorter than warmup_steps + 2 return steps")
+    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
     records_in = seed_factors(cfg.seed_windows) if pool is None else list(pool)
     if not records_in:
         raise ValueError("empty factor pool")
@@ -564,7 +626,7 @@ def run_evolution(
         for u in range(cfg.lookback, resume_from.step + 1):
             subset = {n: r for n, r in pool_map.items() if r.created_step <= u}
             if subset:
-                _update_tracker(tracker, subset, norm, rm, u, cfg)
+                _update_tracker(tracker, subset, scorer, u, cfg)
 
     cost_model = CostModel(cfg.cost_rate)
     forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
@@ -579,7 +641,10 @@ def run_evolution(
         )
         new_names: list[str] = []
         if searching:
-            pool_map = clean_factor_pool(pool_map, tracker, cfg, t)
+            kept = clean_factor_pool(pool_map, tracker, cfg, t)
+            for name in pool_map.keys() - kept.keys():
+                scorer.drop(name)
+            pool_map = kept
             req = _build_request(pool_map, tracker, cfg, t)
             prompt = build_prompt(req)
             leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], forbidden)
@@ -599,17 +664,18 @@ def run_evolution(
                 pool_map[cand.name] = cand
                 new_names.append(cand.name)
         if t >= cfg.lookback:
-            _update_tracker(tracker, pool_map, norm, rm, t, cfg)
+            _update_tracker(tracker, pool_map, scorer, t, cfg)
         for name in new_names:
-            keep, why = benchmark_gate(pool_map[name], tracker, norm, rm, cfg, t, pool_map)
+            keep, why = benchmark_gate(pool_map[name], tracker, scorer, cfg, t, pool_map)
             if not keep:
                 logger.info("step %d: gated out %s (%s)", t, name, why)
                 del pool_map[name]
                 tracker.drop(name)
+                scorer.drop(name)
 
         if t > cfg.warmup_steps:
             try:
-                composite, _ = composite_scores(pool_map, tracker, norm, rm, cfg, t)
+                composite, _ = composite_scores(pool_map, tracker, scorer, cfg, t)
                 sel = portfolio.select_top_m(composite, cfg.m)
                 weights = _weights_for(sel, composite, cfg, t)
                 r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)

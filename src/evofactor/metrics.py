@@ -116,20 +116,37 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _centered_ranks(values: np.ndarray) -> np.ndarray:
+    ranks = _average_ranks(values)
+    return ranks - ranks.mean()
+
+
+class Ranks(NamedTuple):
+    """A vector's average ranks minus their mean, as spearman_rank_corr uses them."""
+
+    centered: np.ndarray
+
+
+def ranks(values: Sequence[float] | np.ndarray) -> Ranks:
+    """Rank a vector once, to correlate it with many others."""
+    return Ranks(_centered_ranks(np.asarray(values, dtype=np.float64)))
+
+
 def spearman_rank_corr(
-    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray | Ranks
 ) -> MetricValue:
-    """Pearson correlation of average ranks; flat inputs flag degenerate."""
+    """Pearson correlation of average ranks; flat inputs flag degenerate.
+
+    y may be given as ranks(y) when it is shared by many calls.
+    """
     xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
+    ya = y.centered if isinstance(y, Ranks) else np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
     if xa.size < 2:
         return MetricValue(0.0, degenerate=True)
-    rx = _average_ranks(xa)
-    ry = _average_ranks(ya)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
+    dx = _centered_ranks(xa)
+    dy = ya if isinstance(y, Ranks) else _centered_ranks(ya)
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         return MetricValue(0.0, degenerate=True)

@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from strategies import expressions, panels
 
 from evofactor import dsl
 from evofactor.dsl import (
@@ -444,3 +448,40 @@ def test_evaluation_rowwise_independence() -> None:
         for a in range(6):
             solo = evaluate_cross_section(expr, prices[a : a + 1], returns[a : a + 1])
             assert solo[0] == pytest.approx(batch[a], rel=1e-12, abs=1e-12)
+
+
+# ------------------------------------------------------------ panel form
+
+
+def test_receptive_field_counts() -> None:
+    assert dsl.receptive_field(parse("prices")) == 1
+    assert dsl.receptive_field(parse("ts_mean(prices, 7)")) == 7
+    assert dsl.receptive_field(parse("lag(prices, 7)")) == 8
+    assert dsl.receptive_field(parse("ts_delta(ts_std(returns, 14), 3)")) == 17
+    assert dsl.receptive_field(parse("add(last(ts_max(prices, 21)), ts_sum(returns, 3))")) == 21
+    assert dsl.panel_equivalent(parse("sub(div(last(prices), last(lag(prices, 7))), 1.0)"), 8)
+    assert not dsl.panel_equivalent(parse("lag(prices, 7)"), 7)
+    assert not dsl.panel_equivalent(parse("ts_mean(last(prices), 3)"), 30)
+    assert not dsl.panel_equivalent(parse("ts_mean(abs(last(prices)), 3)"), 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), panels())
+def test_evaluate_panel_is_total(expr, panel) -> None:
+    out = dsl.evaluate_panel(expr, *panel)
+    assert out.shape == panel[0].shape
+    assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), st.integers(0, 4), st.data())
+def test_evaluate_panel_equals_windowed_when_equivalent(expr, slack, data) -> None:
+    # Lookbacks at and just past the receptive field, where padding would show.
+    lookback = max(2, dsl.receptive_field(expr) + slack)
+    assume(dsl.panel_equivalent(expr, lookback))
+    prices, returns = data.draw(panels(min_steps=lookback))
+    out = dsl.evaluate_panel(expr, prices, returns)
+    for c in range(lookback - 1, prices.shape[1]):
+        window = slice(c - lookback + 1, c + 1)
+        expected = evaluate_cross_section(expr, prices[:, window], returns[:, window])
+        assert np.array_equal(out[:, c], expected), (print_expr(expr), c)

@@ -2,14 +2,24 @@
 benchmark gate, and the full search-and-backtest loop with resume."""
 from __future__ import annotations
 
+import logging
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from evofactor import dsl
+from strategies import expressions, within_caps
+
+from evofactor import dsl, evolution
+from evofactor.dsl import ALLOWED_WINDOWS, TS_OPS, Last, TimeSeries
 from evofactor.evolution import (
     EvolutionConfig,
     PerfTracker,
+    ScoreCache,
     SearchRecord,
     _update_tracker,
     benchmark_gate,
@@ -24,7 +34,12 @@ from evofactor.evolution import (
     warmup,
 )
 from evofactor.generator import GenerationResult, generate_offline
-from evofactor.market_data import to_normalized_prices, to_relative_returns, window_matrices
+from evofactor.market_data import (
+    PriceTable,
+    to_normalized_prices,
+    to_relative_returns,
+    window_matrices,
+)
 from evofactor.seeds import make_record, seed_factors
 from evofactor.synthetic import dominant_asset_table, planted_momentum_table, random_walk_table
 
@@ -195,7 +210,7 @@ def test_update_tracker_matches_manual_evaluation() -> None:
     momentum = next(r for r in seed_factors((7,)) if r.name == "momentum_7")
     tracker = PerfTracker()
     t = 45
-    _update_tracker(tracker, {momentum.name: momentum}, norm, rm, t, cfg)
+    _update_tracker(tracker, {momentum.name: momentum}, ScoreCache(norm, rm, cfg.lookback), t, cfg)
     prices_win, returns_win = window_matrices(norm, rm, t, cfg.lookback)
     scores = dsl.evaluate_cross_section(momentum.expr, prices_win, returns_win)
     realized = rm.values[:, t]
@@ -282,8 +297,9 @@ def _gate_fixture():
     norm = to_normalized_prices(rm)
     pool = {r.name: r for r in seed_factors((7,))}
     tracker = warmup(table, list(pool.values()), cfg)
+    scorer = ScoreCache(norm, rm, cfg.lookback)
     for t in range(61, 71):
-        _update_tracker(tracker, pool, norm, rm, t, cfg)
+        _update_tracker(tracker, pool, scorer, t, cfg)
     return table, cfg, rm, norm, pool, tracker
 
 
@@ -292,9 +308,10 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", ("momentum_7",), 70)
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
 
-    keep, why = benchmark_gate(good, tracker, norm, rm, cfg, 70, {**pool, good.name: good})
+    scorer = ScoreCache(norm, rm, cfg.lookback)
+    keep, why = benchmark_gate(good, tracker, scorer, cfg, 70, {**pool, good.name: good})
     assert keep, why
-    keep, why = benchmark_gate(bad, tracker, norm, rm, cfg, 70, {**pool, bad.name: bad})
+    keep, why = benchmark_gate(bad, tracker, scorer, cfg, 70, {**pool, bad.name: bad})
     assert not keep
     assert "final_value" in why and "rankic" in why
 
@@ -302,7 +319,8 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
 def test_benchmark_gate_without_incumbents_keeps() -> None:
     _, cfg, rm, norm, _, _ = _gate_fixture()
     cand = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    keep, why = benchmark_gate(cand, PerfTracker(), norm, rm, cfg, 70, {cand.name: cand})
+    scorer = ScoreCache(norm, rm, cfg.lookback)
+    keep, why = benchmark_gate(cand, PerfTracker(), scorer, cfg, 70, {cand.name: cand})
     assert keep and "no incumbents" in why
 
 
@@ -312,10 +330,11 @@ def test_benchmark_gate_t_drop_raises_the_bar() -> None:
     _, cfg, rm, norm, pool, tracker = _gate_fixture()
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", (), 70)
     strict = _cfg(m=5, recall_n=5, t_drop=10.0)  # baseline x11 is unbeatable
-    keep, why = benchmark_gate(good, tracker, norm, rm, strict, 70, {**pool, good.name: good})
+    scorer = ScoreCache(norm, rm, strict.lookback)
+    keep, why = benchmark_gate(good, tracker, scorer, strict, 70, {**pool, good.name: good})
     assert keep  # saved by the RankIC leg
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    keep, _ = benchmark_gate(bad, tracker, norm, rm, strict, 70, {**pool, bad.name: bad})
+    keep, _ = benchmark_gate(bad, tracker, scorer, strict, 70, {**pool, bad.name: bad})
     assert not keep
 
 
@@ -330,9 +349,10 @@ def test_composite_scores_matches_manual_blend() -> None:
     records = [r for r in seed_factors((7,)) if r.name in ("momentum_7", "ma_7")]
     pool = {r.name: r for r in records}
     tracker = PerfTracker()
+    scorer = ScoreCache(norm, rm, cfg.lookback)
     for t in range(30, 71):
-        _update_tracker(tracker, pool, norm, rm, t, cfg)
-    comp, used = composite_scores(pool, tracker, norm, rm, cfg, 70)
+        _update_tracker(tracker, pool, scorer, t, cfg)
+    comp, used = composite_scores(pool, tracker, scorer, cfg, 70)
     assert sorted(used) == ["ma_7", "momentum_7"]
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
     rows = [
@@ -341,10 +361,124 @@ def test_composite_scores_matches_manual_blend() -> None:
     ]
     assert comp == pytest.approx(np.mean(rows, axis=0))
     # k_top=1 keeps only the better-ranked factor.
-    solo, used1 = composite_scores(pool, tracker, norm, rm, cfg, 70, k_top=1)
+    solo, used1 = composite_scores(pool, tracker, scorer, cfg, 70, k_top=1)
     assert len(used1) == 1 and used1[0] in used
     with pytest.raises(RuntimeError):
-        composite_scores(pool, PerfTracker(), norm, rm, cfg, 70)
+        composite_scores(pool, PerfTracker(), scorer, cfg, 70)
+
+
+# ---------------------------------------------------------- score cache
+
+
+def _check_cache_against_windows(expr: dsl.Expr, lookback: int, data: st.DataObject) -> None:
+    """Every step in order, then every step again in a drawn order, must
+    score exactly as the expression on that step's window."""
+    n_assets = data.draw(st.integers(1, 6), label="n_assets")
+    n_steps = data.draw(st.integers(lookback + 2, lookback + 50), label="n_steps")
+    table = random_walk_table(n_assets, n_steps, seed=data.draw(st.integers(0, 2**16)), sigma=0.05)
+    if data.draw(st.booleans(), label="ties"):
+        table = PriceTable(table.asset_ids, table.dates, np.maximum(np.round(table.prices), 1.0))
+    rm = to_relative_returns(table)
+    norm = to_normalized_prices(rm)
+    record = make_record("cand_7_v2", expr, "mutated")
+    cache = ScoreCache(norm, rm, lookback)
+    steps = list(range(lookback, norm.values.shape[1]))
+    for t in steps + data.draw(st.permutations(steps), label="order"):
+        expected = dsl.evaluate_cross_section(expr, *window_matrices(norm, rm, t, lookback))
+        assert np.array_equal(cache.scores(record, t), expected), (dsl.print_expr(expr), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions(), st.integers(0, 4), st.data())
+def test_score_cache_matches_windowed_scores(expr, slack, data) -> None:
+    lookback = max(2, dsl.receptive_field(expr) + slack)
+    assume(dsl.panel_equivalent(expr, lookback))
+    _check_cache_against_windows(expr, lookback, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    expressions(),
+    st.sampled_from(TS_OPS),
+    st.sampled_from(ALLOWED_WINDOWS),
+    st.booleans(),
+    st.integers(2, 25),
+    st.data(),
+)
+def test_score_cache_windowed_fallback(expr, op, window, last_under_ts, lookback, data) -> None:
+    # Ineligible either by a last under a time-series op or by a receptive
+    # field one column past the lookback; such factors never reach the panel.
+    if last_under_ts:
+        expr = TimeSeries(op, Last(expr), window)
+    else:
+        expr = TimeSeries(op, expr, window)
+        lookback = dsl.receptive_field(expr) - 1
+    assume(within_caps(expr))
+    assert not dsl.panel_equivalent(expr, lookback)
+
+    def no_panel(*args):
+        raise AssertionError("ineligible factor evaluated in panel form")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "evaluate_panel", no_panel)
+        _check_cache_against_windows(expr, lookback, data)
+
+
+def test_score_cache_never_serves_a_stale_expression() -> None:
+    table = random_walk_table(5, 80, seed=3)
+    rm = to_relative_returns(table)
+    norm = to_normalized_prices(rm)
+    cache = ScoreCache(norm, rm, 30)
+    first = make_record("cand_7_v2", dsl.parse("ts_mean(prices, 7)"), "mutated")
+    reused = make_record("cand_7_v2", dsl.parse("neg(ts_mean(prices, 7))"), "mutated")
+    before = cache.scores(first, 40).copy()
+    assert np.array_equal(cache.scores(reused, 41), -cache.scores(first, 41))
+    assert np.array_equal(cache.scores(first, 40), before)
+    assert cache.names() == ["cand_7_v2"]
+    cache.drop("cand_7_v2")
+    assert cache.names() == []
+    with pytest.raises(ValueError):
+        cache.scores(first, 29)  # needs 30 steps of history
+    with pytest.raises(ValueError):
+        cache.scores(first, norm.values.shape[1])  # past the last price step
+
+
+def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> None:
+    caches: list[ScoreCache] = []
+
+    class RecordingCache(ScoreCache):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
+        res = run_evolution(table, cfg, gen=generate_offline)
+    assert any("gated out" in rec.getMessage() for rec in caplog.records)
+    pools = [set(rec.pool_map()) for rec in res.records]
+    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    (cache,) = caches
+    assert cache.names() == sorted(rec.name for rec in res.pool)
+
+
+def test_run_rejects_config_the_table_cannot_serve() -> None:
+    table = random_walk_table(6, 100, seed=0)
+    with pytest.raises(ValueError, match="recall_n=7"):
+        run_evolution(table, _cfg(recall_n=7))
+    with pytest.raises(ValueError, match="config key m=7"):
+        run_evolution(table, _cfg(m=7))
+    with pytest.raises(ValueError, match="recall_n"):
+        warmup(table, seed_factors((7,)), _cfg(recall_n=7))
+
+
+def test_readme_quick_start_runs_as_documented(capsys) -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (API)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "vs 1/N" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- full loop

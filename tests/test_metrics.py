@@ -18,6 +18,7 @@ from evofactor.metrics import (
     mean_std,
     quality_columns,
     rank_icir,
+    ranks,
     rankic_series,
     recall_precision_at_n,
     report_columns,
@@ -122,6 +123,7 @@ def test_spearman_matches_scipy_and_oracle() -> None:
             y = rng.integers(0, 4, size=n).astype(float)
         want = oracles.spearman(x, y)
         got = spearman_rank_corr(x, y)
+        assert spearman_rank_corr(x, ranks(y)) == got  # pre-ranked y: same arithmetic
         if want is None:
             assert got.degenerate and got.value == 0.0
             continue
@@ -135,8 +137,11 @@ def test_spearman_edges() -> None:
     assert spearman_rank_corr([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]).value == pytest.approx(-1.0)
     assert spearman_rank_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]).degenerate
     assert spearman_rank_corr([2.0], [3.0]).degenerate
+    assert spearman_rank_corr([2.0], ranks([3.0])).degenerate
     with pytest.raises(ValueError):
         spearman_rank_corr([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        spearman_rank_corr([1.0, 2.0], ranks([1.0, 2.0, 3.0]))
 
 
 # --------------------------------------------------------------- rankic
