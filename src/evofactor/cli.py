@@ -381,27 +381,30 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     with open(outdir / "factor_sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k_top", "cumulative_wealth", "final_value", "mean_rankic"])
-        for k in range(1, 11):
-            value = 1.0
-            prev = None
-            ics = []
-            for t in range(ecfg.warmup_steps + 1, n_steps):
-                realized = rm.values[:, t]
+        # One pass over the steps serves every k from each factor's cached block.
+        ks = range(1, 11)
+        value = dict.fromkeys(ks, 1.0)
+        prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
+        ics: dict[int, list[float]] = {k: [] for k in ks}
+        for t in range(ecfg.warmup_steps + 1, n_steps):
+            realized = rm.values[:, t]
+            for k in ks:
                 try:
                     composite, _ = composite_scores(
                         pool_map, result.tracker, scorer, ecfg, t, k_top=k
                     )
                     sel = portfolio.select_top_m(composite, ecfg.m)
                     weights = portfolio.equal_weights(sel, t)
-                    r_t, _, _ = portfolio.step_return(weights, realized, prev, cost_model)
-                    prev = portfolio.drift_weights(weights, realized)
-                    ics.append(metrics.spearman_rank_corr(composite, realized).value)
+                    r_t, _, _ = portfolio.step_return(weights, realized, prev[k], cost_model)
+                    prev[k] = portfolio.drift_weights(weights, realized)
+                    ics[k].append(metrics.spearman_rank_corr(composite, realized).value)
                 except Exception:  # noqa: BLE001 - mirror the loop's fallback
                     r_t = portfolio.fallback_market_return(realized)
-                    prev = None
-                value *= r_t
-            mean_ic = float(np.mean(ics)) if ics else 0.0
-            writer.writerow([k, repr(value - 1.0), repr(value), repr(mean_ic)])
+                    prev[k] = None
+                value[k] *= r_t
+        for k in ks:
+            mean_ic = float(np.mean(ics[k])) if ics[k] else 0.0
+            writer.writerow([k, repr(value[k] - 1.0), repr(value[k]), repr(mean_ic)])
 
 
 def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> None:

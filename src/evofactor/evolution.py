@@ -170,7 +170,7 @@ class PerfTracker:
         return {
             "mean_return": mean,
             "std_return": std,
-            "sharpe_ratio": metrics.sharpe_ratio(net).value,
+            "sharpe_ratio": metrics.sharpe_from_moments(mean, std).value,
             "max_drawdown": -metrics.max_drawdown(path),
             "final_value": float(100.0 * np.prod(g)),
         }
@@ -282,14 +282,12 @@ def _update_tracker(
     t: int,
     cfg: EvolutionConfig,
 ) -> None:
-    realized = scorer.rm.values[:, t]
-    realized_ranks = metrics.ranks(realized)
-    for name in sorted(pool):
-        scores = scorer.scores(pool[name], t)
-        sel = portfolio.select_top_m(scores, cfg.m)
-        gross = float(realized[sel].mean())
-        ic = metrics.spearman_rank_corr(scores, realized_ranks).value
-        recall, _ = metrics.recall_precision_at_n(scores, realized, cfg.recall_n)
+    names = sorted(pool)
+    if not names:
+        return
+    scores = np.stack([scorer.scores(pool[name], t) for name in names])
+    grades = metrics.grade_rows(scores, scorer.rm.values[:, t], cfg.m, cfg.recall_n)
+    for name, gross, ic, recall in zip(names, *grades):
         tracker.add(name, t, gross, ic, recall)
 
 
@@ -374,18 +372,13 @@ def benchmark_gate(
     of incumbent pool factors. Costs are ignored here (comparison is c=0).
     """
     start = max(cfg.lookback, t - cfg.search_interval + 1)
-    grosses: list[float] = []
-    ics: list[float] = []
-    base: list[float] = []
-    for u in range(start, t + 1):
-        scores = scorer.scores(candidate, u)
-        realized = scorer.rm.values[:, u]
-        sel = portfolio.select_top_m(scores, cfg.m)
-        grosses.append(float(realized[sel].mean()))
-        ics.append(metrics.spearman_rank_corr(scores, realized).value)
-        base.append(float(realized.mean()))
+    scores = np.stack([scorer.scores(candidate, u) for u in range(start, t + 1)])
+    # Contiguous rows: a row mean then sums in the same order as the mean of
+    # one return column, so base_fv keeps its bits.
+    realized = np.ascontiguousarray(scorer.rm.values[:, start : t + 1].T)
+    grosses, ics, _ = metrics.grade_rows(scores, realized, cfg.m, cfg.recall_n)
     fv = float(100.0 * np.prod(grosses))
-    base_fv = float(100.0 * np.prod(base))
+    base_fv = float(100.0 * np.prod(realized.mean(axis=1)))
     mean_ic = float(np.mean(ics))
     incumbents = [
         name
@@ -396,13 +389,17 @@ def benchmark_gate(
     ]
     if not incumbents:
         return True, "no incumbents to compare against"
+    gated_fv = (1.0 + cfg.t_drop) * base_fv
+    if fv >= gated_fv:
+        return True, "cleared benchmark"
+    # The pool median is needed only when the value leg fails.
     pool_median = median(
         tracker.stat(name, "mean_rankic", cfg.search_interval, t, cfg.recall_n)
         for name in incumbents
     )
-    if fv < (1.0 + cfg.t_drop) * base_fv and mean_ic < pool_median:
+    if mean_ic < pool_median:
         return False, (
-            f"final_value {fv:.4f} < gated baseline {(1.0 + cfg.t_drop) * base_fv:.4f}"
+            f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
             f" and mean rankic {mean_ic:.4f} < pool median {pool_median:.4f}"
         )
     return True, "cleared benchmark"
@@ -625,8 +622,7 @@ def run_evolution(
         start_t = resume_from.step + 1
         for u in range(cfg.lookback, resume_from.step + 1):
             subset = {n: r for n, r in pool_map.items() if r.created_step <= u}
-            if subset:
-                _update_tracker(tracker, subset, scorer, u, cfg)
+            _update_tracker(tracker, subset, scorer, u, cfg)
 
     cost_model = CostModel(cfg.cost_rate)
     forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
@@ -664,14 +660,20 @@ def run_evolution(
                 pool_map[cand.name] = cand
                 new_names.append(cand.name)
         if t >= cfg.lookback:
-            _update_tracker(tracker, pool_map, scorer, t, cfg)
+            incumbents = {n: r for n, r in pool_map.items() if n not in new_names}
+            _update_tracker(tracker, incumbents, scorer, t, cfg)
+        # A candidate's first score request is the gate's, at the start of
+        # its trailing window; the block it anchors also serves step t.
+        admitted: dict[str, FactorRecord] = {}
         for name in new_names:
             keep, why = benchmark_gate(pool_map[name], tracker, scorer, cfg, t, pool_map)
-            if not keep:
+            if keep:
+                admitted[name] = pool_map[name]
+            else:
                 logger.info("step %d: gated out %s (%s)", t, name, why)
                 del pool_map[name]
-                tracker.drop(name)
                 scorer.drop(name)
+        _update_tracker(tracker, admitted, scorer, t, cfg)
 
         if t > cfg.warmup_steps:
             try:

@@ -75,7 +75,13 @@ def sharpe_ratio(
     periods_per_year: int | None = None,
 ) -> MetricValue:
     """(mean - r_f) / sample std, optionally annualized by sqrt(periods)."""
-    mean, std = mean_std(net_returns)
+    return sharpe_from_moments(*mean_std(net_returns), risk_free, periods_per_year)
+
+
+def sharpe_from_moments(
+    mean: float, std: float, risk_free: float = 0.0, periods_per_year: int | None = None
+) -> MetricValue:
+    """sharpe_ratio from the (mean, std) that mean_std returns."""
     if std == 0.0:
         return MetricValue(0.0, degenerate=True)
     ratio = (mean - risk_free) / std
@@ -99,54 +105,53 @@ def max_drawdown(path: WealthPath | Sequence[float] | np.ndarray) -> float:
     return worst
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of each row of a (rows, n) matrix, from one stable sort.
+
+    Returns the 1-based average ranks (tied values share the average of
+    their positions) and each entry's 0-based place in the descending order
+    that keeps the earlier asset first among ties, the order of select_top_m
+    and top_n_indices. The places hold for NaN-free rows only.
+    """
+    rows, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    row = np.arange(rows)[:, None]
+    sorted_vals = values[row, order]
     # A tie group starts wherever the sorted value changes; NaN != NaN, so
     # each NaN is a group of its own.
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    first = np.flatnonzero(new_group)
-    size = np.diff(np.append(first, n))
-    last = first + size - 1
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, size)
-    return ranks
+    starts = np.ones((rows, n), dtype=bool)
+    starts[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+    ends = np.ones((rows, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((rows, n), dtype=np.float64)
+    ranks[row, order] = 0.5 * (first + last) + 1.0
+    # The group at ascending positions first..last takes descending places
+    # n-1-last..n-1-first, its members still in asset order.
+    places = np.empty((rows, n), dtype=np.intp)
+    places[row, order] = n - 1 - last + (pos - first)
+    return ranks, places
 
 
-def _centered_ranks(values: np.ndarray) -> np.ndarray:
-    ranks = _average_ranks(values)
-    return ranks - ranks.mean()
-
-
-class Ranks(NamedTuple):
-    """A vector's average ranks minus their mean, as spearman_rank_corr uses them."""
-
-    centered: np.ndarray
-
-
-def ranks(values: Sequence[float] | np.ndarray) -> Ranks:
-    """Rank a vector once, to correlate it with many others."""
-    return Ranks(_centered_ranks(np.asarray(values, dtype=np.float64)))
+def _centered(ranks: np.ndarray) -> np.ndarray:
+    # Average ranks and their row means are exact half-integers, so every
+    # product and sum of centred ranks below is exact in any order.
+    return ranks - ranks.mean(axis=1, keepdims=True)
 
 
 def spearman_rank_corr(
-    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray | Ranks
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
 ) -> MetricValue:
-    """Pearson correlation of average ranks; flat inputs flag degenerate.
-
-    y may be given as ranks(y) when it is shared by many calls.
-    """
+    """Pearson correlation of average ranks; flat inputs flag degenerate."""
     xa = np.asarray(x, dtype=np.float64)
-    ya = y.centered if isinstance(y, Ranks) else np.asarray(y, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
     if xa.size < 2:
         return MetricValue(0.0, degenerate=True)
-    dx = _centered_ranks(xa)
-    dy = ya if isinstance(y, Ranks) else _centered_ranks(ya)
+    dx, dy = _centered(_rank_rows(np.stack([xa, ya]))[0])
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         return MetricValue(0.0, degenerate=True)
@@ -210,6 +215,43 @@ def recall_precision_at_n(
     actual = set(top_n_indices(realized, n).tolist())
     overlap = len(predicted & actual) / n
     return overlap, overlap
+
+
+def grade_rows(
+    scores: np.ndarray, realized: np.ndarray, m: int, recall_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grade each row of a (rows, n) score matrix against realized returns.
+
+    realized is one shared (n,) row, ranked once, or one row per score row.
+    Returns (gross, rankic, recall), three (rows,) arrays whose entry i is,
+    bit for bit, realized_i[select_top_m(scores[i], m)].mean(),
+    spearman_rank_corr(scores[i], realized_i).value and
+    recall_precision_at_n(scores[i], realized_i, recall_n)[0]. Rows must be
+    NaN-free, as DSL scores and returns are.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    realized = np.asarray(realized, dtype=np.float64)
+    if scores.ndim != 2 or realized.shape not in (scores.shape, scores.shape[1:]):
+        raise ValueError("realized must be one score row's shape or the score matrix's")
+    rows, n = scores.shape
+    if m < 1:
+        raise ValueError("m must be positive")
+    if not 1 <= recall_n <= n:
+        raise ValueError(f"N must be in 1..{n}")
+    if np.isnan(scores).any() or np.isnan(realized).any():
+        raise ValueError("rows must not hold NaN")
+    realized = np.atleast_2d(realized)
+    score_ranks, score_places = _rank_rows(scores)
+    realized_ranks, realized_places = _rank_rows(realized)
+    picked = np.broadcast_to(realized, scores.shape)[score_places < m]
+    gross = picked.reshape(rows, min(m, n)).mean(axis=1)
+    dx = _centered(score_ranks)
+    dy = _centered(realized_ranks)
+    denom = np.sqrt((dx * dx).sum(axis=1) * (dy * dy).sum(axis=1))
+    rankic = np.divide((dx * dy).sum(axis=1), denom, out=np.zeros(rows), where=denom != 0.0)
+    hits = (score_places < recall_n) & (realized_places < recall_n)
+    recall = hits.sum(axis=1) / recall_n
+    return gross, rankic, recall
 
 
 # ------------------------------------------------------------------ reports

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 from . import dsl
 from .dsl import Expr
@@ -29,6 +30,7 @@ _VERSION_RE = re.compile(r"^(?P<stem>[a-z0-9_]+)_v(?P<version>[0-9]+)$")
 _WINDOW_RE = re.compile(r"^(?P<base>[a-z0-9_]+)_(?P<window>3|7|14|21)$")
 
 
+@lru_cache(maxsize=4096)
 def parse_name(name: str) -> tuple[str, int | None, int]:
     """Split a factor name into (base_name, window_token, version).
 
@@ -93,7 +95,7 @@ class FactorRecord:
             raise ValueError("at most 2 parents")
         dsl.validate_expr(self.expr)
 
-    @property
+    @cached_property
     def expr_text(self) -> str:
         return dsl.print_expr(self.expr)
 

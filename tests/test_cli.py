@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from evofactor import cli, dsl
 from evofactor.aggregation import aggregate_records, save_merged
 from evofactor.cli import main
 from evofactor.evolution import EvolutionConfig, run_evolution, save_checkpoints
@@ -283,6 +284,35 @@ def test_report_factor_sweep(tmp_path, snapshot, library) -> None:
         assert int(cells[0]) == k
         assert float(cells[1]) == pytest.approx(float(cells[2]) - 1.0, abs=1e-12)
     assert main(["report", "--mode", "factor_sweep", "-o", str(outdir)]) == 2
+
+
+def test_report_factor_sweep_scores_each_block_once(tmp_path, library, monkeypatch) -> None:
+    snap = str(tmp_path / "long.json")
+    save_snapshot(planted_momentum_table(n_assets=10, n_steps=200, seed=5, signal=0.6), snap)
+    in_run = {"flag": False}
+    sweep_calls = []
+
+    def counting_panel(expr, prices, returns, _panel=dsl.evaluate_panel):
+        if not in_run["flag"]:
+            sweep_calls.append(expr)
+        return _panel(expr, prices, returns)
+
+    def uncounted_run(*args, _run=cli.run_evolution, **kwargs):
+        in_run["flag"] = True
+        try:
+            return _run(*args, **kwargs)
+        finally:
+            in_run["flag"] = False
+
+    monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
+    monkeypatch.setattr(cli, "run_evolution", uncounted_run)
+    lookback, warmup_steps = 21, 60
+    assert main(["report", "--mode", "factor_sweep", "--snapshot", snap, "--library", library,
+                 "-o", str(tmp_path / "rep"), *_SET, "--set", f"lookback={lookback}"]) == 0
+    live_steps = load_snapshot(snap).prices.shape[1] - 1 - (warmup_steps + 1)
+    blocks = -(-live_steps // lookback)
+    assert sweep_calls
+    assert len(sweep_calls) <= len(load_library(library)) * blocks
 
 
 def test_report_score_heatmap(tmp_path, snapshot, library) -> None:

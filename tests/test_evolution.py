@@ -463,6 +463,53 @@ def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> 
     assert cache.names() == sorted(rec.name for rec in res.pool)
 
 
+def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
+    step = {"t": -1}  # the search step whose round is running
+    panel_calls: list[tuple[int, dsl.Expr]] = []
+    kept: dict[str, bool] = {}
+    tracked: set[str] = set()
+
+    def generator(req):
+        step["t"] = req.step
+        return generate_offline(req)
+
+    def counting_panel(expr, prices, returns, _panel=dsl.evaluate_panel):
+        panel_calls.append((step["t"], expr))
+        return _panel(expr, prices, returns)
+
+    def recording_gate(candidate, *args, _gate=benchmark_gate):
+        keep, why = _gate(candidate, *args)
+        kept[candidate.name] = keep
+        return keep, why
+
+    def recording_add(self, name, *args, _add=PerfTracker.add):
+        tracked.add(name)
+        _add(self, name, *args)
+
+    monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
+    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
+    monkeypatch.setattr(PerfTracker, "add", recording_add)
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    res = run_evolution(table, cfg, gen=generator)
+    admitted = {
+        rec.name: rec
+        for record in res.records
+        for rec in record.pool
+        if kept.get(rec.name) and rec.created_step == record.step
+    }
+    assert set(admitted) == {name for name, keep in kept.items() if keep}
+    panel = [rec for rec in admitted.values() if dsl.panel_equivalent(rec.expr, cfg.lookback)]
+    assert panel
+    for rec in panel:
+        # One block, anchored by the gate at the start of its window, serves
+        # the gate and the candidate's grading at its admission step.
+        calls = [t for t, expr in panel_calls if expr is rec.expr]
+        assert calls.count(rec.created_step) == 1, rec.name
+    gated_out = {name for name, keep in kept.items() if not keep}
+    assert gated_out and not gated_out & tracked
+
+
 def test_run_rejects_config_the_table_cannot_serve() -> None:
     table = random_walk_table(6, 100, seed=0)
     with pytest.raises(ValueError, match="recall_n=7"):

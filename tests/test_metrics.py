@@ -7,18 +7,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import oracles
 from evofactor.metrics import (
     PERFORMANCE_COLUMNS,
     WealthPath,
+    _rank_rows,
     cumulative_wealth,
+    grade_rows,
     max_drawdown,
     mean_std,
     quality_columns,
     rank_icir,
-    ranks,
     rankic_series,
     recall_precision_at_n,
     report_columns,
@@ -27,6 +31,7 @@ from evofactor.metrics import (
     top_n_indices,
     write_factor_report,
 )
+from evofactor.portfolio import select_top_m
 
 # ---------------------------------------------------------- wealth path
 
@@ -123,7 +128,7 @@ def test_spearman_matches_scipy_and_oracle() -> None:
             y = rng.integers(0, 4, size=n).astype(float)
         want = oracles.spearman(x, y)
         got = spearman_rank_corr(x, y)
-        assert spearman_rank_corr(x, ranks(y)) == got  # pre-ranked y: same arithmetic
+        assert grade_rows(x[None, :], y, 1, 1)[1].tolist() == [got.value]
         if want is None:
             assert got.degenerate and got.value == 0.0
             continue
@@ -137,11 +142,65 @@ def test_spearman_edges() -> None:
     assert spearman_rank_corr([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]).value == pytest.approx(-1.0)
     assert spearman_rank_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]).degenerate
     assert spearman_rank_corr([2.0], [3.0]).degenerate
-    assert spearman_rank_corr([2.0], ranks([3.0])).degenerate
+    assert grade_rows(np.array([[2.0]]), np.array([3.0]), 1, 1)[1].tolist() == [0.0]
     with pytest.raises(ValueError):
         spearman_rank_corr([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        spearman_rank_corr([1.0, 2.0], ranks([1.0, 2.0, 3.0]))
+        grade_rows(np.array([[1.0, 2.0]]), np.array([1.0, 2.0, 3.0]), 1, 1)
+
+
+# ------------------------------------------------------------ grade_rows
+
+# Ties, signed zeros and constant rows come from the small value sets.
+_TIED = st.sampled_from([-2.0, -0.0, 0.0, 1.0, 3.5])
+_ROW_VALUES = st.sampled_from([
+    st.floats(-1e6, 1e6, allow_nan=False),
+    _TIED,
+    st.just(0.75),
+])
+
+
+@st.composite
+def _graded(draw):
+    n = draw(st.integers(1, 3) | st.integers(4, 30))
+    rows = draw(st.integers(1, 5))
+    scores = draw(arrays(np.float64, (rows, n), elements=draw(_ROW_VALUES)))
+    shape = draw(st.sampled_from([(n,), (rows, n)]))
+    realized = draw(arrays(np.float64, shape, elements=draw(_ROW_VALUES)))
+    m = draw(st.integers(1, n + 2))
+    recall_n = draw(st.integers(1, n) | st.just(n))
+    return scores, realized, m, recall_n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graded())
+def test_grade_rows_equals_the_per_row_metrics(case) -> None:
+    scores, realized, m, recall_n = case
+    gross, rankic, recall = grade_rows(scores, realized, m, recall_n)
+    for i, row in enumerate(scores):
+        real = realized if realized.ndim == 1 else realized[i]
+        # repr compares bits: -0.0 and 0.0 differ.
+        assert repr(float(gross[i])) == repr(float(real[select_top_m(row, m)].mean()))
+        assert repr(float(rankic[i])) == repr(spearman_rank_corr(row, real).value)
+        assert recall[i] == recall_precision_at_n(row, real, recall_n)[0]
+    ranks, places = _rank_rows(scores)
+    for i, row in enumerate(scores):
+        assert ranks[i].tolist() == oracles.average_ranks(row)
+        assert np.argsort(places[i]).tolist() == np.argsort(-row, kind="stable").tolist()
+
+
+def test_grade_rows_rejects_bad_input() -> None:
+    scores = np.array([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        grade_rows(scores[0], scores[0], 1, 1)  # not a matrix
+    with pytest.raises(ValueError):
+        grade_rows(scores, np.ones((2, 3)), 1, 1)  # one realized row per score row
+    with pytest.raises(ValueError):
+        grade_rows(scores, scores[0], 0, 1)
+    with pytest.raises(ValueError):
+        grade_rows(scores, scores[0], 1, 4)
+    with pytest.raises(ValueError):
+        grade_rows(np.array([[1.0, np.nan, 3.0]]), scores[0], 1, 1)
 
 
 # --------------------------------------------------------------- rankic
