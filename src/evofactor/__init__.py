@@ -7,7 +7,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .aggregation import MergedRecord, aggregate_records, merge_runs, pooled_library
-from .dsl import ALLOWED_WINDOWS, Expr, evaluate, evaluate_cross_section, parse, print_expr
+from .dsl import ALLOWED_WINDOWS, Expr, evaluate_cross_section, parse, print_expr
 from .evolution import (
     EvolutionConfig,
     EvolutionResult,
@@ -17,8 +17,8 @@ from .evolution import (
     benchmark_gate,
     clean_factor_pool,
     filter_factor_versions,
+    replay_tracker,
     run_evolution,
-    warmup,
 )
 from .generator import (
     GenerationRequest,
@@ -33,13 +33,11 @@ from .market_data import (
     NormalizedPrices,
     PriceTable,
     ReturnMatrix,
-    Window,
     load_price_table,
     load_snapshot,
     save_snapshot,
     to_normalized_prices,
     to_relative_returns,
-    window_at,
     window_matrices,
 )
 from .metrics import (
@@ -85,14 +83,12 @@ __all__ = [
     "ScoreCache",
     "SearchRecord",
     "WealthPath",
-    "Window",
     "aggregate_records",
     "benchmark_gate",
     "build_prompt",
     "clean_factor_pool",
     "cumulative_wealth",
     "equal_weights",
-    "evaluate",
     "evaluate_cross_section",
     "filter_factor_versions",
     "generate_offline",
@@ -110,6 +106,7 @@ __all__ = [
     "rank_icir",
     "rankic_series",
     "recall_precision_at_n",
+    "replay_tracker",
     "run_evolution",
     "save_library",
     "save_snapshot",
@@ -122,7 +119,5 @@ __all__ = [
     "to_normalized_prices",
     "to_relative_returns",
     "validate_candidate",
-    "warmup",
-    "window_at",
     "window_matrices",
 ]

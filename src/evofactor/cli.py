@@ -28,10 +28,11 @@ from .evolution import (
     EvolutionResult,
     PerfTracker,
     ScoreCache,
-    composite_scores,
     load_checkpoints,
+    rank_by_quality,
     run_evolution,
     save_checkpoints,
+    trade,
 )
 from .generator import (
     DEFAULT_API_KEY_ENV,
@@ -264,7 +265,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> dict:
+    """Config for backtest and evolve: the file and --set, then --snapshot
+    and --output; a run needs a snapshot."""
     cfg = load_run_config(args.config, args.set or [])
     if args.snapshot:
         cfg["data"] = args.snapshot
@@ -272,6 +275,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         cfg["output_dir"] = args.output
     if not cfg["data"]:
         raise ValueError("no snapshot: pass --snapshot or set the data key")
+    return cfg
+
+
+def cmd_backtest(args: argparse.Namespace) -> int:
+    cfg = _run_config(args)
     table = load_snapshot(cfg["data"])
     library = load_library(args.library)
     if not library:
@@ -300,13 +308,7 @@ def _make_generator(cfg: dict) -> Callable[[GenerationRequest], object]:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args.set or [])
-    if args.snapshot:
-        cfg["data"] = args.snapshot
-    if args.output:
-        cfg["output_dir"] = args.output
-    if not cfg["data"]:
-        raise ValueError("no snapshot: pass --snapshot or set the data key")
+    cfg = _run_config(args)
     gen = _make_generator(cfg)
     table = load_snapshot(cfg["data"])
     ecfg = evolution_config(cfg)
@@ -334,15 +336,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     save_merged(merged, str(outdir / "merged.jsonl"))
     save_library(library, str(outdir / "pooled_library.json"))
     cfg = {"checkpoints": list(args.checkpoints), "max_records": args.max_records, "ratio": args.ratio}
-    manifest = {
-        "code_version": __version__,
-        "config": cfg,
-        "config_sha256": hashlib.sha256(
-            (json.dumps(cfg, sort_keys=True, indent=2) + "\n").encode()
-        ).hexdigest(),
-        "inputs": {path: _sha256_file(path) for path in sorted(args.checkpoints)},
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_manifest(outdir, cfg, args.checkpoints)
     print(f"merged {len(merged)} records; pooled library holds {len(library)} factors")
     return 0
 
@@ -376,32 +370,31 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     rm = to_relative_returns(table)
     scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
     pool_map = {rec.name: rec for rec in result.pool}
-    n_steps = rm.values.shape[1]
     cost_model = portfolio.CostModel(ecfg.cost_rate)
+    # One ranking per step serves every k: k_top=k blends its first k rows.
+    ks = range(1, 11)
+    value = dict.fromkeys(ks, 1.0)
+    prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
+    ics: dict[int, list[float]] = {k: [] for k in ks}
+    for t in range(ecfg.warmup_steps + 1, rm.values.shape[1]):
+        realized = rm.values[:, t]
+        try:
+            ranked = rank_by_quality(pool_map, result.tracker, ecfg, ecfg.search_interval, t)
+            rows = [dsl.normalize_scores(scorer.scores(pool_map[n], t)) for n in ranked[: ks[-1]]]
+        except Exception:  # noqa: BLE001 - every k takes the fallback below
+            rows = []
+        for k in ks:
+            try:
+                composite = portfolio.aggregate_scores(rows[:k])
+                _, r_t, _, _, prev[k] = trade(composite, realized, prev[k], ecfg, cost_model, t)
+                ics[k].append(metrics.spearman_rank_corr(composite, realized).value)
+            except Exception:  # noqa: BLE001 - mirror the loop's fallback
+                r_t = portfolio.fallback_market_return(realized)
+                prev[k] = None
+            value[k] *= r_t
     with open(outdir / "factor_sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k_top", "cumulative_wealth", "final_value", "mean_rankic"])
-        # One pass over the steps serves every k from each factor's cached block.
-        ks = range(1, 11)
-        value = dict.fromkeys(ks, 1.0)
-        prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
-        ics: dict[int, list[float]] = {k: [] for k in ks}
-        for t in range(ecfg.warmup_steps + 1, n_steps):
-            realized = rm.values[:, t]
-            for k in ks:
-                try:
-                    composite, _ = composite_scores(
-                        pool_map, result.tracker, scorer, ecfg, t, k_top=k
-                    )
-                    sel = portfolio.select_top_m(composite, ecfg.m)
-                    weights = portfolio.equal_weights(sel, t)
-                    r_t, _, _ = portfolio.step_return(weights, realized, prev[k], cost_model)
-                    prev[k] = portfolio.drift_weights(weights, realized)
-                    ics[k].append(metrics.spearman_rank_corr(composite, realized).value)
-                except Exception:  # noqa: BLE001 - mirror the loop's fallback
-                    r_t = portfolio.fallback_market_return(realized)
-                    prev[k] = None
-                value[k] *= r_t
         for k in ks:
             mean_ic = float(np.mean(ics[k])) if ics[k] else 0.0
             writer.writerow([k, repr(value[k] - 1.0), repr(value[k]), repr(mean_ic)])

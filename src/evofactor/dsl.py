@@ -41,8 +41,6 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .market_data import Window
-
 FEATURES = ("prices", "returns")
 UNARY_OPS = ("abs", "log", "neg", "sign", "sqrt_abs")
 BINARY_OPS = ("add", "sub", "mul", "div", "min2", "max2")
@@ -508,14 +506,6 @@ def panel_equivalent(expr: Expr, lookback: int) -> bool:
     """True when evaluate_panel reproduces windowed scores of this lookback:
     the receptive field fits it and no `last` has a time-series ancestor."""
     return receptive_field(expr) <= lookback and not _last_under_ts(expr)
-
-
-def evaluate(expr: Expr, window: Window) -> float:
-    """Evaluate one expression on one asset window; always finite."""
-    score = evaluate_cross_section(
-        expr, window.prices[None, :], window.returns[None, :]
-    )
-    return float(score[0])
 
 
 def normalize_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:

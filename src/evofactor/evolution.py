@@ -303,20 +303,29 @@ def _check_table(rm: ReturnMatrix, cfg: EvolutionConfig) -> None:
             )
 
 
-def warmup(
-    table: PriceTable, pool: Sequence[FactorRecord], cfg: EvolutionConfig
+def replay_tracker(
+    pool: Mapping[str, FactorRecord], scorer: ScoreCache, cfg: EvolutionConfig, upto: int
 ) -> PerfTracker:
-    """Populate standalone factor series for steps lookback..warmup_steps."""
-    rm = to_relative_returns(table)
-    _check_table(rm, cfg)
-    if not pool:
-        raise ValueError("empty factor pool")
-    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
-    pool_map = {rec.name: rec for rec in pool}
+    """The tracker a run holds after step upto, rebuilt by grading each factor
+    from max(lookback, created_step) through upto."""
     tracker = PerfTracker()
-    for t in range(cfg.lookback, cfg.warmup_steps + 1):
-        _update_tracker(tracker, pool_map, scorer, t, cfg)
+    for t in range(cfg.lookback, upto + 1):
+        live = {name: rec for name, rec in pool.items() if rec.created_step <= t}
+        _update_tracker(tracker, live, scorer, t, cfg)
     return tracker
+
+
+def rank_by_quality(
+    names: Iterable[str], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
+) -> list[str]:
+    """Names with tracker history up to upto, version-filtered and ranked
+    best first by quality_metric over their trailing window entries."""
+    values = {
+        name: tracker.stat(name, cfg.quality_metric, window, upto, cfg.recall_n)
+        for name in names
+        if tracker.count(name, upto) > 0
+    }
+    return sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
 
 
 def clean_factor_pool(
@@ -330,12 +339,7 @@ def clean_factor_pool(
     Tracker entries of removed factors are dropped in place."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
-    window = _report_window(t, cfg)
-    values = {
-        name: tracker.stat(name, cfg.quality_metric, window, t - 1, cfg.recall_n)
-        for name in pool
-    }
-    ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
+    ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
     survivors = {name for name in pool if pool[name].origin == "seed"}
     survivors.update(ranked[: cfg.keep_top_n])
     if len(survivors) > cfg.max_pool_size:
@@ -511,12 +515,7 @@ def _build_request(
 ) -> GenerationRequest:
     upto = t - 1
     window = cfg.search_interval
-    evaluable = [n for n in sorted(pool) if tracker.count(n, upto) > 0]
-    values = {
-        n: tracker.stat(n, cfg.quality_metric, window, upto, cfg.recall_n)
-        for n in evaluable
-    }
-    ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
+    ranked = rank_by_quality(pool, tracker, cfg, window, upto)
     tops = tuple(
         TopFactor(
             record=pool[n],
@@ -537,40 +536,48 @@ def _build_request(
     )
 
 
-def _weights_for(
-    selection: np.ndarray, composite: np.ndarray, cfg: EvolutionConfig, t: int
-) -> PortfolioWeights:
-    if cfg.weighting == "equal":
-        return portfolio.equal_weights(selection, t)
-    if cfg.weighting == "positive_score":
-        return portfolio.positive_score_weights(selection, composite, t)
-    return portfolio.temperature_weights(selection, composite, cfg.tau, t)
-
-
 def composite_scores(
     pool: Mapping[str, FactorRecord],
     tracker: PerfTracker,
     scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
-    k_top: int | None = None,
 ) -> tuple[np.ndarray, list[str]]:
     """Mean of the top-k factors' normalized score rows at step t.
 
-    Factors are version-filtered, then ranked by quality_metric over the
-    trailing search_interval entries. Returns (composite row, used names).
+    Factors are ranked by rank_by_quality over the trailing search_interval
+    entries. Returns (composite row, used names).
     """
-    names = [n for n in sorted(pool) if tracker.count(n, t) > 0]
-    if not names:
+    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t)[: cfg.k_top]
+    if not used:
         raise RuntimeError("no factor has tracker history at this step")
-    values = {
-        n: tracker.stat(n, cfg.quality_metric, cfg.search_interval, t, cfg.recall_n)
-        for n in names
-    }
-    ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
-    used = ranked[: cfg.k_top if k_top is None else k_top]
     rows = [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
     return portfolio.aggregate_scores(rows), used
+
+
+def trade(
+    composite: np.ndarray,
+    realized: np.ndarray,
+    prev: PortfolioWeights | None,
+    cfg: EvolutionConfig,
+    cost_model: CostModel,
+    t: int,
+) -> tuple[PortfolioWeights, float, float, float, PortfolioWeights]:
+    """One live step: hold the top-m assets by composite, weighted by
+    cfg.weighting, and earn the realized returns net of costs.
+
+    Returns (weights, net gross return, turnover, cost, weights drifted by
+    the realized returns for the next step's turnover).
+    """
+    sel = portfolio.select_top_m(composite, cfg.m)
+    if cfg.weighting == "equal":
+        weights = portfolio.equal_weights(sel, t)
+    elif cfg.weighting == "positive_score":
+        weights = portfolio.positive_score_weights(sel, composite, t)
+    else:
+        weights = portfolio.temperature_weights(sel, composite, cfg.tau, t)
+    r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
+    return weights, r_t, turn, fee, portfolio.drift_weights(weights, realized)
 
 
 def run_evolution(
@@ -620,9 +627,7 @@ def run_evolution(
             )
         )
         start_t = resume_from.step + 1
-        for u in range(cfg.lookback, resume_from.step + 1):
-            subset = {n: r for n, r in pool_map.items() if r.created_step <= u}
-            _update_tracker(tracker, subset, scorer, u, cfg)
+        tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
 
     cost_model = CostModel(cfg.cost_rate)
     forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
@@ -678,12 +683,9 @@ def run_evolution(
         if t > cfg.warmup_steps:
             try:
                 composite, _ = composite_scores(pool_map, tracker, scorer, cfg, t)
-                sel = portfolio.select_top_m(composite, cfg.m)
-                weights = _weights_for(sel, composite, cfg, t)
-                r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
-                prev = portfolio.drift_weights(weights, realized)
-                sel_ids = tuple(table.asset_ids[int(i)] for i in sel)
-                sel_ws = tuple(float(weights.weights[int(i)]) for i in sel)
+                weights, r_t, turn, fee, prev = trade(composite, realized, prev, cfg, cost_model, t)
+                sel_ids = tuple(table.asset_ids[i] for i in weights.weights)
+                sel_ws = tuple(weights.weights.values())
                 phase = "live"
             except Exception as exc:  # noqa: BLE001 - scoring errors fall back
                 logger.warning("step %d: scoring failed (%s); market fallback", t, exc)

@@ -99,18 +99,6 @@ class NormalizedPrices:
     values: np.ndarray  # (n_assets, n_steps)
 
 
-@dataclass(frozen=True)
-class Window:
-    """One asset's trailing view at step t: the last `lookback` normalized
-    prices ending at t and the `lookback` relative returns on the same span."""
-
-    asset_id: str
-    t: int
-    date: str
-    prices: np.ndarray  # (lookback,)
-    returns: np.ndarray  # (lookback,)
-
-
 def _parse_cell(text: str) -> float | None:
     text = text.strip()
     if not text:
@@ -266,18 +254,6 @@ def window_matrices(
     prices = norm.values[:, t - lookback + 1 : t + 1]
     rets = returns.values[:, t - lookback : t]
     return prices, rets
-
-
-def window_at(
-    norm: NormalizedPrices, returns: ReturnMatrix, asset: int, t: int, lookback: int
-) -> Window:
-    """Single-asset trailing window ending at price step t."""
-    if asset < 0 or asset >= len(norm.asset_ids):
-        raise IndexError(f"asset index {asset} out of range")
-    prices, rets = window_matrices(norm, returns, t, lookback)
-    return Window(
-        norm.asset_ids[asset], t, norm.dates[t], prices[asset].copy(), rets[asset].copy()
-    )
 
 
 def save_snapshot(table: PriceTable, path: str) -> None:

@@ -315,6 +315,26 @@ def test_report_factor_sweep_scores_each_block_once(tmp_path, library, monkeypat
     assert len(sweep_calls) <= len(load_library(library)) * blocks
 
 
+@pytest.mark.parametrize("weighting", ["equal", "positive_score", "temperature"])
+def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting) -> None:
+    # Row k of the sweep must earn what a backtest with k_top=k earns live.
+    snap = str(tmp_path / "snap.json")
+    save_snapshot(planted_momentum_table(n_assets=12, n_steps=140, seed=5, signal=0.6), snap)
+    sets = [*_SET, "--set", f"weighting={weighting}", "--set", "cost_rate=0.002"]
+    assert main(["report", "--mode", "factor_sweep", "--snapshot", snap, "--library", library,
+                 "-o", str(tmp_path / "rep"), *sets]) == 0
+    lines = (tmp_path / "rep" / "factor_sweep.csv").read_text().strip().splitlines()
+    for k in (1, 3):
+        outdir = tmp_path / f"k{k}"
+        assert main(["backtest", "--snapshot", snap, "--library", library, "--output",
+                     str(outdir), *sets, "--set", f"k_top={k}"]) == 0
+        value = 1.0
+        for row in read_ledger(str(outdir / "ledger.csv")):
+            if row.phase != "warmup":
+                value *= row.step_return
+        assert float(lines[k].split(",")[2]) == pytest.approx(value, rel=1e-12), k
+
+
 def test_report_score_heatmap(tmp_path, snapshot, library) -> None:
     assert _evolve(snapshot, tmp_path / "run") == 0
     ledger_path = str(tmp_path / "run" / "ledger.csv")

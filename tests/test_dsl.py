@@ -249,16 +249,14 @@ def test_overflow_and_domain_errors_scrub_to_zero() -> None:
 
 
 def test_evaluate_single_window_matches_cross_section() -> None:
-    from evofactor.market_data import Window
-
     rng = np.random.default_rng(8)
     prices = rng.uniform(50, 150, size=(5, 14))
     returns = rng.normal(0, 0.02, size=(5, 14))
     expr = parse("div(ts_delta(prices, 7), ts_std(returns, 14))")
     batch = evaluate_cross_section(expr, prices, returns)
     for a in range(5):
-        win = Window(asset_id=f"A{a}", t=13, date="d", prices=prices[a], returns=returns[a])
-        assert dsl.evaluate(expr, win) == pytest.approx(batch[a], rel=1e-12)
+        single = evaluate_cross_section(expr, prices[a : a + 1], returns[a : a + 1])
+        assert single[0] == pytest.approx(batch[a], rel=1e-12)
 
 
 def test_shape_mismatch_rejected() -> None:

@@ -28,10 +28,10 @@ from evofactor.evolution import (
     filter_factor_versions,
     json_to_search_record,
     load_checkpoints,
+    replay_tracker,
     run_evolution,
     save_checkpoints,
     search_record_to_json,
-    warmup,
 )
 from evofactor.generator import GenerationResult, generate_offline
 from evofactor.market_data import (
@@ -180,26 +180,44 @@ def test_filter_factor_versions_cases() -> None:
     assert filter_factor_versions({}) == []
 
 
-# --------------------------------------------------------------- warmup
+# -------------------------------------------------------- tracker replay
+
+
+def _scorer(table: PriceTable, cfg: EvolutionConfig) -> ScoreCache:
+    rm = to_relative_returns(table)
+    return ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
 
 
 def test_warmup_populates_every_factor() -> None:
     table = random_walk_table(8, 100, seed=1)
     cfg = _cfg()
-    pool = seed_factors(cfg.seed_windows)
-    tracker = warmup(table, pool, cfg)
-    assert tracker.names() == sorted(r.name for r in pool)
+    pool = {r.name: r for r in seed_factors(cfg.seed_windows)}
+    tracker = replay_tracker(pool, _scorer(table, cfg), cfg, cfg.warmup_steps)
+    assert tracker.names() == sorted(pool)
     assert len(tracker.names()) == 12
     for name in tracker.names():
         assert tracker.count(name) == cfg.warmup_steps - cfg.lookback + 1
 
 
-def test_warmup_rejects_bad_input() -> None:
-    cfg = _cfg()
-    with pytest.raises(ValueError):
-        warmup(random_walk_table(8, 50, seed=1), seed_factors((7,)), cfg)
-    with pytest.raises(ValueError):
-        warmup(random_walk_table(8, 100, seed=1), [], cfg)
+def test_replay_tracker_reproduces_the_live_tracker() -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    res = run_evolution(table, cfg, gen=generate_offline)
+    pools = [set(rec.pool_map()) for rec in res.records]
+    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    # A name pruned and proposed again later starts a new series, so only the
+    # factors that stay in the pool through the end are compared.
+    final = set(res.pool)
+    generated = 0
+    for rec in res.records:
+        replayed = replay_tracker(rec.pool_map(), _scorer(table, cfg), cfg, rec.step)
+        for name in sorted(r.name for r in final.intersection(rec.pool)):
+            steps, *columns = res.tracker.series(name)
+            upto = sum(1 for step in steps if step <= rec.step)
+            live = (steps[:upto], *(column[:upto] for column in columns))
+            assert replayed.series(name) == live, (rec.step, name)
+            generated += rec.pool_map()[name].origin != "seed"
+    assert generated  # factors created mid-run start at their created_step
 
 
 def test_update_tracker_matches_manual_evaluation() -> None:
@@ -296,10 +314,7 @@ def _gate_fixture():
     rm = to_relative_returns(table)
     norm = to_normalized_prices(rm)
     pool = {r.name: r for r in seed_factors((7,))}
-    tracker = warmup(table, list(pool.values()), cfg)
-    scorer = ScoreCache(norm, rm, cfg.lookback)
-    for t in range(61, 71):
-        _update_tracker(tracker, pool, scorer, t, cfg)
+    tracker = replay_tracker(pool, ScoreCache(norm, rm, cfg.lookback), cfg, 70)
     return table, cfg, rm, norm, pool, tracker
 
 
@@ -361,7 +376,7 @@ def test_composite_scores_matches_manual_blend() -> None:
     ]
     assert comp == pytest.approx(np.mean(rows, axis=0))
     # k_top=1 keeps only the better-ranked factor.
-    solo, used1 = composite_scores(pool, tracker, scorer, cfg, 70, k_top=1)
+    solo, used1 = composite_scores(pool, tracker, scorer, _cfg(k_top=1, recall_n=2), 70)
     assert len(used1) == 1 and used1[0] in used
     with pytest.raises(RuntimeError):
         composite_scores(pool, PerfTracker(), scorer, cfg, 70)
@@ -516,8 +531,6 @@ def test_run_rejects_config_the_table_cannot_serve() -> None:
         run_evolution(table, _cfg(recall_n=7))
     with pytest.raises(ValueError, match="config key m=7"):
         run_evolution(table, _cfg(m=7))
-    with pytest.raises(ValueError, match="recall_n"):
-        warmup(table, seed_factors((7,)), _cfg(recall_n=7))
 
 
 def test_readme_quick_start_runs_as_documented(capsys) -> None:

@@ -14,7 +14,6 @@ from evofactor.market_data import (
     save_snapshot,
     to_normalized_prices,
     to_relative_returns,
-    window_at,
     window_matrices,
 )
 
@@ -141,19 +140,6 @@ def test_window_matrices_insufficient_history():
     with pytest.raises(ValueError, match="insufficient history"):
         window_matrices(norm, rm, t=2, lookback=3)
     window_matrices(norm, rm, t=3, lookback=3)
-
-
-def test_window_at_single_asset():
-    prices = np.array([[100.0, 110.0, 121.0, 133.1], [50.0, 50.0, 50.0, 50.0]])
-    table = PriceTable(("A", "B"), ("d0", "d1", "d2", "d3"), prices)
-    rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
-    win = window_at(norm, rm, asset=0, t=3, lookback=2)
-    assert win.asset_id == "A" and win.t == 3 and win.date == "d3"
-    np.testing.assert_allclose(win.prices, [121.0, 133.1])
-    np.testing.assert_allclose(win.returns, [1.1, 1.1])
-    with pytest.raises(IndexError):
-        window_at(norm, rm, asset=9, t=3, lookback=2)
 
 
 def test_price_table_validation():

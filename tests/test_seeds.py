@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from evofactor import dsl
-from evofactor.market_data import Window
 from evofactor.seeds import (
     FactorRecord,
     is_generated_name,
@@ -124,6 +123,11 @@ def test_seed_factors_shape() -> None:
         seed_factors((7, 5))
 
 
+def _score(expr: dsl.Expr, prices: np.ndarray, returns: np.ndarray) -> float:
+    """Score of one asset's window, evaluated as a one-row cross-section."""
+    return float(dsl.evaluate_cross_section(expr, prices[None, :], returns[None, :])[0])
+
+
 def _consistent_window(rng: np.random.Generator, lookback: int) -> tuple[np.ndarray, np.ndarray]:
     full = 100.0 * np.exp(np.cumsum(rng.normal(0.0002, 0.02, size=lookback + 1)))
     prices = full[1:]
@@ -136,9 +140,8 @@ def test_seed_formulas_match_oracles() -> None:
     records = seed_factors()
     for _ in range(150):
         prices, returns = _consistent_window(rng, 30)
-        win = Window("a", 29, "d", prices, returns)
         for rec in records:
-            got = dsl.evaluate(rec.expr, win)
+            got = _score(rec.expr, prices, returns)
             want = seed_oracle(rec.name)(prices, returns)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), rec.name
 
@@ -149,29 +152,27 @@ def test_seed_formulas_match_oracles_short_history() -> None:
     records = seed_factors()
     for _ in range(60):
         prices, returns = _consistent_window(rng, 10)
-        win = Window("a", 9, "d", prices, returns)
         for rec in records:
-            got = dsl.evaluate(rec.expr, win)
+            got = _score(rec.expr, prices, returns)
             want = seed_oracle(rec.name)(prices, returns)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), rec.name
 
 
 def test_rsi_known_regimes() -> None:
     rsi = next(r for r in seed_factors((7,)) if r.name == "rsi_14")
-    up = Window("a", 19, "d", np.linspace(100, 120, 20), np.full(20, 1.01))
-    assert dsl.evaluate(rsi.expr, up) == pytest.approx(100.0)  # gain-only
-    down = Window("a", 19, "d", np.linspace(120, 100, 20), np.full(20, 0.99))
-    assert dsl.evaluate(rsi.expr, down) == pytest.approx(0.0)  # loss-only
-    flat = Window("a", 19, "d", np.full(20, 100.0), np.ones(20))
-    assert dsl.evaluate(rsi.expr, flat) == 0.0  # no moves at all
+    up = (np.linspace(100, 120, 20), np.full(20, 1.01))
+    assert _score(rsi.expr, *up) == pytest.approx(100.0)  # gain-only
+    down = (np.linspace(120, 100, 20), np.full(20, 0.99))
+    assert _score(rsi.expr, *down) == pytest.approx(0.0)  # loss-only
+    flat = (np.full(20, 100.0), np.ones(20))
+    assert _score(rsi.expr, *flat) == 0.0  # no moves at all
 
 
 def test_momentum_spot_value() -> None:
     momentum = next(r for r in seed_factors((7,)) if r.name == "momentum_7")
     prices = np.array([100.0] * 23 + [110.0] * 7)
     returns = np.ones(30)
-    win = Window("a", 29, "d", prices, returns)
-    assert dsl.evaluate(momentum.expr, win) == pytest.approx(0.10)
+    assert _score(momentum.expr, prices, returns) == pytest.approx(0.10)
 
 
 # -------------------------------------------------------- serialization
