@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import dsl
-from .evolution import SearchRecord, filter_factor_versions, load_checkpoints, search_record_to_json
+from .evolution import (
+    SearchRecord,
+    filter_factor_versions,
+    load_checkpoints,
+    read_jsonl,
+    search_record_to_json,
+    write_jsonl,
+)
 from .seeds import FactorRecord, make_record
 
 logger = logging.getLogger(__name__)
@@ -140,19 +147,8 @@ def json_to_merged(doc: dict) -> MergedRecord:
 
 
 def save_merged(records: Sequence[MergedRecord], path: str) -> None:
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(merged_to_json(record), sort_keys=True) + "\n")
+    write_jsonl(map(merged_to_json, records), path)
 
 
 def load_merged(path: str) -> list[MergedRecord]:
-    records = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json_to_merged(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad merged record: {exc}") from exc
-    return records
+    return read_jsonl(path, json_to_merged, "merged")

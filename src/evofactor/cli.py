@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -28,11 +29,14 @@ from .evolution import (
     EvolutionResult,
     PerfTracker,
     ScoreCache,
+    check_table,
     load_checkpoints,
+    pool_by_name,
     rank_by_quality,
     run_evolution,
     save_checkpoints,
     trade,
+    update_tracker,
 )
 from .generator import (
     DEFAULT_API_KEY_ENV,
@@ -53,69 +57,56 @@ from .seeds import FactorRecord, load_library, save_library
 logger = logging.getLogger(__name__)
 
 
+def _int(value: object) -> int:
+    """int() that refuses bools and non-integral numbers rather than truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _windows(text: object) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(int(w) for w in text)
-    return tuple(int(w) for w in str(text).split(",") if w.strip())
+        return tuple(_int(w) for w in text)
+    return tuple(_int(w) for w in str(text).split(",") if w.strip())
 
 
 def _opt_int(text: object) -> int | None:
     if text is None or text == "":
         return None
-    return int(text)
+    return _int(text)
 
 
 # key: (default, caster, what it controls)
 CONFIG_SCHEMA: dict[str, tuple[object, Callable[[object], object], str]] = {
     "data": ("", str, "price snapshot consumed by backtest/evolve"),
     "output_dir": ("run", str, "directory receiving ledgers, reports, manifest"),
-    "rng_seed": (0, int, "single entropy source; all randomness derives from it"),
-    "lookback": (30, int, "window length fed to factor expressions"),
-    "warmup_steps": (60, int, "steps earning the market average while factor history accumulates"),
-    "search_interval": (5, int, "steps between generator calls; also the trailing stats window"),
-    "m": (10, int, "portfolio cardinality cap (nonzero weights per step)"),
-    "k_top": (5, int, "factors blended into the composite score"),
-    "m_candidates": (5, int, "candidates requested per search step; small batches stay reliable"),
+    "rng_seed": (0, _int, "single entropy source; all randomness derives from it"),
+    "lookback": (30, _int, "window length fed to factor expressions"),
+    "warmup_steps": (60, _int, "steps earning the market average while factor history accumulates"),
+    "search_interval": (5, _int, "steps between generator calls; also the trailing stats window"),
+    "m": (10, _int, "portfolio cardinality cap (nonzero weights per step)"),
+    "k_top": (5, _int, "factors blended into the composite score"),
+    "m_candidates": (5, _int, "candidates requested per search step; small batches stay reliable"),
     "cost_rate": (0.0, float, "proportional transaction cost charged on turnover"),
     "weighting": ("equal", str, "weight scheme: equal | positive_score | temperature"),
     "tau": (1.0, float, "softmax temperature; small values concentrate on the top score"),
     "quality_metric": ("final_value", str, "factor ranking basis: final_value | mean_rankic"),
-    "max_pool_size": (50, int, "pool size triggering pruning"),
-    "keep_top_n": (20, int, "best factors guaranteed to survive pruning"),
+    "max_pool_size": (50, _int, "pool size triggering pruning"),
+    "keep_top_n": (20, _int, "best factors guaranteed to survive pruning"),
     "t_drop": (0.0, float, "margin a candidate must clear over the market baseline"),
-    "recall_n": (20, int, "top-N overlap size for recall quality stats"),
-    "stats_window": (120, int, "cap on the trailing window behind checkpoint stats"),
+    "recall_n": (20, _int, "top-N overlap size for recall quality stats"),
+    "stats_window": (120, _int, "cap on the trailing window behind checkpoint stats"),
     "seed_windows": ((3, 7, 14, 21), _windows, "window grid instantiating the seed library"),
     "generator": ("offline", str, "candidate source: offline (deterministic) | remote (HTTP endpoint)"),
     "endpoint": ("", str, "remote chat endpoint URL"),
     "model": ("", str, "remote model identifier"),
     "temperature": (0.7, float, "remote sampling temperature"),
-    "max_retries": (3, int, "remote attempts before a search step gives up"),
+    "max_retries": (3, _int, "remote attempts before a search step gives up"),
     "min_valid": (None, _opt_int, "parsed candidates required to accept a batch; blank = half of m_candidates"),
     "timeout": (60.0, float, "remote request timeout in seconds"),
     "api_key_env": (DEFAULT_API_KEY_ENV, str, "environment variable holding the API key"),
     "audit_log": ("", str, "JSON-lines file recording every remote request/response"),
 }
-
-_EVOLUTION_KEYS = (
-    "lookback",
-    "warmup_steps",
-    "search_interval",
-    "m",
-    "k_top",
-    "m_candidates",
-    "cost_rate",
-    "weighting",
-    "tau",
-    "quality_metric",
-    "max_pool_size",
-    "keep_top_n",
-    "t_drop",
-    "recall_n",
-    "stats_window",
-    "rng_seed",
-    "seed_windows",
-)
 
 
 def config_epilog() -> str:
@@ -126,8 +117,18 @@ def config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _cast(key: str, value: object) -> object:
+    if key not in CONFIG_SCHEMA:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return CONFIG_SCHEMA[key][1](value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key}: {exc}") from exc
+
+
 def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
-    """Defaults, then config file, then --set overrides; unknown keys fail."""
+    """Defaults, then config file, then --set overrides; unknown keys and
+    values that do not cast fail, naming the key."""
     cfg = {key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
     if path:
         with open(path) as handle:
@@ -135,21 +136,17 @@ def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in doc.items():
-            if key not in CONFIG_SCHEMA:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = CONFIG_SCHEMA[key][1](value)
+            cfg[key] = _cast(key, value)
     for item in sets:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        if key not in CONFIG_SCHEMA:
-            raise ValueError(f"unknown config key {key!r}")
-        cfg[key] = CONFIG_SCHEMA[key][1](value)
+        cfg[key] = _cast(key, value)
     return cfg
 
 
 def evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(**{key: cfg[key] for key in _EVOLUTION_KEYS})
+    return EvolutionConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(EvolutionConfig)})
 
 
 def generator_config(cfg: dict) -> GeneratorConfig:
@@ -282,8 +279,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     table = load_snapshot(cfg["data"])
     library = load_library(args.library)
-    if not library:
-        raise ValueError("factor library is empty")
     ecfg = evolution_config(cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
     outdir = Path(cfg["output_dir"])
@@ -298,6 +293,14 @@ def _make_generator(cfg: dict) -> Callable[[GenerationRequest], object]:
     if cfg["generator"] == "offline":
         return generate_offline
     if cfg["generator"] == "remote":
+        if cfg["min_valid"] is not None and cfg["min_valid"] > cfg["m_candidates"]:
+            raise ValueError(
+                f"config key min_valid={cfg['min_valid']} exceeds m_candidates={cfg['m_candidates']}"
+            )
+        if cfg["max_retries"] < 1:
+            raise ValueError(f"config key max_retries={cfg['max_retries']} must be >= 1")
+        if not cfg["timeout"] > 0:
+            raise ValueError(f"config key timeout={cfg['timeout']} must be positive")
         if not os.environ.get(cfg["api_key_env"], ""):
             raise ValueError(
                 f"remote generation needs the {cfg['api_key_env']} environment variable"
@@ -361,25 +364,31 @@ def _report_wealth_curve(args: argparse.Namespace, outdir: Path) -> None:
 
 
 def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> None:
+    """A static backtest of the library for each k_top in 1..10, from one
+    grading pass: row k trades as `backtest` with k_top=k."""
     if not args.snapshot or not args.library:
         raise ValueError("factor_sweep needs --snapshot and --library")
     table = load_snapshot(args.snapshot)
     library = load_library(args.library)
     ecfg = evolution_config(cfg)
-    result = run_evolution(table, ecfg, gen=None, pool=library)
     rm = to_relative_returns(table)
+    check_table(rm, ecfg)
+    pool_map = pool_by_name(library)
     scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
-    pool_map = {rec.name: rec for rec in result.pool}
+    tracker = PerfTracker()
     cost_model = portfolio.CostModel(ecfg.cost_rate)
     # One ranking per step serves every k: k_top=k blends its first k rows.
     ks = range(1, 11)
     value = dict.fromkeys(ks, 1.0)
     prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
     ics: dict[int, list[float]] = {k: [] for k in ks}
-    for t in range(ecfg.warmup_steps + 1, rm.values.shape[1]):
+    for t in range(ecfg.lookback, rm.values.shape[1]):
+        update_tracker(tracker, pool_map, scorer, t, ecfg)
+        if t <= ecfg.warmup_steps:
+            continue
         realized = rm.values[:, t]
         try:
-            ranked = rank_by_quality(pool_map, result.tracker, ecfg, ecfg.search_interval, t)
+            ranked = rank_by_quality(pool_map, tracker, ecfg, ecfg.search_interval, t)
             rows = [dsl.normalize_scores(scorer.scores(pool_map[n], t)) for n in ranked[: ks[-1]]]
         except Exception:  # noqa: BLE001 - every k takes the fallback below
             rows = []

@@ -116,14 +116,10 @@ Expr = Union[Feature, Const, Unary, Binary, TimeSeries, Last]
 def children(expr: Expr) -> tuple[Expr, ...]:
     if isinstance(expr, (Feature, Const)):
         return ()
-    if isinstance(expr, Unary):
+    if isinstance(expr, (Unary, TimeSeries, Last)):
         return (expr.child,)
     if isinstance(expr, Binary):
         return (expr.left, expr.right)
-    if isinstance(expr, TimeSeries):
-        return (expr.child,)
-    if isinstance(expr, Last):
-        return (expr.child,)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -275,7 +275,7 @@ def _report_window(t: int, cfg: EvolutionConfig) -> int:
     return max(1, min(t - cfg.lookback, cfg.stats_window))
 
 
-def _update_tracker(
+def update_tracker(
     tracker: PerfTracker,
     pool: Mapping[str, FactorRecord],
     scorer: ScoreCache,
@@ -291,7 +291,19 @@ def _update_tracker(
         tracker.add(name, t, gross, ic, recall)
 
 
-def _check_table(rm: ReturnMatrix, cfg: EvolutionConfig) -> None:
+def pool_by_name(records: Iterable[FactorRecord]) -> dict[str, FactorRecord]:
+    """A starting pool keyed by name; an empty pool or a repeated name fails."""
+    pool_map: dict[str, FactorRecord] = {}
+    for rec in records:
+        if rec.name in pool_map:
+            raise ValueError(f"duplicate factor name {rec.name!r}")
+        pool_map[rec.name] = rec
+    if not pool_map:
+        raise ValueError("empty factor pool")
+    return pool_map
+
+
+def check_table(rm: ReturnMatrix, cfg: EvolutionConfig) -> None:
     """Fail before the loop on a config the table cannot serve."""
     if rm.values.shape[1] < cfg.warmup_steps + 2:
         raise ValueError("dataset shorter than warmup_steps + 2 return steps")
@@ -311,7 +323,7 @@ def replay_tracker(
     tracker = PerfTracker()
     for t in range(cfg.lookback, upto + 1):
         live = {name: rec for name, rec in pool.items() if rec.created_step <= t}
-        _update_tracker(tracker, live, scorer, t, cfg)
+        update_tracker(tracker, live, scorer, t, cfg)
     return tracker
 
 
@@ -451,23 +463,33 @@ def json_to_search_record(doc: dict) -> SearchRecord:
     )
 
 
-def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
+def write_jsonl(docs: Iterable[dict], path: str) -> None:
+    """Write one sorted-key JSON object per line."""
     with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(search_record_to_json(record), sort_keys=True) + "\n")
+        for doc in docs:
+            handle.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_checkpoints(path: str) -> list[SearchRecord]:
+def read_jsonl(path: str, parse: Callable[[dict], object], what: str) -> list:
+    """parse() of each non-blank line; a bad line fails naming path:line."""
     records = []
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json_to_search_record(json.loads(line)))
+                records.append(parse(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad checkpoint record: {exc}") from exc
+                raise ValueError(f"{path}:{line_no}: bad {what} record: {exc}") from exc
     return records
+
+
+def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
+    write_jsonl(map(search_record_to_json, records), path)
+
+
+def load_checkpoints(path: str) -> list[SearchRecord]:
+    return read_jsonl(path, json_to_search_record, "checkpoint")
 
 
 def _make_search_record(
@@ -596,17 +618,10 @@ def run_evolution(
     remaining ledger rows; the tracker is rebuilt by deterministic replay.
     """
     rm = to_relative_returns(table)
-    _check_table(rm, cfg)
+    check_table(rm, cfg)
     n_steps = rm.values.shape[1]
     scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
-    records_in = seed_factors(cfg.seed_windows) if pool is None else list(pool)
-    if not records_in:
-        raise ValueError("empty factor pool")
-    pool_map: dict[str, FactorRecord] = {}
-    for rec in records_in:
-        if rec.name in pool_map:
-            raise ValueError(f"duplicate factor name {rec.name!r}")
-        pool_map[rec.name] = rec
+    pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
 
     tracker = PerfTracker()
     value = 100.0
@@ -666,7 +681,7 @@ def run_evolution(
                 new_names.append(cand.name)
         if t >= cfg.lookback:
             incumbents = {n: r for n, r in pool_map.items() if n not in new_names}
-            _update_tracker(tracker, incumbents, scorer, t, cfg)
+            update_tracker(tracker, incumbents, scorer, t, cfg)
         # A candidate's first score request is the gate's, at the start of
         # its trailing window; the block it anchors also serves step t.
         admitted: dict[str, FactorRecord] = {}
@@ -678,7 +693,7 @@ def run_evolution(
                 logger.info("step %d: gated out %s (%s)", t, name, why)
                 del pool_map[name]
                 scorer.drop(name)
-        _update_tracker(tracker, admitted, scorer, t, cfg)
+        update_tracker(tracker, admitted, scorer, t, cfg)
 
         if t > cfg.warmup_steps:
             try:

@@ -60,14 +60,6 @@ class PriceTable:
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError("prices must be finite and strictly positive")
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.asset_ids)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.dates)
-
 
 @dataclass(frozen=True)
 class ReturnMatrix:

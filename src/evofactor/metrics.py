@@ -110,8 +110,8 @@ def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the 1-based average ranks (tied values share the average of
     their positions) and each entry's 0-based place in the descending order
-    that keeps the earlier asset first among ties, the order of select_top_m
-    and top_n_indices. The places hold for NaN-free rows only.
+    that keeps the earlier asset first among ties, the order of
+    select_top_m. The places hold for NaN-free rows only.
     """
     rows, n = values.shape
     order = np.argsort(values, axis=1, kind="stable")
@@ -158,26 +158,6 @@ def spearman_rank_corr(
     return MetricValue(float(dx @ dy) / denom)
 
 
-def rankic_series(
-    score_rows: Sequence[Sequence[float] | np.ndarray],
-    next_return_rows: Sequence[Sequence[float] | np.ndarray],
-) -> tuple[np.ndarray, list[int]]:
-    """Per-step Spearman between scores at t and realized returns at t+1.
-
-    Steps with fewer than 2 assets are skipped and their indices returned.
-    """
-    if len(score_rows) != len(next_return_rows):
-        raise ValueError("score and return streams must align")
-    values: list[float] = []
-    skipped: list[int] = []
-    for t, (scores, rets) in enumerate(zip(score_rows, next_return_rows)):
-        if len(np.atleast_1d(np.asarray(scores))) < 2:
-            skipped.append(t)
-            continue
-        values.append(spearman_rank_corr(scores, rets).value)
-    return np.asarray(values, dtype=np.float64), skipped
-
-
 def rank_icir(rankics: Sequence[float] | np.ndarray) -> MetricValue:
     """Mean of the RankIC series over its sample std."""
     arr = np.asarray(rankics, dtype=np.float64)
@@ -187,34 +167,6 @@ def rank_icir(rankics: Sequence[float] | np.ndarray) -> MetricValue:
     if std == 0.0:
         return MetricValue(0.0, degenerate=True)
     return MetricValue(mean / std)
-
-
-def top_n_indices(values: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest values; ties broken by asset order."""
-    order = np.argsort(-np.asarray(values, dtype=np.float64), kind="stable")
-    return order[:n]
-
-
-def recall_precision_at_n(
-    scores: Sequence[float] | np.ndarray,
-    realized: Sequence[float] | np.ndarray,
-    n: int,
-) -> tuple[float, float]:
-    """Overlap fraction of predicted vs realized top-n sets.
-
-    With equal set sizes recall and precision coincide; both are returned to
-    mirror the report fields.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    realized = np.asarray(realized, dtype=np.float64)
-    if scores.shape != realized.shape:
-        raise ValueError("scores and realized returns must align")
-    if n < 1 or n > scores.size:
-        raise ValueError(f"N must be in 1..{scores.size}")
-    predicted = set(top_n_indices(scores, n).tolist())
-    actual = set(top_n_indices(realized, n).tolist())
-    overlap = len(predicted & actual) / n
-    return overlap, overlap
 
 
 def grade_rows(

@@ -28,6 +28,7 @@ LEDGER_COLUMNS = (
     "selected_assets",
     "weights",
 )
+_FLOAT_COLUMNS = LEDGER_COLUMNS[2:-2]  # portfolio_value .. cost
 
 
 @dataclass(frozen=True)
@@ -221,34 +222,15 @@ def write_ledger(rows: Sequence[LedgerRow], path: str) -> None:
         writer.writerow(LEDGER_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    row.date,
-                    row.phase,
-                    repr(row.portfolio_value),
-                    repr(row.baseline_value),
-                    repr(row.step_return),
-                    repr(row.baseline_return),
-                    repr(row.turnover),
-                    repr(row.cost),
-                    json.dumps(list(row.selected_assets)),
-                    json.dumps([repr(w) for w in row.weights]),
-                ]
+                [row.date, row.phase]
+                + [repr(getattr(row, col)) for col in _FLOAT_COLUMNS]
+                + [json.dumps(list(row.selected_assets)), json.dumps([repr(w) for w in row.weights])]
             )
 
 
 def ledger_to_json(rows: Sequence[LedgerRow]) -> list[dict]:
     return [
-        {
-            "date": row.date,
-            "phase": row.phase,
-            "portfolio_value": row.portfolio_value,
-            "baseline_value": row.baseline_value,
-            "step_return": row.step_return,
-            "baseline_return": row.baseline_return,
-            "turnover": row.turnover,
-            "cost": row.cost,
-            "weights": row.weight_map(),
-        }
+        {**{col: getattr(row, col) for col in LEDGER_COLUMNS[:-2]}, "weights": row.weight_map()}
         for row in rows
     ]
 
@@ -260,24 +242,17 @@ def write_ledger_json(rows: Sequence[LedgerRow], path: str) -> None:
 
 
 def read_ledger(path: str) -> list[LedgerRow]:
-    rows: list[LedgerRow] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != list(LEDGER_COLUMNS):
             raise ValueError(f"{path}: unexpected ledger columns {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                LedgerRow(
-                    date=rec["date"],
-                    phase=rec["phase"],
-                    portfolio_value=float(rec["portfolio_value"]),
-                    baseline_value=float(rec["baseline_value"]),
-                    step_return=float(rec["step_return"]),
-                    baseline_return=float(rec["baseline_return"]),
-                    turnover=float(rec["turnover"]),
-                    cost=float(rec["cost"]),
-                    selected_assets=tuple(json.loads(rec["selected_assets"])),
-                    weights=tuple(float(w) for w in json.loads(rec["weights"])),
-                )
+        return [
+            LedgerRow(
+                rec["date"],
+                rec["phase"],
+                *(float(rec[col]) for col in _FLOAT_COLUMNS),
+                selected_assets=tuple(json.loads(rec["selected_assets"])),
+                weights=tuple(float(w) for w in json.loads(rec["weights"])),
             )
-    return rows
+            for rec in reader
+        ]

@@ -154,6 +154,35 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, snapshot, library) -> No
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_set_value_that_does_not_cast_names_its_key(tmp_path, capsys, snapshot, library) -> None:
+    assert main(["backtest", "--snapshot", snapshot, "--library", library,
+                 "--output", str(tmp_path / "r"), "--set", "m=abc"]) == 2
+    assert "config key m: " in capsys.readouterr().err
+
+
+def test_int_keys_reject_bools_and_fractions(tmp_path, capsys, snapshot, library) -> None:
+    cfg_path = tmp_path / "cfg.json"
+    args = ["backtest", "--config", str(cfg_path), "--snapshot", snapshot,
+            "--library", library, "--output", str(tmp_path / "r")]
+    for bad in ('{"m": 2.7}', '{"m": true}', '{"seed_windows": [7, 3.5]}'):
+        cfg_path.write_text(bad)
+        assert main(args) == 2, bad
+        assert "config key " in capsys.readouterr().err
+    cfg_path.write_text('{"m": 2.0, "min_valid": 3}')
+    cfg = cli.load_run_config(str(cfg_path), [])
+    assert (cfg["m"], cfg["min_valid"]) == (2, 3)
+
+
+def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("EVOFACTOR_API_KEY", "unused")
+    missing = str(tmp_path / "missing.json")
+    for bad, key in (("min_valid=9", "min_valid"), ("max_retries=0", "max_retries"),
+                     ("timeout=0", "timeout")):
+        assert _evolve(missing, tmp_path / "r", ["--set", "generator=remote", "--set", bad]) == 2
+        assert f"config key {key}=" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # ------------------------------------------------------------------- evolve
 
 
@@ -287,32 +316,25 @@ def test_report_factor_sweep(tmp_path, snapshot, library) -> None:
 
 
 def test_report_factor_sweep_scores_each_block_once(tmp_path, library, monkeypatch) -> None:
+    # The sweep grades and trades in one pass over one score cache, so the
+    # whole report evaluates no more blocks than a backtest on the same inputs.
     snap = str(tmp_path / "long.json")
     save_snapshot(planted_momentum_table(n_assets=10, n_steps=200, seed=5, signal=0.6), snap)
-    in_run = {"flag": False}
-    sweep_calls = []
+    calls = []
 
     def counting_panel(expr, prices, returns, _panel=dsl.evaluate_panel):
-        if not in_run["flag"]:
-            sweep_calls.append(expr)
+        calls.append(expr)
         return _panel(expr, prices, returns)
 
-    def uncounted_run(*args, _run=cli.run_evolution, **kwargs):
-        in_run["flag"] = True
-        try:
-            return _run(*args, **kwargs)
-        finally:
-            in_run["flag"] = False
-
     monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
-    monkeypatch.setattr(cli, "run_evolution", uncounted_run)
-    lookback, warmup_steps = 21, 60
-    assert main(["report", "--mode", "factor_sweep", "--snapshot", snap, "--library", library,
-                 "-o", str(tmp_path / "rep"), *_SET, "--set", f"lookback={lookback}"]) == 0
-    live_steps = load_snapshot(snap).prices.shape[1] - 1 - (warmup_steps + 1)
-    blocks = -(-live_steps // lookback)
-    assert sweep_calls
-    assert len(sweep_calls) <= len(load_library(library)) * blocks
+    counts = []
+    for command in (["report", "--mode", "factor_sweep", "-o", str(tmp_path / "rep")],
+                    ["backtest", "--output", str(tmp_path / "bt")]):
+        calls.clear()
+        assert main([*command, "--snapshot", snap, "--library", library,
+                     *_SET, "--set", "lookback=21"]) == 0
+        counts.append(len(calls))
+    assert 0 < counts[0] <= counts[1]
 
 
 @pytest.mark.parametrize("weighting", ["equal", "positive_score", "temperature"])

@@ -21,7 +21,6 @@ from evofactor.evolution import (
     PerfTracker,
     ScoreCache,
     SearchRecord,
-    _update_tracker,
     benchmark_gate,
     clean_factor_pool,
     composite_scores,
@@ -32,6 +31,7 @@ from evofactor.evolution import (
     run_evolution,
     save_checkpoints,
     search_record_to_json,
+    update_tracker,
 )
 from evofactor.generator import GenerationResult, generate_offline
 from evofactor.market_data import (
@@ -228,7 +228,7 @@ def test_update_tracker_matches_manual_evaluation() -> None:
     momentum = next(r for r in seed_factors((7,)) if r.name == "momentum_7")
     tracker = PerfTracker()
     t = 45
-    _update_tracker(tracker, {momentum.name: momentum}, ScoreCache(norm, rm, cfg.lookback), t, cfg)
+    update_tracker(tracker, {momentum.name: momentum}, ScoreCache(norm, rm, cfg.lookback), t, cfg)
     prices_win, returns_win = window_matrices(norm, rm, t, cfg.lookback)
     scores = dsl.evaluate_cross_section(momentum.expr, prices_win, returns_win)
     realized = rm.values[:, t]
@@ -366,7 +366,7 @@ def test_composite_scores_matches_manual_blend() -> None:
     tracker = PerfTracker()
     scorer = ScoreCache(norm, rm, cfg.lookback)
     for t in range(30, 71):
-        _update_tracker(tracker, pool, scorer, t, cfg)
+        update_tracker(tracker, pool, scorer, t, cfg)
     comp, used = composite_scores(pool, tracker, scorer, cfg, 70)
     assert sorted(used) == ["ma_7", "momentum_7"]
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
@@ -574,6 +574,32 @@ def test_static_run_ledger_invariants() -> None:
             assert len(row.weights) == len(row.selected_assets)
             assert abs(sum(row.weights) - 1.0) <= 1e-9
             assert all(w >= 0 for w in row.weights)
+
+
+def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(cost_rate=0.002)
+    fail_at = cfg.warmup_steps + 5
+    real = evolution.composite_scores
+
+    def flaky(pool, tracker, scorer, cfg, t):
+        if t == fail_at:
+            raise RuntimeError("scoring down")
+        return real(pool, tracker, scorer, cfg, t)
+
+    monkeypatch.setattr(evolution, "composite_scores", flaky)
+    ledger = run_evolution(table, cfg).ledger
+    assert [row.phase for row in ledger].count("fallback") == 1
+    row = ledger[fail_at]
+    assert row.phase == "fallback"
+    realized = to_relative_returns(table).values[:, fail_at]
+    assert row.step_return == row.baseline_return == float(realized.mean())
+    assert row.turnover == 0.0 and row.cost == 0.0
+    assert row.selected_assets == () and row.weights == ()
+    # The fallback liquidates, so the next live step buys from cash.
+    after = ledger[fail_at + 1]
+    assert after.phase == "live"
+    assert after.turnover == 0.5 and after.cost == 0.002 * 0.5
 
 
 def test_static_run_beats_baseline_on_dominant_asset() -> None:

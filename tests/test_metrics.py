@@ -23,12 +23,9 @@ from evofactor.metrics import (
     mean_std,
     quality_columns,
     rank_icir,
-    rankic_series,
-    recall_precision_at_n,
     report_columns,
     sharpe_ratio,
     spearman_rank_corr,
-    top_n_indices,
     write_factor_report,
 )
 from evofactor.portfolio import select_top_m
@@ -182,7 +179,7 @@ def test_grade_rows_equals_the_per_row_metrics(case) -> None:
         # repr compares bits: -0.0 and 0.0 differ.
         assert repr(float(gross[i])) == repr(float(real[select_top_m(row, m)].mean()))
         assert repr(float(rankic[i])) == repr(spearman_rank_corr(row, real).value)
-        assert recall[i] == recall_precision_at_n(row, real, recall_n)[0]
+        assert recall[i] == oracles.recall_at_n(row, real, recall_n)
     ranks, places = _rank_rows(scores)
     for i, row in enumerate(scores):
         assert ranks[i].tolist() == oracles.average_ranks(row)
@@ -200,6 +197,8 @@ def test_grade_rows_rejects_bad_input() -> None:
     with pytest.raises(ValueError):
         grade_rows(scores, scores[0], 1, 4)
     with pytest.raises(ValueError):
+        grade_rows(scores, scores[0], 1, 0)
+    with pytest.raises(ValueError):
         grade_rows(np.array([[1.0, np.nan, 3.0]]), scores[0], 1, 1)
 
 
@@ -208,60 +207,23 @@ def test_grade_rows_rejects_bad_input() -> None:
 
 def test_rankic_series_and_icir() -> None:
     rng = np.random.default_rng(40)
-    scores = [rng.normal(size=8) for _ in range(20)]
-    rets = [rng.normal(size=8) for _ in range(20)]
-    series, skipped = rankic_series(scores, rets)
-    assert skipped == []
+    scores = rng.normal(size=(20, 8))
+    rets = rng.normal(size=(20, 8))
+    _, series, _ = grade_rows(scores, rets, 1, 1)
     assert len(series) == 20
     for k in range(20):
         assert series[k] == pytest.approx(oracles.spearman(scores[k], rets[k]), rel=1e-12)
     got = rank_icir(series)
     assert got.value == pytest.approx(oracles.rank_icir(list(series)), rel=1e-12)
-
-    # Rows with fewer than two assets are skipped and reported.
-    series2, skipped2 = rankic_series([np.array([1.0]), scores[0]], [np.array([2.0]), rets[0]])
-    assert skipped2 == [0] and len(series2) == 1
-
-    with pytest.raises(ValueError):
-        rankic_series(scores, rets[:-1])
     assert rank_icir([0.3]).degenerate
     assert rank_icir([0.3, 0.3, 0.3]).degenerate
 
 
-# ------------------------------------------------------------ selection
-
-
-def test_top_n_indices_tie_stability() -> None:
-    values = np.array([1.0, 3.0, 3.0, 2.0, 3.0])
-    assert top_n_indices(values, 3).tolist() == [1, 2, 4]
-    assert top_n_indices(values, 1).tolist() == [1]
-    rng = np.random.default_rng(50)
-    for _ in range(100):
-        vals = rng.integers(0, 5, size=12).astype(float)
-        n = int(rng.integers(1, 13))
-        assert top_n_indices(vals, n).tolist() == oracles.top_n(vals, n)
-
-
-def test_recall_precision_at_n() -> None:
-    scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    realized = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    recall, precision = recall_precision_at_n(scores, realized, 2)
-    assert recall == 0.0 and precision == 0.0
-    recall, precision = recall_precision_at_n(scores, scores, 3)
-    assert recall == 1.0 and precision == 1.0
-    rng = np.random.default_rng(60)
-    for _ in range(200):
-        s = rng.normal(size=15)
-        r = rng.normal(size=15)
-        n = int(rng.integers(1, 16))
-        recall, precision = recall_precision_at_n(s, r, n)
-        assert recall == precision == pytest.approx(oracles.recall_at_n(s, r, n))
-    with pytest.raises(ValueError):
-        recall_precision_at_n(scores, realized, 0)
-    with pytest.raises(ValueError):
-        recall_precision_at_n(scores, realized, 6)
-    with pytest.raises(ValueError):
-        recall_precision_at_n(scores, realized[:-1], 2)
+def test_grade_rows_recall_extremes() -> None:
+    # Reversed orders share no top-2 asset; identical orders share all three.
+    scores = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])
+    assert grade_rows(scores, scores[0, ::-1], 1, 2)[2].tolist() == [0.0]
+    assert grade_rows(scores, scores[0], 1, 3)[2].tolist() == [1.0]
 
 
 # -------------------------------------------------------------- reports
