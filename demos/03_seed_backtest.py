@@ -49,10 +49,10 @@ def main() -> None:
                for step in result.tracker.series(name)[0] or (0,))
     print(f"\nper-factor trailing stats at step {last}:")
     print(f"{'factor':>22}  {'final_value':>11}  {'mean_rankic':>11}")
-    for rec in sorted(result.pool, key=lambda r: r.name)[:8]:
-        perf = result.tracker.performance_stats(rec.name, cfg.stats_window, last)
-        qual = result.tracker.quality_stats(rec.name, cfg.stats_window, last, cfg.recall_n)
-        print(f"{rec.name:>22}  {perf['final_value']:>11.3f}  {qual['mean_rankic']:>11.4f}")
+    names = sorted(rec.name for rec in result.pool)[:8]
+    stats = result.tracker.stat(names, cfg.stats_window, last, cfg.recall_n)
+    for name in names:
+        print(f"{name:>22}  {stats[name]['final_value']:>11.3f}  {stats[name]['mean_rankic']:>11.4f}")
 
 
 if __name__ == "__main__":

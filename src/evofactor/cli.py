@@ -209,16 +209,9 @@ def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
 
 
 def _factor_rows(tracker: PerfTracker, pool: Sequence[FactorRecord], ecfg: EvolutionConfig) -> list[dict]:
-    rows = []
     last = max((tracker.series(rec.name)[0][-1] for rec in pool if tracker.count(rec.name)), default=0)
-    for rec in sorted(pool, key=lambda r: r.name):
-        if tracker.count(rec.name) == 0:
-            continue
-        row: dict = {"factor": rec.name}
-        row.update(tracker.performance_stats(rec.name, ecfg.stats_window, last))
-        row.update(tracker.quality_stats(rec.name, ecfg.stats_window, last, ecfg.recall_n))
-        rows.append(row)
-    return rows
+    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, last, ecfg.recall_n)
+    return [{"factor": name, **stats[name]} for name in sorted(stats)]
 
 
 def write_run_outputs(
@@ -390,14 +383,14 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
         try:
             ranked = rank_by_quality(pool_map, tracker, ecfg, ecfg.search_interval, t)
             rows = [dsl.normalize_scores(scorer.scores(pool_map[n], t)) for n in ranked[: ks[-1]]]
-        except Exception:  # noqa: BLE001 - every k takes the fallback below
+        except (ValueError, RuntimeError):  # every k takes the fallback below
             rows = []
         for k in ks:
             try:
                 composite = portfolio.aggregate_scores(rows[:k])
                 _, r_t, _, _, prev[k] = trade(composite, realized, prev[k], ecfg, cost_model, t)
                 ics[k].append(metrics.spearman_rank_corr(composite, realized).value)
-            except Exception:  # noqa: BLE001 - mirror the loop's fallback
+            except (ValueError, RuntimeError):  # mirror the loop's fallback
                 r_t = portfolio.fallback_market_return(realized)
                 prev[k] = None
             value[k] *= r_t

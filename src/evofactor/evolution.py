@@ -156,42 +156,27 @@ class PerfTracker:
             list(self._recall.get(name, [])),
         )
 
-    def _tail(self, name: str, window: int, upto: int) -> slice:
-        steps = self._steps.get(name, [])
-        hi = bisect_right(steps, upto)
-        return slice(max(0, hi - window), hi)
-
-    def performance_stats(self, name: str, window: int, upto: int) -> dict[str, float]:
-        sl = self._tail(name, window, upto)
-        g = np.asarray(self._gross.get(name, [])[sl], dtype=np.float64)
-        net = g - 1.0
-        mean, std = metrics.mean_std(net)
-        path = 100.0 * np.concatenate([[1.0], np.cumprod(g)])
-        return {
-            "mean_return": mean,
-            "std_return": std,
-            "sharpe_ratio": metrics.sharpe_from_moments(mean, std).value,
-            "max_drawdown": -metrics.max_drawdown(path),
-            "final_value": float(100.0 * np.prod(g)),
-        }
-
-    def quality_stats(self, name: str, window: int, upto: int, recall_n: int) -> dict[str, float]:
-        sl = self._tail(name, window, upto)
-        mean_ic, std_ic = metrics.mean_std(self._rankic.get(name, [])[sl])
-        mean_rc, std_rc = metrics.mean_std(self._recall.get(name, [])[sl])
-        cols = metrics.quality_columns(recall_n)
-        return {cols[0]: mean_ic, cols[1]: std_ic, cols[2]: mean_rc, cols[3]: std_rc}
-
-    def stat(self, name: str, metric: str, window: int, upto: int, recall_n: int = 20) -> float:
-        """One trailing statistic, computed without the others."""
-        sl = self._tail(name, window, upto)
-        if metric == "final_value":
-            gross = np.asarray(self._gross.get(name, [])[sl], dtype=np.float64)
-            return float(100.0 * np.prod(gross))
-        if metric == "mean_rankic":
-            ic = np.asarray(self._rankic.get(name, [])[sl], dtype=np.float64)
-            return float(ic.mean()) if ic.size else 0.0
-        raise ValueError(f"unknown quality metric {metric!r}")
+    def stat(
+        self, names: Iterable[str], window: int, upto: int, recall_n: int
+    ) -> dict[str, dict[str, float]]:
+        """Every metrics.window_stats column over each name's last `window`
+        entries up to step upto, leaving out names with none. Names with
+        equally many entries are reduced together as one stacked block."""
+        groups: dict[int, list[tuple[str, slice]]] = {}
+        for name in names:
+            hi = bisect_right(self._steps.get(name, []), upto)
+            n = min(window, hi)
+            if n > 0:
+                groups.setdefault(n, []).append((name, slice(hi - n, hi)))
+        stats: dict[str, dict[str, float]] = {}
+        tables = (self._gross, self._rankic, self._recall)
+        for group in groups.values():
+            blocks = [np.array([table[name][sl] for name, sl in group]) for table in tables]
+            columns = metrics.window_stats(*blocks, recall_n)
+            rows = zip(*(values.tolist() for values in columns.values()))
+            for (name, _), row in zip(group, rows):
+                stats[name] = dict(zip(columns, row))
+        return stats
 
 
 class ScoreCache:
@@ -332,11 +317,8 @@ def rank_by_quality(
 ) -> list[str]:
     """Names with tracker history up to upto, version-filtered and ranked
     best first by quality_metric over their trailing window entries."""
-    values = {
-        name: tracker.stat(name, cfg.quality_metric, window, upto, cfg.recall_n)
-        for name in names
-        if tracker.count(name, upto) > 0
-    }
+    stats = tracker.stat(names, window, upto, cfg.recall_n)
+    values = {name: row[cfg.quality_metric] for name, row in stats.items()}
     return sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
 
 
@@ -409,10 +391,8 @@ def benchmark_gate(
     if fv >= gated_fv:
         return True, "cleared benchmark"
     # The pool median is needed only when the value leg fails.
-    pool_median = median(
-        tracker.stat(name, "mean_rankic", cfg.search_interval, t, cfg.recall_n)
-        for name in incumbents
-    )
+    stats = tracker.stat(incumbents, cfg.search_interval, t, cfg.recall_n)
+    pool_median = median(row["mean_rankic"] for row in stats.values())
     if mean_ic < pool_median:
         return False, (
             f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
@@ -492,6 +472,12 @@ def load_checkpoints(path: str) -> list[SearchRecord]:
     return read_jsonl(path, json_to_search_record, "checkpoint")
 
 
+def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:
+    """A PerfTracker.stat row as its (performance, quality) column maps."""
+    perf = {c: row[c] for c in metrics.PERFORMANCE_COLUMNS}
+    return perf, {c: v for c, v in row.items() if c not in perf}
+
+
 def _make_search_record(
     t: int,
     pool: Mapping[str, FactorRecord],
@@ -502,13 +488,14 @@ def _make_search_record(
     prev: PortfolioWeights | None,
     phase: str,
 ) -> SearchRecord:
-    window = _report_window(t, cfg)
     names = sorted(pool)
+    stats = tracker.stat(names, _report_window(t, cfg), t, cfg.recall_n)
+    parts = {n: _split_stats(stats[n]) for n in names}
     return SearchRecord(
         step=t,
         pool=tuple(pool[name] for name in names),
-        performance={n: tracker.performance_stats(n, window, t) for n in names},
-        quality={n: tracker.quality_stats(n, window, t, cfg.recall_n) for n in names},
+        performance={n: perf for n, (perf, _) in parts.items()},
+        quality={n: qual for n, (_, qual) in parts.items()},
         state={
             "portfolio_value": value,
             "baseline_value": baseline,
@@ -537,15 +524,9 @@ def _build_request(
 ) -> GenerationRequest:
     upto = t - 1
     window = cfg.search_interval
-    ranked = rank_by_quality(pool, tracker, cfg, window, upto)
-    tops = tuple(
-        TopFactor(
-            record=pool[n],
-            performance=tracker.performance_stats(n, window, upto),
-            quality=tracker.quality_stats(n, window, upto, cfg.recall_n),
-        )
-        for n in ranked[: cfg.k_top]
-    )
+    top = rank_by_quality(pool, tracker, cfg, window, upto)[: cfg.k_top]
+    stats = tracker.stat(top, window, upto, cfg.recall_n)
+    tops = tuple(TopFactor(pool[n], *_split_stats(stats[n])) for n in top)
     library = tuple(pool[n] for n in sorted(pool) if pool[n].origin == "seed")
     return GenerationRequest(
         step=t,
@@ -612,8 +593,10 @@ def run_evolution(
     """Full search-and-backtest loop over the table's steps.
 
     gen=None disables generation entirely (static-pool backtest). Generator
-    failures are logged and skipped; scoring errors at a live step fall back
-    to the market-average return for that step and liquidate holdings.
+    failures are logged and skipped. At a live step, the ValueError or
+    RuntimeError that scoring and trading raise falls back to the
+    market-average return for that step and liquidates holdings; any other
+    exception is a bug and propagates.
     resume_from restarts after the given checkpoint and returns only the
     remaining ledger rows; the tracker is rebuilt by deterministic replay.
     """
@@ -702,7 +685,7 @@ def run_evolution(
                 sel_ids = tuple(table.asset_ids[i] for i in weights.weights)
                 sel_ws = tuple(weights.weights.values())
                 phase = "live"
-            except Exception as exc:  # noqa: BLE001 - scoring errors fall back
+            except (ValueError, RuntimeError) as exc:
                 logger.warning("step %d: scoring failed (%s); market fallback", t, exc)
                 r_t, turn, fee = rbar, 0.0, 0.0
                 sel_ids, sel_ws = (), ()

@@ -56,17 +56,24 @@ def cumulative_wealth(path: WealthPath) -> float:
     return float(path.values[-1] - path.values[0])
 
 
+def _mean_std_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample (n-1) std of each row of a (k, n >= 1) block."""
+    means = block.mean(axis=1)
+    if block.shape[1] < 2:
+        return means, np.zeros(len(block))
+    # A constant series has zero spread by definition; summation rounding
+    # must not leak a tiny std that would explode downstream ratios.
+    spread = block.min(axis=1) != block.max(axis=1)
+    return means, np.where(spread, block.std(axis=1, ddof=1), 0.0)
+
+
 def mean_std(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Plain mean and sample (n-1) std; std is 0.0 when fewer than 2 points."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0, 0.0
-    mean = float(arr.mean())
-    # A constant series has zero spread by definition; summation rounding
-    # must not leak a tiny std that would explode downstream ratios.
-    if arr.size < 2 or arr.min() == arr.max():
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1))
+    mean, std = _mean_std_rows(arr.reshape(1, -1))
+    return float(mean[0]), float(std[0])
 
 
 def sharpe_ratio(
@@ -75,13 +82,7 @@ def sharpe_ratio(
     periods_per_year: int | None = None,
 ) -> MetricValue:
     """(mean - r_f) / sample std, optionally annualized by sqrt(periods)."""
-    return sharpe_from_moments(*mean_std(net_returns), risk_free, periods_per_year)
-
-
-def sharpe_from_moments(
-    mean: float, std: float, risk_free: float = 0.0, periods_per_year: int | None = None
-) -> MetricValue:
-    """sharpe_ratio from the (mean, std) that mean_std returns."""
+    mean, std = mean_std(net_returns)
     if std == 0.0:
         return MetricValue(0.0, degenerate=True)
     ratio = (mean - risk_free) / std
@@ -90,19 +91,18 @@ def sharpe_from_moments(
     return MetricValue(float(ratio))
 
 
+def _drawdown_rows(values: np.ndarray) -> np.ndarray:
+    """Max drawdown of each row of a (k, n) block of path values. fmax skips
+    NaN values, which neither set a peak nor count as a drop."""
+    peaks = np.fmax.accumulate(values, axis=1)
+    drops = np.divide(peaks - values, peaks, out=np.zeros_like(values), where=peaks > 0)
+    return np.fmax.reduce(drops, axis=1, initial=0.0)
+
+
 def max_drawdown(path: WealthPath | Sequence[float] | np.ndarray) -> float:
-    """Largest fractional peak-to-trough decline, in [0, 1). Streaming O(T)."""
+    """Largest fractional peak-to-trough decline, in [0, 1)."""
     values = path.values if isinstance(path, WealthPath) else np.asarray(path, dtype=np.float64)
-    worst = 0.0
-    peak = -math.inf
-    for value in values:
-        if value > peak:
-            peak = value
-        elif peak > 0:
-            drop = (peak - value) / peak
-            if drop > worst:
-                worst = drop
-    return worst
+    return float(_drawdown_rows(values.reshape(1, -1))[0])
 
 
 def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +160,8 @@ def spearman_rank_corr(
 
 def rank_icir(rankics: Sequence[float] | np.ndarray) -> MetricValue:
     """Mean of the RankIC series over its sample std."""
-    arr = np.asarray(rankics, dtype=np.float64)
-    if arr.size < 2:
-        return MetricValue(0.0, degenerate=True)
-    mean, std = mean_std(arr)
-    if std == 0.0:
+    mean, std = mean_std(rankics)
+    if std == 0.0:  # also for fewer than 2 points
         return MetricValue(0.0, degenerate=True)
     return MetricValue(mean / std)
 
@@ -230,6 +227,26 @@ def report_columns(recall_n: int = 20) -> tuple[str, ...]:
     return ("factor",) + PERFORMANCE_COLUMNS + quality_columns(recall_n)
 
 
+def window_stats(
+    gross: np.ndarray, rankic: np.ndarray, recall: np.ndarray, recall_n: int
+) -> dict[str, np.ndarray]:
+    """Every report column after `factor`, per row of three (k, n >= 1)
+    blocks of trailing gross returns, RankICs and recalls.
+
+    Performance is over the net returns gross - 1 and the wealth path that
+    starts at 100; max_drawdown is negative. Each row's values equal, bit
+    for bit, those of its series reduced on its own.
+    """
+    k = len(gross)
+    moments = _mean_std_rows(np.concatenate([gross - 1.0, rankic, recall]))
+    (mean, mean_ic, mean_rc), (std, std_ic, std_rc) = (a.reshape(3, k) for a in moments)
+    path = 100.0 * np.concatenate([np.ones((k, 1)), np.cumprod(gross, axis=1)], axis=1)
+    sharpe = np.divide(mean, std, out=np.zeros(k), where=std != 0.0)
+    performance = (mean, std, sharpe, -_drawdown_rows(path), 100.0 * np.prod(gross, axis=1))
+    quality = (mean_ic, std_ic, mean_rc, std_rc)
+    return dict(zip(report_columns(recall_n)[1:], performance + quality))
+
+
 def write_factor_report(
     rows: Iterable[dict], csv_path: str | None, json_path: str | None, recall_n: int = 20
 ) -> None:
@@ -241,7 +258,7 @@ def write_factor_report(
             writer = csv.DictWriter(handle, fieldnames=list(columns))
             writer.writeheader()
             for row in materialized:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
     if json_path is not None:
         with open(json_path, "w") as handle:
             json.dump(materialized, handle, sort_keys=True, indent=2)

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written as plain-Python loops over floats,
 with no imports from the package and no numpy vectorization, so agreement
-with the engine is evidence of correctness rather than shared code.
+with the engine is evidence of correctness rather than shared code. The one
+exception is tracker_window_stats, a bit-exact reference that reduces each
+series on its own with 1-D numpy calls.
 """
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 _EPS = 1e-12
 
@@ -86,6 +91,51 @@ def mdd_bruteforce(values: Sequence[float]) -> float:
             if drop > worst:
                 worst = drop
     return worst
+
+
+def tracker_window_stats(
+    steps: Sequence[int],
+    gross: Sequence[float],
+    rankic: Sequence[float],
+    recall: Sequence[float],
+    window: int,
+    upto: int,
+    recall_n: int,
+) -> dict[str, float] | None:
+    """One factor's trailing tracker stats over its last `window` entries up
+    to step upto, each series reduced on its own as a 1-D array, with a
+    streaming drawdown; None when that window holds no entry."""
+    hi = bisect_right(list(steps), upto)
+    lo = max(0, hi - window)
+    if lo >= hi:
+        return None
+
+    def moments(arr: np.ndarray) -> tuple[float, float]:
+        if arr.size < 2 or arr.min() == arr.max():
+            return float(arr.mean()), 0.0
+        return float(arr.mean()), float(arr.std(ddof=1))
+
+    g = np.asarray(gross[lo:hi], dtype=np.float64)
+    mean_r, std_r = moments(g - 1.0)
+    worst, peak = 0.0, -math.inf
+    for value in 100.0 * np.concatenate([[1.0], np.cumprod(g)]):
+        if value > peak:
+            peak = value
+        elif peak > 0 and (peak - value) / peak > worst:
+            worst = (peak - value) / peak
+    mean_ic, std_ic = moments(np.asarray(rankic[lo:hi], dtype=np.float64))
+    mean_rc, std_rc = moments(np.asarray(recall[lo:hi], dtype=np.float64))
+    return {
+        "mean_return": mean_r,
+        "std_return": std_r,
+        "sharpe_ratio": mean_r / std_r if std_r != 0.0 else 0.0,
+        "max_drawdown": -float(worst),
+        "final_value": float(100.0 * np.prod(g)),
+        "mean_rankic": mean_ic,
+        "std_rankic": std_ic,
+        f"mean_recall@{recall_n}": mean_rc,
+        f"std_recall@{recall_n}": std_rc,
+    }
 
 
 def scan_for_leakage(text: str, forbidden: Iterable[str], min_len: int = 3) -> list[str]:

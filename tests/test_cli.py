@@ -2,6 +2,7 @@
 deterministic outputs, and the error exit path."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -104,6 +105,21 @@ def test_backtest_outputs_and_manifest(tmp_path, capsys, snapshot, library) -> N
         assert manifest["inputs"][path] == digest
     assert manifest["config"]["m"] == 3
     assert manifest["config"]["seed_windows"] == [7]
+
+
+def test_factor_report_cells_are_plain_floats(tmp_path, snapshot, library) -> None:
+    outdir = tmp_path / "run"
+    assert main(["backtest", "--snapshot", snapshot, "--library", library,
+                 "--output", str(outdir), *_SET]) == 0
+    with open(outdir / "factor_report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows
+    for row in rows:
+        for key, cell in row.items():
+            if key != "factor":
+                float(cell)  # raises on np.float64(...) or an empty cell
+    # Some factor has a drawdown, the case that once wrote np.float64(...).
+    assert any(float(row["max_drawdown"]) < 0.0 for row in rows)
 
 
 def test_backtest_matches_library_call(tmp_path, snapshot, library) -> None:

@@ -108,12 +108,12 @@ def test_tracker_mechanics() -> None:
     assert tr.names() == ["b"] and tr.count("a") == 0
 
 
-def test_tracker_performance_stats() -> None:
+def test_tracker_stat_performance_columns() -> None:
     tr = PerfTracker()
     grosses = [1.02, 0.97, 1.01, 1.03]
     for i, g in enumerate(grosses):
         tr.add("f", 30 + i, g, 0.1 * i, 0.5)
-    stats = tr.performance_stats("f", window=10, upto=40)
+    stats = tr.stat(["f"], window=10, upto=40, recall_n=4)["f"]
     net = [g - 1.0 for g in grosses]
     assert stats["mean_return"] == pytest.approx(oracles.mean(net))
     assert stats["std_return"] == pytest.approx(oracles.sstd(net))
@@ -126,32 +126,71 @@ def test_tracker_performance_stats() -> None:
     assert stats["max_drawdown"] <= 0.0  # tracker reports drawdown as negative
 
     # Trailing window: only the last two entries up to step 33.
-    stats2 = tr.performance_stats("f", window=2, upto=33)
+    stats2 = tr.stat(["f"], window=2, upto=33, recall_n=4)["f"]
     assert stats2["final_value"] == pytest.approx(100.0 * 1.01 * 1.03)
     # upto cuts by step, not position.
-    stats3 = tr.performance_stats("f", window=10, upto=31)
+    stats3 = tr.stat(["f"], window=10, upto=31, recall_n=4)["f"]
     assert stats3["final_value"] == pytest.approx(100.0 * 1.02 * 0.97)
 
 
-def test_tracker_quality_stats_and_dispatch() -> None:
+def test_tracker_stat_quality_columns_and_absent_names() -> None:
     tr = PerfTracker()
     ics = [0.2, -0.1, 0.4]
     recalls = [0.5, 0.25, 0.75]
     for i, (ic, rc) in enumerate(zip(ics, recalls)):
         tr.add("f", 30 + i, 1.0, ic, rc)
-    q = tr.quality_stats("f", window=5, upto=40, recall_n=4)
-    assert set(q) == {"mean_rankic", "std_rankic", "mean_recall@4", "std_recall@4"}
+    stats = tr.stat(["f", "ghost"], window=5, upto=40, recall_n=4)
+    # A name with no entries up to upto is left out, not given neutral stats.
+    assert list(stats) == ["f"]
+    q = stats["f"]
+    assert list(q) == [
+        "mean_return", "std_return", "sharpe_ratio", "max_drawdown", "final_value",
+        "mean_rankic", "std_rankic", "mean_recall@4", "std_recall@4",
+    ]  # fmt: skip
     assert q["mean_rankic"] == pytest.approx(oracles.mean(ics))
     assert q["std_rankic"] == pytest.approx(oracles.sstd(ics))
     assert q["mean_recall@4"] == pytest.approx(oracles.mean(recalls))
-    assert tr.stat("f", "final_value", 5, 40) == pytest.approx(100.0)
-    assert tr.stat("f", "mean_rankic", 5, 40) == pytest.approx(oracles.mean(ics))
-    with pytest.raises(ValueError):
-        tr.stat("f", "recall", 5, 40)
-    # Absent names yield neutral stats instead of raising.
-    empty = tr.performance_stats("ghost", 5, 40)
-    assert empty["final_value"] == pytest.approx(100.0)
-    assert empty["mean_return"] == 0.0
+    assert q["final_value"] == pytest.approx(100.0)
+    assert tr.stat(["f"], window=5, upto=29, recall_n=4) == {}
+
+
+@st.composite
+def _tracker_series(draw) -> dict[str, tuple[list[int], list[float], list[float], list[float]]]:
+    """Named series with mixed start steps, gaps and lengths (some empty),
+    some of them constant."""
+    series = {}
+    for i in range(draw(st.integers(1, 8))):
+        steps = sorted(draw(st.sets(st.integers(0, 60), max_size=25)))
+        n = len(steps)
+        if draw(st.booleans()):
+            gross = [draw(st.floats(0.5, 1.5))] * n
+            rankic = [draw(st.floats(-1.0, 1.0))] * n
+        else:
+            gross = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+            rankic = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        recall = [k / 4 for k in draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))]
+        series[f"f{i}"] = (steps, gross, rankic, recall)
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tracker_series(), st.integers(1, 30), st.integers(-1, 65))
+def test_tracker_stat_matches_per_name_reference(series, window, upto) -> None:
+    tr = PerfTracker()
+    for name, (steps, *values) in series.items():
+        for step, gross, ic, recall in zip(steps, *values):
+            tr.add(name, step, gross, ic, recall)
+    names = [*series, "ghost"]
+    got = tr.stat(names, window, upto, recall_n=4)
+    for name in names:
+        want = oracles.tracker_window_stats(*tr.series(name), window, upto, recall_n=4)
+        if want is None:
+            assert name not in got
+        else:
+            # repr: equal bits, and plain floats rather than numpy scalars.
+            assert {k: repr(v) for k, v in got[name].items()} == {
+                k: repr(v) for k, v in want.items()
+            }
 
 
 # ----------------------------------------------------- version filtering
@@ -600,6 +639,17 @@ def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
     after = ledger[fail_at + 1]
     assert after.phase == "live"
     assert after.turnover == 0.5 and after.cost == 0.002 * 0.5
+
+
+def test_live_step_bug_is_not_a_market_fallback(monkeypatch) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+
+    def broken(pool, tracker, scorer, cfg, t):
+        raise AttributeError("bug in ranking")
+
+    monkeypatch.setattr(evolution, "composite_scores", broken)
+    with pytest.raises(AttributeError, match="bug in ranking"):
+        run_evolution(table, _cfg())
 
 
 def test_static_run_beats_baseline_on_dominant_asset() -> None:

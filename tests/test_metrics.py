@@ -108,6 +108,10 @@ def test_max_drawdown_edge_cases() -> None:
     assert max_drawdown(mixed) == pytest.approx(oracles.mdd_bruteforce(mixed))
     path = WealthPath.from_returns([0.5, 2.0, 0.25])
     assert max_drawdown(path) == pytest.approx(0.75)
+    assert type(max_drawdown(path)) is float  # not a numpy scalar
+    assert max_drawdown([]) == 0.0
+    # A NaN value neither sets a peak nor counts as a drop.
+    assert max_drawdown([float("nan"), 2.0, float("nan"), 1.0]) == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------- spearman
