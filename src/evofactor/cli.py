@@ -29,12 +29,11 @@ from .evolution import (
     EvolutionResult,
     PerfTracker,
     ScoreCache,
-    check_table,
+    composite_scores,
     load_checkpoints,
-    pool_by_name,
-    rank_by_quality,
     run_evolution,
     save_checkpoints,
+    start_run,
     trade,
     update_tracker,
 )
@@ -271,13 +270,13 @@ def _run_config(args: argparse.Namespace) -> dict:
 def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     table = load_snapshot(cfg["data"])
-    library = load_library(args.library)
+    library = load_library(args.library) if args.library else None
     ecfg = evolution_config(cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     summary = write_run_outputs(outdir, result, ecfg, checkpoints=False)
-    write_manifest(outdir, cfg, [cfg["data"], args.library])
+    write_manifest(outdir, cfg, [p for p in (cfg["data"], args.library) if p])
     _print_summary(summary)
     return 0
 
@@ -361,38 +360,26 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     grading pass: row k trades as `backtest` with k_top=k."""
     if not args.snapshot or not args.library:
         raise ValueError("factor_sweep needs --snapshot and --library")
-    table = load_snapshot(args.snapshot)
-    library = load_library(args.library)
     ecfg = evolution_config(cfg)
-    rm = to_relative_returns(table)
-    check_table(rm, ecfg)
-    pool_map = pool_by_name(library)
-    scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
-    tracker = PerfTracker()
+    run = start_run(load_snapshot(args.snapshot), ecfg, pool=load_library(args.library))
     cost_model = portfolio.CostModel(ecfg.cost_rate)
     # One ranking per step serves every k: k_top=k blends its first k rows.
     ks = range(1, 11)
+    widest = dataclasses.replace(ecfg, k_top=ks[-1])
     value = dict.fromkeys(ks, 1.0)
     prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
     ics: dict[int, list[float]] = {k: [] for k in ks}
-    for t in range(ecfg.lookback, rm.values.shape[1]):
-        update_tracker(tracker, pool_map, scorer, t, ecfg)
+    for t in range(ecfg.lookback, run.returns.values.shape[1]):
+        update_tracker(run.tracker, run.pool, run.scorer, t, ecfg)
         if t <= ecfg.warmup_steps:
             continue
-        realized = rm.values[:, t]
-        try:
-            ranked = rank_by_quality(pool_map, tracker, ecfg, ecfg.search_interval, t)
-            rows = [dsl.normalize_scores(scorer.scores(pool_map[n], t)) for n in ranked[: ks[-1]]]
-        except (ValueError, RuntimeError):  # every k takes the fallback below
-            rows = []
+        realized = run.returns.values[:, t]
+        rows = composite_scores(run.pool, run.tracker, run.scorer, widest, t)
         for k in ks:
-            try:
+            weights, r_t, _, _, prev[k] = trade(rows[:k], realized, prev[k], ecfg, cost_model, t)
+            if weights is not None:
                 composite = portfolio.aggregate_scores(rows[:k])
-                _, r_t, _, _, prev[k] = trade(composite, realized, prev[k], ecfg, cost_model, t)
                 ics[k].append(metrics.spearman_rank_corr(composite, realized).value)
-            except (ValueError, RuntimeError):  # mirror the loop's fallback
-                r_t = portfolio.fallback_market_return(realized)
-                prev[k] = None
             value[k] *= r_t
     with open(outdir / "factor_sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -476,28 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config (see key list in --help)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
+    running = argparse.ArgumentParser(add_help=False, parents=[common])
+    running.add_argument("--snapshot", help="price snapshot (overrides data key)")
+    running.add_argument("-o", "--output", help="run directory (overrides output_dir key)")
 
     p = sub.add_parser(
         "backtest",
-        parents=[common],
+        parents=[running],
         help="static-pool backtest of a factor library",
         epilog=config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--snapshot", help="price snapshot (overrides data key)")
-    p.add_argument("--library", required=True, help="factor library JSON")
-    p.add_argument("--output", help="run directory (overrides output_dir key)")
+    p.add_argument("--library", help="factor library JSON (default: the seed library over seed_windows)")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser(
         "evolve",
-        parents=[common],
+        parents=[running],
         help="full evolutionary search run",
         epilog=config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--snapshot", help="price snapshot (overrides data key)")
-    p.add_argument("--output", help="run directory (overrides output_dir key)")
     p.add_argument("--resume-from", help="checkpoints.jsonl to resume after")
     p.set_defaults(func=cmd_evolve)
 

@@ -267,7 +267,9 @@ def update_tracker(
     t: int,
     cfg: EvolutionConfig,
 ) -> None:
-    names = sorted(pool)
+    """Grade at step t the pool factors with created_step <= t: a factor's
+    series starts at max(lookback, created_step) in every run and replay."""
+    names = sorted(name for name, rec in pool.items() if rec.created_step <= t)
     if not names:
         return
     scores = np.stack([scorer.scores(pool[name], t) for name in names])
@@ -307,8 +309,7 @@ def replay_tracker(
     from max(lookback, created_step) through upto."""
     tracker = PerfTracker()
     for t in range(cfg.lookback, upto + 1):
-        live = {name: rec for name, rec in pool.items() if rec.created_step <= t}
-        update_tracker(tracker, live, scorer, t, cfg)
+        update_tracker(tracker, pool, scorer, t, cfg)
     return tracker
 
 
@@ -328,29 +329,18 @@ def clean_factor_pool(
     cfg: EvolutionConfig,
     t: int,
 ) -> dict[str, FactorRecord]:
-    """Prune an oversized pool: keep seeds (always), the keep_top_n best by
-    quality after version filtering, then fill to max_pool_size by recency.
-    Tracker entries of removed factors are dropped in place."""
+    """Prune an oversized pool to its first max(max_pool_size, seed count)
+    names in the order: seeds, the non-seed keep_top_n picks by quality
+    after version filtering (best first), the rest newest first. Tracker
+    entries of removed factors are dropped in place."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
     ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
-    survivors = {name for name in pool if pool[name].origin == "seed"}
-    survivors.update(ranked[: cfg.keep_top_n])
-    if len(survivors) > cfg.max_pool_size:
-        # seeds are immortal; shed the weakest non-seed picks to fit
-        for name in reversed([n for n in ranked[: cfg.keep_top_n] if pool[n].origin != "seed"]):
-            if len(survivors) <= cfg.max_pool_size:
-                break
-            survivors.discard(name)
-    by_recency = sorted(
-        (n for n in pool if n not in survivors),
-        key=lambda n: (-pool[n].created_step, n),
-    )
-    for name in by_recency:
-        if len(survivors) >= cfg.max_pool_size:
-            break
-        survivors.add(name)
-    for name in set(pool) - survivors:
+    seeds = [name for name in sorted(pool) if pool[name].origin == "seed"]
+    picks = [name for name in ranked[: cfg.keep_top_n] if pool[name].origin != "seed"]
+    rest = sorted(pool.keys() - {*seeds, *picks}, key=lambda n: (-pool[n].created_step, n))
+    survivors = (seeds + picks + rest)[: max(cfg.max_pool_size, len(seeds))]
+    for name in pool.keys() - set(survivors):
         tracker.drop(name)
     return {name: pool[name] for name in sorted(survivors)}
 
@@ -478,27 +468,63 @@ def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, flo
     return perf, {c: v for c, v in row.items() if c not in perf}
 
 
-def _make_search_record(
-    t: int,
-    pool: Mapping[str, FactorRecord],
-    tracker: PerfTracker,
+@dataclass
+class RunState:
+    """A run between steps: what a checkpoint stores or replays, and the
+    next step to run."""
+
+    returns: ReturnMatrix
+    scorer: ScoreCache
+    pool: dict[str, FactorRecord]
+    tracker: PerfTracker
+    value: float = 100.0
+    baseline: float = 100.0
+    prev: PortfolioWeights | None = None
+    t: int = 0
+
+
+def start_run(
+    table: PriceTable,
     cfg: EvolutionConfig,
-    value: float,
-    baseline: float,
-    prev: PortfolioWeights | None,
-    phase: str,
-) -> SearchRecord:
-    names = sorted(pool)
-    stats = tracker.stat(names, _report_window(t, cfg), t, cfg.recall_n)
-    parts = {n: _split_stats(stats[n]) for n in names}
+    pool: Iterable[FactorRecord] | None = None,
+    resume_from: SearchRecord | None = None,
+) -> RunState:
+    """The one place a run is built: fresh from pool (the seed library over
+    cfg.seed_windows when None), or after the checkpoint resume_from, whose
+    tracker is rebuilt by deterministic replay."""
+    rm = to_relative_returns(table)
+    check_table(rm, cfg)
+    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
+    if resume_from is None:
+        pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
+        return RunState(rm, scorer, pool_map, PerfTracker())
+    pool_map = resume_from.pool_map()
+    state = resume_from.state
+    raw_prev = state.get("prev_weights")
+    prev = (
+        None
+        if raw_prev is None
+        else PortfolioWeights({int(i): float(w) for i, w in raw_prev}, int(state.get("prev_t", -1)))
+    )
+    tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
+    value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])
+    return RunState(rm, scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)
+
+
+def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str) -> SearchRecord:
+    """The checkpoint after step t; stats cover the pool factors graded so far."""
+    names = sorted(run.pool)
+    stats = run.tracker.stat(names, _report_window(t, cfg), t, cfg.recall_n)
+    parts = {n: _split_stats(stats[n]) for n in names if n in stats}
+    prev = run.prev
     return SearchRecord(
         step=t,
-        pool=tuple(pool[name] for name in names),
+        pool=tuple(run.pool[name] for name in names),
         performance={n: perf for n, (perf, _) in parts.items()},
         quality={n: qual for n, (_, qual) in parts.items()},
         state={
-            "portfolio_value": value,
-            "baseline_value": baseline,
+            "portfolio_value": run.value,
+            "baseline_value": run.baseline,
             "prev_weights": None
             if prev is None
             else [[int(i), float(w)] for i, w in sorted(prev.weights.items())],
@@ -545,42 +571,45 @@ def composite_scores(
     scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
-) -> tuple[np.ndarray, list[str]]:
-    """Mean of the top-k factors' normalized score rows at step t.
-
-    Factors are ranked by rank_by_quality over the trailing search_interval
-    entries. Returns (composite row, used names).
-    """
+) -> list[np.ndarray]:
+    """Normalized score rows at step t of the top k_top factors, best first
+    by rank_by_quality over the trailing search_interval entries; empty when
+    no factor has been graded yet."""
     used = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t)[: cfg.k_top]
-    if not used:
-        raise RuntimeError("no factor has tracker history at this step")
-    rows = [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
-    return portfolio.aggregate_scores(rows), used
+    return [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
 
 
 def trade(
-    composite: np.ndarray,
+    rows: Sequence[np.ndarray],
     realized: np.ndarray,
     prev: PortfolioWeights | None,
     cfg: EvolutionConfig,
     cost_model: CostModel,
     t: int,
-) -> tuple[PortfolioWeights, float, float, float, PortfolioWeights]:
-    """One live step: hold the top-m assets by composite, weighted by
-    cfg.weighting, and earn the realized returns net of costs.
+) -> tuple[PortfolioWeights | None, float, float, float, PortfolioWeights | None]:
+    """One live step: blend rows into a composite, hold its top-m assets
+    weighted by cfg.weighting, and earn the realized returns net of costs.
 
     Returns (weights, net gross return, turnover, cost, weights drifted by
-    the realized returns for the next step's turnover).
+    the realized returns for the next step's turnover). With no rows, or when
+    the step raises ValueError or RuntimeError, it falls back to the market:
+    (None, market-average return, 0.0, 0.0, None), which liquidates holdings.
+    Any other exception is a bug and propagates.
     """
-    sel = portfolio.select_top_m(composite, cfg.m)
-    if cfg.weighting == "equal":
-        weights = portfolio.equal_weights(sel, t)
-    elif cfg.weighting == "positive_score":
-        weights = portfolio.positive_score_weights(sel, composite, t)
-    else:
-        weights = portfolio.temperature_weights(sel, composite, cfg.tau, t)
-    r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
-    return weights, r_t, turn, fee, portfolio.drift_weights(weights, realized)
+    try:
+        composite = portfolio.aggregate_scores(rows)
+        sel = portfolio.select_top_m(composite, cfg.m)
+        if cfg.weighting == "equal":
+            weights = portfolio.equal_weights(sel, t)
+        elif cfg.weighting == "positive_score":
+            weights = portfolio.positive_score_weights(sel, composite, t)
+        else:
+            weights = portfolio.temperature_weights(sel, composite, cfg.tau, t)
+        r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
+        return weights, r_t, turn, fee, portfolio.drift_weights(weights, realized)
+    except (ValueError, RuntimeError) as exc:
+        logger.warning("step %d: live step failed (%s); market fallback", t, exc)
+        return None, portfolio.fallback_market_return(realized), 0.0, 0.0, None
 
 
 def run_evolution(
@@ -593,46 +622,18 @@ def run_evolution(
     """Full search-and-backtest loop over the table's steps.
 
     gen=None disables generation entirely (static-pool backtest). Generator
-    failures are logged and skipped. At a live step, the ValueError or
-    RuntimeError that scoring and trading raise falls back to the
-    market-average return for that step and liquidates holdings; any other
-    exception is a bug and propagates.
-    resume_from restarts after the given checkpoint and returns only the
-    remaining ledger rows; the tracker is rebuilt by deterministic replay.
+    failures are logged and skipped; a failed live step falls back to the
+    market inside trade. resume_from restarts after the given checkpoint and
+    returns only the remaining ledger rows (see start_run).
     """
-    rm = to_relative_returns(table)
-    check_table(rm, cfg)
-    n_steps = rm.values.shape[1]
-    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
-    pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
-
-    tracker = PerfTracker()
-    value = 100.0
-    baseline = 100.0
-    prev: PortfolioWeights | None = None
-    start_t = 0
-    if resume_from is not None:
-        pool_map = resume_from.pool_map()
-        state = resume_from.state
-        value = float(state["portfolio_value"])
-        baseline = float(state["baseline_value"])
-        raw_prev = state.get("prev_weights")
-        prev = (
-            None
-            if raw_prev is None
-            else PortfolioWeights(
-                {int(i): float(w) for i, w in raw_prev}, int(state.get("prev_t", -1))
-            )
-        )
-        start_t = resume_from.step + 1
-        tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
-
+    run = start_run(table, cfg, pool, resume_from)
+    rm, scorer, tracker = run.returns, run.scorer, run.tracker
     cost_model = CostModel(cfg.cost_rate)
     forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
     rows: list[LedgerRow] = []
     checkpoints: list[SearchRecord] = []
 
-    for t in range(start_t, n_steps):
+    for t in range(run.t, rm.values.shape[1]):
         realized = rm.values[:, t]
         rbar = portfolio.fallback_market_return(realized)
         searching = (
@@ -640,11 +641,11 @@ def run_evolution(
         )
         new_names: list[str] = []
         if searching:
-            kept = clean_factor_pool(pool_map, tracker, cfg, t)
-            for name in pool_map.keys() - kept.keys():
+            kept = clean_factor_pool(run.pool, tracker, cfg, t)
+            for name in run.pool.keys() - kept.keys():
                 scorer.drop(name)
-            pool_map = kept
-            req = _build_request(pool_map, tracker, cfg, t)
+            run.pool = kept
+            req = _build_request(run.pool, tracker, cfg, t)
             prompt = build_prompt(req)
             leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], forbidden)
             if leaks:
@@ -655,66 +656,54 @@ def run_evolution(
                 logger.warning("generator failed at step %d: %s", t, exc)
                 result = GenerationResult((), 0, ({"error": str(exc)},), False)
             for cand in result.candidates[: cfg.m_candidates]:
-                ok, reason = validate_candidate(cand, pool_map)
+                ok, reason = validate_candidate(cand, run.pool)
                 if not ok:
                     logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
                     continue
                 cand = reset_created_step(cand, t)
-                pool_map[cand.name] = cand
+                run.pool[cand.name] = cand
                 new_names.append(cand.name)
         if t >= cfg.lookback:
-            incumbents = {n: r for n, r in pool_map.items() if n not in new_names}
+            incumbents = {n: r for n, r in run.pool.items() if n not in new_names}
             update_tracker(tracker, incumbents, scorer, t, cfg)
         # A candidate's first score request is the gate's, at the start of
         # its trailing window; the block it anchors also serves step t.
         admitted: dict[str, FactorRecord] = {}
         for name in new_names:
-            keep, why = benchmark_gate(pool_map[name], tracker, scorer, cfg, t, pool_map)
+            keep, why = benchmark_gate(run.pool[name], tracker, scorer, cfg, t, run.pool)
             if keep:
-                admitted[name] = pool_map[name]
+                admitted[name] = run.pool[name]
             else:
                 logger.info("step %d: gated out %s (%s)", t, name, why)
-                del pool_map[name]
+                del run.pool[name]
                 scorer.drop(name)
         update_tracker(tracker, admitted, scorer, t, cfg)
 
+        weights, r_t, turn, fee, phase = None, rbar, 0.0, 0.0, "warmup"
         if t > cfg.warmup_steps:
-            try:
-                composite, _ = composite_scores(pool_map, tracker, scorer, cfg, t)
-                weights, r_t, turn, fee, prev = trade(composite, realized, prev, cfg, cost_model, t)
-                sel_ids = tuple(table.asset_ids[i] for i in weights.weights)
-                sel_ws = tuple(weights.weights.values())
-                phase = "live"
-            except (ValueError, RuntimeError) as exc:
-                logger.warning("step %d: scoring failed (%s); market fallback", t, exc)
-                r_t, turn, fee = rbar, 0.0, 0.0
-                sel_ids, sel_ws = (), ()
-                prev = None
-                phase = "fallback"
-        else:
-            r_t, turn, fee = rbar, 0.0, 0.0
-            sel_ids, sel_ws = (), ()
-            phase = "warmup"
-        value *= r_t
-        baseline *= rbar
+            top = composite_scores(run.pool, tracker, scorer, cfg, t)
+            weights, r_t, turn, fee, run.prev = trade(top, realized, run.prev, cfg, cost_model, t)
+            phase = "fallback" if weights is None else "live"
+        held = {} if weights is None else weights.weights
+        run.value *= r_t
+        run.baseline *= rbar
+        run.t = t + 1
         rows.append(
             LedgerRow(
                 date=rm.dates[t + 1],
                 phase=phase,
-                portfolio_value=value,
-                baseline_value=baseline,
+                portfolio_value=run.value,
+                baseline_value=run.baseline,
                 step_return=r_t,
                 baseline_return=rbar,
                 turnover=turn,
                 cost=fee,
-                selected_assets=sel_ids,
-                weights=sel_ws,
+                selected_assets=tuple(table.asset_ids[i] for i in held),
+                weights=tuple(held.values()),
             )
         )
         if searching:
-            checkpoints.append(
-                _make_search_record(t, pool_map, tracker, cfg, value, baseline, prev, phase)
-            )
+            checkpoints.append(_make_search_record(run, cfg, t, phase))
 
-    final_pool = tuple(pool_map[name] for name in sorted(pool_map))
+    final_pool = tuple(run.pool[name] for name in sorted(run.pool))
     return EvolutionResult(final_pool, tuple(rows), tuple(checkpoints), tracker)

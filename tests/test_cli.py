@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from evofactor.cli import main
 from evofactor.evolution import EvolutionConfig, run_evolution, save_checkpoints
 from evofactor.market_data import BASE_DATE, load_snapshot, save_snapshot
 from evofactor.portfolio import read_ledger, write_ledger
-from evofactor.seeds import load_library, save_library, seed_factors
+from evofactor.seeds import load_library, reset_created_step, save_library, seed_factors
 from evofactor.synthetic import planted_momentum_table, random_walk_table
 
 _SET = [
@@ -73,6 +76,24 @@ def test_ingest_relatives_mode(tmp_path) -> None:
 def test_ingest_bad_file_exits_2(tmp_path, capsys) -> None:
     assert main(["ingest", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "s.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys) -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("evofactor ")]
+    assert len(commands) == 6
+    table = random_walk_table(24, 90, seed=4)
+    with open(tmp_path / "prices.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["date", *table.asset_ids])
+        for t, date in enumerate(table.dates):
+            writer.writerow([date, *(repr(float(p)) for p in table.prices[:, t])])
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "report" / "wealth_curve.csv").exists()
 
 
 # ----------------------------------------------------------------- backtest
@@ -353,9 +374,23 @@ def test_report_factor_sweep_scores_each_block_once(tmp_path, library, monkeypat
     assert 0 < counts[0] <= counts[1]
 
 
-@pytest.mark.parametrize("weighting", ["equal", "positive_score", "temperature"])
-def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting) -> None:
-    # Row k of the sweep must earn what a backtest with k_top=k earns live.
+@pytest.mark.parametrize(
+    "weighting, first_created",
+    [
+        pytest.param("equal", 0, id="equal"),
+        pytest.param("positive_score", 0, id="positive_score"),
+        pytest.param("temperature", 0, id="temperature"),
+        # Factors graded from past warmup_steps: the first live steps fall back.
+        pytest.param("temperature", 70, id="created_after_warmup"),
+    ],
+)
+def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting, first_created) -> None:
+    # Row k of the sweep must earn what a backtest with k_top=k earns live,
+    # and take the market fallback at the steps where the backtest does.
+    if first_created:
+        library = str(tmp_path / "late.json")
+        records = seed_factors((7,))
+        save_library([reset_created_step(rec, first_created + 5 * i) for i, rec in enumerate(records)], library)
     snap = str(tmp_path / "snap.json")
     save_snapshot(planted_momentum_table(n_assets=12, n_steps=140, seed=5, signal=0.6), snap)
     sets = [*_SET, "--set", f"weighting={weighting}", "--set", "cost_rate=0.002"]
@@ -367,10 +402,13 @@ def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting) ->
         assert main(["backtest", "--snapshot", snap, "--library", library, "--output",
                      str(outdir), *sets, "--set", f"k_top={k}"]) == 0
         value = 1.0
-        for row in read_ledger(str(outdir / "ledger.csv")):
+        ledger = read_ledger(str(outdir / "ledger.csv"))
+        for row in ledger:
             if row.phase != "warmup":
                 value *= row.step_return
         assert float(lines[k].split(",")[2]) == pytest.approx(value, rel=1e-12), k
+        fallbacks = [row.date for row in ledger if row.phase == "fallback"]
+        assert len(fallbacks) == (first_created - 60 - 1 if first_created else 0), k
 
 
 def test_report_score_heatmap(tmp_path, snapshot, library) -> None:

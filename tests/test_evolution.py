@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import expressions, within_caps
 
-from evofactor import dsl, evolution
+from evofactor import dsl, evolution, portfolio
 from evofactor.dsl import ALLOWED_WINDOWS, TS_OPS, Last, TimeSeries
 from evofactor.evolution import (
     EvolutionConfig,
@@ -40,7 +40,7 @@ from evofactor.market_data import (
     to_relative_returns,
     window_matrices,
 )
-from evofactor.seeds import make_record, seed_factors
+from evofactor.seeds import make_record, reset_created_step, seed_factors
 from evofactor.synthetic import dominant_asset_table, planted_momentum_table, random_walk_table
 
 
@@ -406,19 +406,24 @@ def test_composite_scores_matches_manual_blend() -> None:
     scorer = ScoreCache(norm, rm, cfg.lookback)
     for t in range(30, 71):
         update_tracker(tracker, pool, scorer, t, cfg)
-    comp, used = composite_scores(pool, tracker, scorer, cfg, 70)
-    assert sorted(used) == ["ma_7", "momentum_7"]
+    rows = composite_scores(pool, tracker, scorer, cfg, 70)
+    # Both factors are used, best first by trailing final value.
+    stats = tracker.stat(pool, cfg.search_interval, 70, cfg.recall_n)
+    best_first = sorted(pool, key=lambda n: (-stats[n]["final_value"], n))
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
-    rows = [
+    manual = [
         dsl.normalize_scores(dsl.evaluate_cross_section(pool[n].expr, prices_win, returns_win))
-        for n in used
+        for n in best_first
     ]
-    assert comp == pytest.approx(np.mean(rows, axis=0))
+    assert len(rows) == 2
+    for row, expected in zip(rows, manual):
+        assert row == pytest.approx(expected)
+    assert portfolio.aggregate_scores(rows) == pytest.approx(np.mean(manual, axis=0))
     # k_top=1 keeps only the better-ranked factor.
-    solo, used1 = composite_scores(pool, tracker, scorer, _cfg(k_top=1, recall_n=2), 70)
-    assert len(used1) == 1 and used1[0] in used
-    with pytest.raises(RuntimeError):
-        composite_scores(pool, PerfTracker(), scorer, cfg, 70)
+    (solo,) = composite_scores(pool, tracker, scorer, _cfg(k_top=1, recall_n=2), 70)
+    assert np.array_equal(solo, rows[0])
+    # No graded factor, no rows.
+    assert composite_scores(pool, PerfTracker(), scorer, cfg, 70) == []
 
 
 # ---------------------------------------------------------- score cache
@@ -622,9 +627,8 @@ def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
     real = evolution.composite_scores
 
     def flaky(pool, tracker, scorer, cfg, t):
-        if t == fail_at:
-            raise RuntimeError("scoring down")
-        return real(pool, tracker, scorer, cfg, t)
+        # No rows reach trade at fail_at, as before any factor is graded.
+        return [] if t == fail_at else real(pool, tracker, scorer, cfg, t)
 
     monkeypatch.setattr(evolution, "composite_scores", flaky)
     ledger = run_evolution(table, cfg).ledger
@@ -749,6 +753,45 @@ def test_resume_from_every_checkpoint() -> None:
         assert resumed.ledger == full.ledger[rec.step + 1 :], f"checkpoint {k}"
         assert resumed.records == full.records[k + 1 :], f"checkpoint {k}"
         assert resumed.pool == full.pool, f"checkpoint {k}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> None:
+    # Starting-pool factors created past lookback, even past the first
+    # checkpoints, are graded from created_step by the run and its replay.
+    lookback = data.draw(st.sampled_from([8, 14, 21]), label="lookback")
+    cfg = _cfg(
+        lookback=lookback,
+        warmup_steps=lookback + data.draw(st.integers(0, 10), label="warmup_slack"),
+        search_interval=data.draw(st.integers(3, 6), label="search_interval"),
+        k_top=data.draw(st.integers(1, 4), label="k_top"),
+        weighting=data.draw(st.sampled_from(["equal", "positive_score", "temperature"])),
+        cost_rate=data.draw(st.sampled_from([0.0, 0.002]), label="cost_rate"),
+        max_pool_size=data.draw(st.integers(12, 18), label="max_pool_size"),
+        keep_top_n=data.draw(st.integers(1, 5), label="keep_top_n"),
+        rng_seed=data.draw(st.integers(0, 3), label="rng_seed"),
+    )
+    first_search = (cfg.warmup_steps // cfg.search_interval + 1) * cfg.search_interval
+    n_steps = first_search + 6 * cfg.search_interval + 2
+    table = planted_momentum_table(
+        n_assets=data.draw(st.integers(6, 10), label="n_assets"),
+        n_steps=n_steps,
+        seed=data.draw(st.integers(0, 2**16), label="table_seed"),
+        signal=0.6,
+    )
+    latest = first_search + 2 * cfg.search_interval
+    pool = [
+        reset_created_step(rec, data.draw(st.integers(0, latest), label=rec.name))
+        for rec in seed_factors(cfg.seed_windows)
+    ]
+    full = run_evolution(table, cfg, gen=generate_offline, pool=pool)
+    k = data.draw(st.integers(0, len(full.records) - 1), label="checkpoint")
+    rec = full.records[k]
+    resumed = run_evolution(table, cfg, gen=generate_offline, pool=pool, resume_from=rec)
+    assert resumed.ledger == full.ledger[rec.step + 1 :]
+    assert resumed.records == full.records[k + 1 :]
+    assert resumed.pool == full.pool
 
 
 # ------------------------------------------------------------ checkpoints
