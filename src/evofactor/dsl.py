@@ -35,15 +35,13 @@ and a longer span ending on the same column give bit-identical scores.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 FEATURES = ("prices", "returns")
-UNARY_OPS = ("abs", "log", "neg", "sign", "sqrt_abs")
-BINARY_OPS = ("add", "sub", "mul", "div", "min2", "max2")
 TS_OPS = (
     "ts_sum",
     "ts_mean",
@@ -62,6 +60,37 @@ MAX_DEPTH = 12
 MAX_NODES = 64
 
 _DIV_EPS = 1e-12
+
+
+def _safe_log(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _safe_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ok = np.abs(b) >= _DIV_EPS
+    return np.where(ok, a / np.where(ok, b, 1.0), 0.0)
+
+
+# The operator tables: op name -> numpy function applied to the evaluated
+# children. Time-series ops are evaluated by _eval_ts.
+_UNARY = {
+    "abs": np.abs,
+    "log": _safe_log,
+    "neg": np.negative,
+    "sign": np.sign,
+    "sqrt_abs": lambda x: np.sqrt(np.abs(x)),
+}
+_BINARY = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": _safe_div,
+    "min2": np.minimum,
+    "max2": np.maximum,
+}
+UNARY_OPS = tuple(_UNARY)
+BINARY_OPS = tuple(_BINARY)
+_APPLY = {**_UNARY, **_BINARY}
 
 
 class ExprError(ValueError):
@@ -105,9 +134,19 @@ class TimeSeries:
 @dataclass(frozen=True)
 class Last:
     child: "Expr"
+    op: ClassVar[str] = "last"
 
 
 Expr = Union[Feature, Const, Unary, Binary, TimeSeries, Last]
+
+# The grammar: every call name and the node class it builds. Parse, print,
+# validate, rebuild, evaluate and the offline mutator all read these tables.
+OP_CLASSES: dict[str, type] = {
+    **dict.fromkeys(UNARY_OPS, Unary),
+    **dict.fromkeys(BINARY_OPS, Binary),
+    **dict.fromkeys(TS_OPS, TimeSeries),
+    "last": Last,
+}
 
 
 # ---------------------------------------------------------------- structure
@@ -158,31 +197,19 @@ def subtree_at(expr: Expr, pos: int) -> Expr:
 
 def replace_at(expr: Expr, pos: int, replacement: Expr) -> Expr:
     """Rebuild the tree with the node at preorder position pos swapped out."""
-
-    def rebuild(node: Expr, counter: list[int]) -> Expr:
-        index = counter[0]
-        counter[0] += 1
-        if index == pos:
-            # Skip the replaced subtree's positions.
-            counter[0] += count_nodes(node) - 1
-            return replacement
-        if isinstance(node, (Feature, Const)):
-            return node
-        if isinstance(node, Unary):
-            return Unary(node.op, rebuild(node.child, counter))
-        if isinstance(node, Binary):
-            left = rebuild(node.left, counter)
-            right = rebuild(node.right, counter)
-            return Binary(node.op, left, right)
-        if isinstance(node, TimeSeries):
-            return TimeSeries(node.op, rebuild(node.child, counter), node.window)
-        if isinstance(node, Last):
-            return Last(rebuild(node.child, counter))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    if pos < 0 or pos >= count_nodes(expr):
-        raise IndexError(f"no node at position {pos}")
-    return rebuild(expr, [0])
+    if pos == 0:
+        return replacement
+    kids = list(children(expr))
+    offset = 1
+    for i, kid in enumerate(kids):
+        size = count_nodes(kid)
+        if offset <= pos < offset + size:
+            kids[i] = replace_at(kid, pos - offset, replacement)
+            if isinstance(expr, Binary):
+                return replace(expr, left=kids[0], right=kids[1])
+            return replace(expr, child=kids[0])
+        offset += size
+    raise IndexError(f"no node at position {pos}")
 
 
 def validate_expr(expr: Expr) -> None:
@@ -196,21 +223,10 @@ def validate_expr(expr: Expr) -> None:
         elif isinstance(node, Const):
             if not np.isfinite(node.value):
                 raise ExprError(f"non-finite constant {node.value!r}")
-        elif isinstance(node, Unary):
-            if node.op not in UNARY_OPS:
-                raise ExprError(f"unknown unary op {node.op!r}")
-        elif isinstance(node, Binary):
-            if node.op not in BINARY_OPS:
-                raise ExprError(f"unknown binary op {node.op!r}")
-        elif isinstance(node, TimeSeries):
-            if node.op not in TS_OPS:
-                raise ExprError(f"unknown time-series op {node.op!r}")
-            if node.window not in ALLOWED_WINDOWS:
-                raise ExprError(
-                    f"window {node.window} not in allowed set {ALLOWED_WINDOWS}"
-                )
-        elif not isinstance(node, Last):
-            raise ExprError(f"unknown node type {type(node).__name__}")
+        elif OP_CLASSES.get(op := getattr(node, "op", None)) is not type(node):
+            raise ExprError(f"unknown {type(node).__name__} op {op!r}")
+        elif isinstance(node, TimeSeries) and node.window not in ALLOWED_WINDOWS:
+            raise ExprError(f"window {node.window} not in allowed set {ALLOWED_WINDOWS}")
     if n > MAX_NODES:
         raise ExprError(f"expression has {n} nodes, cap is {MAX_NODES}")
     d = depth(expr)
@@ -285,31 +301,19 @@ def parse(text: str) -> Expr:
             raise ParseError(f"unexpected token {value!r} at position {at}")
         if value in FEATURES:
             return Feature(value)
-        if value in UNARY_OPS:
-            take("punct", "(")
-            child = parse_expr()
-            take("punct", ")")
-            return Unary(value, child)
-        if value in BINARY_OPS:
-            take("punct", "(")
-            left = parse_expr()
+        node_type = OP_CLASSES.get(value)
+        if node_type is None:
+            raise ParseError(f"unknown operator {value!r} at position {at}")
+        take("punct", "(")
+        args: list = [parse_expr()]
+        if node_type is Binary:
             take("punct", ",")
-            right = parse_expr()
-            take("punct", ")")
-            return Binary(value, left, right)
-        if value in TS_OPS:
-            take("punct", "(")
-            child = parse_expr()
+            args.append(parse_expr())
+        elif node_type is TimeSeries:
             take("punct", ",")
-            window = parse_window()
-            take("punct", ")")
-            return TimeSeries(value, child, window)
-        if value == "last":
-            take("punct", "(")
-            child = parse_expr()
-            take("punct", ")")
-            return Last(child)
-        raise ParseError(f"unknown operator {value!r} at position {at}")
+            args.append(parse_window())
+        take("punct", ")")
+        return Last(*args) if node_type is Last else node_type(value, *args)
 
     expr = parse_expr()
     if peek() is not None:
@@ -325,15 +329,10 @@ def print_expr(expr: Expr) -> str:
         return expr.name
     if isinstance(expr, Const):
         return repr(float(expr.value))
-    if isinstance(expr, Unary):
-        return f"{expr.op}({print_expr(expr.child)})"
-    if isinstance(expr, Binary):
-        return f"{expr.op}({print_expr(expr.left)}, {print_expr(expr.right)})"
+    args = [print_expr(kid) for kid in children(expr)]
     if isinstance(expr, TimeSeries):
-        return f"{expr.op}({print_expr(expr.child)}, {expr.window})"
-    if isinstance(expr, Last):
-        return f"last({print_expr(expr.child)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+        args.append(str(expr.window))
+    return f"{expr.op}({', '.join(args)})"
 
 
 # ----------------------------------------------------------------- evaluate
@@ -397,50 +396,14 @@ def _eval(
 ) -> np.ndarray:
     if isinstance(expr, Feature):
         return prices if expr.name == "prices" else returns
-    steps = prices.shape[1]
     if isinstance(expr, Const):
-        return np.full((prices.shape[0], steps), float(expr.value))
-    if isinstance(expr, Unary):
-        x = _eval(expr.child, prices, returns, panel)
-        if expr.op == "abs":
-            out = np.abs(x)
-        elif expr.op == "log":
-            out = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-        elif expr.op == "neg":
-            out = -x
-        elif expr.op == "sign":
-            out = np.sign(x)
-        elif expr.op == "sqrt_abs":
-            out = np.sqrt(np.abs(x))
-        else:
-            raise ExprError(f"unknown unary op {expr.op!r}")
-        return _scrub(out)
-    if isinstance(expr, Binary):
-        a = _eval(expr.left, prices, returns, panel)
-        b = _eval(expr.right, prices, returns, panel)
-        if expr.op == "add":
-            out = a + b
-        elif expr.op == "sub":
-            out = a - b
-        elif expr.op == "mul":
-            out = a * b
-        elif expr.op == "div":
-            ok = np.abs(b) >= _DIV_EPS
-            out = np.where(ok, a / np.where(ok, b, 1.0), 0.0)
-        elif expr.op == "min2":
-            out = np.minimum(a, b)
-        elif expr.op == "max2":
-            out = np.maximum(a, b)
-        else:
-            raise ExprError(f"unknown binary op {expr.op!r}")
-        return _scrub(out)
+        return np.full(prices.shape, float(expr.value))
+    args = [_eval(kid, prices, returns, panel) for kid in children(expr)]
     if isinstance(expr, TimeSeries):
-        x = _eval(expr.child, prices, returns, panel)
-        return _scrub(_eval_ts(expr.op, x, expr.window))
+        return _scrub(_eval_ts(expr.op, args[0], expr.window))
     if isinstance(expr, Last):
-        x = _eval(expr.child, prices, returns, panel)
-        return x if panel else np.repeat(x[:, -1:], steps, axis=1)
-    raise TypeError(f"not an expression node: {expr!r}")
+        return args[0] if panel else np.repeat(args[0][:, -1:], prices.shape[1], axis=1)
+    return _scrub(_APPLY[expr.op](*args))
 
 
 def _eval_span(expr: Expr, prices: np.ndarray, returns: np.ndarray, panel: bool) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from statistics import median
@@ -87,29 +88,40 @@ class EvolutionConfig:
     seed_windows: tuple[int, ...] = (3, 7, 14, 21)
 
     def __post_init__(self) -> None:
-        if self.lookback < 2:
-            raise ValueError("lookback must be at least 2")
-        if self.warmup_steps < self.lookback:
-            raise ValueError("warmup_steps must be >= lookback")
-        if self.search_interval < 1:
-            raise ValueError("search_interval must be >= 1")
-        if self.m < 1 or self.k_top < 1 or self.m_candidates < 1:
-            raise ValueError("m, k_top, m_candidates must be >= 1")
-        if not 0.0 <= self.cost_rate < 1.0:
-            raise ValueError("cost_rate must lie in [0, 1)")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.quality_metric not in QUALITY_METRICS:
-            raise ValueError(f"quality_metric must be one of {QUALITY_METRICS}")
-        if not 1 <= self.keep_top_n <= self.max_pool_size:
-            raise ValueError("need max_pool_size >= keep_top_n >= 1")
-        if self.recall_n < 1 or self.stats_window < 1:
-            raise ValueError("recall_n and stats_window must be >= 1")
-        for w in self.seed_windows:
-            if w not in dsl.ALLOWED_WINDOWS:
-                raise ValueError(f"seed window {w} not in {dsl.ALLOWED_WINDOWS}")
+        # Each rule holds for valid values, so NaN fails it.
+        rules = (
+            ("lookback", self.lookback >= 2, "must be >= 2"),
+            ("warmup_steps", self.warmup_steps >= self.lookback, "must be >= lookback"),
+            ("search_interval", self.search_interval >= 1, "must be >= 1"),
+            ("m", self.m >= 1, "must be >= 1"),
+            ("k_top", self.k_top >= 1, "must be >= 1"),
+            ("m_candidates", self.m_candidates >= 1, "must be >= 1"),
+            ("cost_rate", 0.0 <= self.cost_rate < 1.0, "must lie in [0, 1)"),
+            ("weighting", self.weighting in WEIGHTINGS, f"must be one of {WEIGHTINGS}"),
+            ("tau", self.tau > 0.0, "must be positive"),
+            (
+                "quality_metric",
+                self.quality_metric in QUALITY_METRICS,
+                f"must be one of {QUALITY_METRICS}",
+            ),
+            (
+                "keep_top_n",
+                1 <= self.keep_top_n <= self.max_pool_size,
+                "must lie in 1..max_pool_size",
+            ),
+            ("t_drop", math.isfinite(self.t_drop), "must be finite"),
+            ("recall_n", self.recall_n >= 1, "must be >= 1"),
+            ("stats_window", self.stats_window >= 1, "must be >= 1"),
+            ("rng_seed", self.rng_seed >= 0, "must be >= 0"),
+            (
+                "seed_windows",
+                all(w in dsl.ALLOWED_WINDOWS for w in self.seed_windows),
+                f"must be drawn from {dsl.ALLOWED_WINDOWS}",
+            ),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"config key {key}={getattr(self, key)!r} {rule}")
 
 
 class PerfTracker:
@@ -315,12 +327,14 @@ def replay_tracker(
 
 def rank_by_quality(
     names: Iterable[str], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
-) -> list[str]:
-    """Names with tracker history up to upto, version-filtered and ranked
-    best first by quality_metric over their trailing window entries."""
+) -> dict[str, dict[str, float]]:
+    """The PerfTracker.stat rows of the names with tracker history up to
+    upto, version-filtered and ordered best first by quality_metric over
+    their trailing window entries."""
     stats = tracker.stat(names, window, upto, cfg.recall_n)
     values = {name: row[cfg.quality_metric] for name, row in stats.items()}
-    return sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
+    ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
+    return {name: stats[name] for name in ranked}
 
 
 def clean_factor_pool(
@@ -335,7 +349,7 @@ def clean_factor_pool(
     entries of removed factors are dropped in place."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
-    ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
+    ranked = list(rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1))
     seeds = [name for name in sorted(pool) if pool[name].origin == "seed"]
     picks = [name for name in ranked[: cfg.keep_top_n] if pool[name].origin != "seed"]
     rest = sorted(pool.keys() - {*seeds, *picks}, key=lambda n: (-pool[n].created_step, n))
@@ -548,11 +562,9 @@ class EvolutionResult:
 def _build_request(
     pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, t: int
 ) -> GenerationRequest:
-    upto = t - 1
-    window = cfg.search_interval
-    top = rank_by_quality(pool, tracker, cfg, window, upto)[: cfg.k_top]
-    stats = tracker.stat(top, window, upto, cfg.recall_n)
-    tops = tuple(TopFactor(pool[n], *_split_stats(stats[n])) for n in top)
+    ranked = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t - 1)
+    top = list(ranked)[: cfg.k_top]
+    tops = tuple(TopFactor(pool[n], *_split_stats(ranked[n])) for n in top)
     library = tuple(pool[n] for n in sorted(pool) if pool[n].origin == "seed")
     return GenerationRequest(
         step=t,
@@ -575,7 +587,7 @@ def composite_scores(
     """Normalized score rows at step t of the top k_top factors, best first
     by rank_by_quality over the trailing search_interval entries; empty when
     no factor has been graded yet."""
-    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t)[: cfg.k_top]
+    used = list(rank_by_quality(pool, tracker, cfg, cfg.search_interval, t))[: cfg.k_top]
     return [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
 
 
@@ -594,8 +606,11 @@ def trade(
     the realized returns for the next step's turnover). With no rows, or when
     the step raises ValueError or RuntimeError, it falls back to the market:
     (None, market-average return, 0.0, 0.0, None), which liquidates holdings.
-    Any other exception is a bug and propagates.
+    Only a raised step logs a warning; the ledger's fallback phase records
+    both. Any other exception is a bug and propagates.
     """
+    if not len(rows):
+        return None, portfolio.fallback_market_return(realized), 0.0, 0.0, None
     try:
         composite = portfolio.aggregate_scores(rows)
         sel = portfolio.select_top_m(composite, cfg.m)

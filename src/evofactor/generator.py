@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -296,17 +296,14 @@ def validate_candidate(
     """Accept or reject a structurally parsed candidate against the pool.
 
     Rejection is a value: (False, reason). Checks name convention, name and
-    expression collisions, DSL invariants, and a 50-window smoke battery
-    (finite everywhere, non-constant across a random cross-section).
+    expression collisions, and a 50-window smoke battery (finite
+    everywhere, non-constant across a random cross-section). The DSL
+    invariants already hold: a FactorRecord validates its expression.
     """
     if not is_generated_name(record.name):
         return False, f"name {record.name!r} violates the naming convention"
     if record.name in pool:
         return False, f"name collision with existing {record.name!r}"
-    try:
-        dsl.validate_expr(record.expr)
-    except dsl.ExprError as exc:
-        return False, f"invalid expression: {exc}"
     text = record.expr_text
     for other in pool.values():
         if other.expr_text == text:
@@ -325,17 +322,12 @@ def validate_candidate(
 # ------------------------------------------------------------ offline path
 
 
-def _op_positions(expr: dsl.Expr) -> dict[str, list[int]]:
-    spots: dict[str, list[int]] = {"ts": [], "const": [], "unary": [], "binary": []}
+def _op_positions(expr: dsl.Expr) -> dict[type, list[int]]:
+    """Preorder positions of the nodes a mutation can edit, by node class."""
+    spots: dict[type, list[int]] = {k: [] for k in (dsl.TimeSeries, dsl.Const, dsl.Unary, dsl.Binary)}
     for pos, node in enumerate(dsl.iter_nodes(expr)):
-        if isinstance(node, dsl.TimeSeries):
-            spots["ts"].append(pos)
-        elif isinstance(node, dsl.Const):
-            spots["const"].append(pos)
-        elif isinstance(node, dsl.Unary):
-            spots["unary"].append(pos)
-        elif isinstance(node, dsl.Binary):
-            spots["binary"].append(pos)
+        if type(node) in spots:
+            spots[type(node)].append(pos)
     return spots
 
 
@@ -361,14 +353,13 @@ def _parameter_mutation(
     rng: np.random.Generator, record: FactorRecord
 ) -> dsl.Expr | None:
     spots = _op_positions(record.expr)
-    if spots["ts"]:
-        pos = _pick(rng, spots["ts"])
+    if spots[dsl.TimeSeries]:
+        pos = _pick(rng, spots[dsl.TimeSeries])
         node = dsl.subtree_at(record.expr, pos)
         choices = [w for w in dsl.ALLOWED_WINDOWS if w != node.window]
-        new_node = dsl.TimeSeries(node.op, node.child, _pick(rng, choices))
-        return dsl.replace_at(record.expr, pos, new_node)
-    if spots["const"]:
-        pos = _pick(rng, spots["const"])
+        return dsl.replace_at(record.expr, pos, replace(node, window=_pick(rng, choices)))
+    if spots[dsl.Const]:
+        pos = _pick(rng, spots[dsl.Const])
         node = dsl.subtree_at(record.expr, pos)
         factor = float(rng.uniform(0.5, 2.0))
         return dsl.replace_at(record.expr, pos, dsl.Const(node.value * factor))
@@ -376,24 +367,17 @@ def _parameter_mutation(
 
 
 def _operator_mutation(rng: np.random.Generator, record: FactorRecord) -> dsl.Expr:
+    """Swap one call's op for another op of the same node class."""
     spots = _op_positions(record.expr)
-    classes = [k for k in ("unary", "binary", "ts") if spots[k]]
+    classes = [k for k in (dsl.Unary, dsl.Binary, dsl.TimeSeries) if spots[k]]
     if not classes:
         op = _pick(rng, dsl.UNARY_OPS)
         return dsl.Unary(op, record.expr)
     kind = _pick(rng, classes)
     pos = _pick(rng, spots[kind])
     node = dsl.subtree_at(record.expr, pos)
-    if kind == "unary":
-        op = _pick(rng, [o for o in dsl.UNARY_OPS if o != node.op])
-        new_node: dsl.Expr = dsl.Unary(op, node.child)
-    elif kind == "binary":
-        op = _pick(rng, [o for o in dsl.BINARY_OPS if o != node.op])
-        new_node = dsl.Binary(op, node.left, node.right)
-    else:
-        op = _pick(rng, [o for o in dsl.TS_OPS if o != node.op])
-        new_node = dsl.TimeSeries(op, node.child, node.window)
-    return dsl.replace_at(record.expr, pos, new_node)
+    op = _pick(rng, [o for o, cls in dsl.OP_CLASSES.items() if cls is kind and o != node.op])
+    return dsl.replace_at(record.expr, pos, replace(node, op=op))
 
 
 def _crossover(
@@ -455,9 +439,8 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
                 parent.base_name, _name_window(parent, expr), parent.version + 1, taken
             )
         try:
-            dsl.validate_expr(expr)
             record = make_record(name, expr, origin, parents, created_step=req.step)
-        except (dsl.ExprError, ValueError) as exc:
+        except ValueError as exc:  # dsl.ExprError included
             log.append({"slot": slot, "action": action, "rejected": str(exc)})
             continue
         taken.add(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class PortfolioWeights:
         if not self.weights:
             raise ValueError("empty weight map")
         total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"weights sum to {total}, not 1")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be nonnegative")
@@ -127,8 +127,8 @@ def temperature_weights(
     t: int = -1,
 ) -> PortfolioWeights:
     """Softmax over the selected scores; tau controls concentration."""
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not tau > 0.0:
+        raise ValueError(f"temperature must be positive, got {tau!r}")
     selection = [int(i) for i in selection]
     if not selection:
         raise ValueError("empty selection")

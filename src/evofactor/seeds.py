@@ -27,7 +27,9 @@ ORIGINS = ("seed", "mutated", "crossover", "remote", "pooled")
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _VERSION_RE = re.compile(r"^(?P<stem>[a-z0-9_]+)_v(?P<version>[0-9]+)$")
-_WINDOW_RE = re.compile(r"^(?P<base>[a-z0-9_]+)_(?P<window>3|7|14|21)$")
+_WINDOWS = "|".join(map(str, dsl.ALLOWED_WINDOWS))
+_WINDOW_RE = re.compile(rf"^(?P<base>[a-z0-9_]+)_(?P<window>{_WINDOWS})$")
+_GENERATED_RE = re.compile(rf"^[a-z][a-z0-9_]*_({_WINDOWS})_v[0-9]+$")
 
 
 @lru_cache(maxsize=4096)
@@ -65,7 +67,7 @@ def make_name(base: str, window: int, version: int) -> str:
 
 def is_generated_name(name: str) -> bool:
     """True when the name carries both a window token and a version suffix."""
-    return re.match(r"^[a-z][a-z0-9_]*_(3|7|14|21)_v[0-9]+$", name) is not None
+    return _GENERATED_RE.match(name) is not None
 
 
 @dataclass(frozen=True)

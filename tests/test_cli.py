@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -220,6 +221,31 @@ def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkey
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "sets, key",
+    [
+        pytest.param(["weighting=temperature", "tau=nan"], "tau", id="tau_nan"),
+        pytest.param(["tau=0"], "tau", id="tau_zero"),
+        pytest.param(["rng_seed=-1"], "rng_seed", id="rng_seed_negative"),
+        pytest.param(["t_drop=nan"], "t_drop", id="t_drop_nan"),
+        pytest.param(["t_drop=inf"], "t_drop", id="t_drop_inf"),
+        pytest.param(["m=0"], "m", id="m_zero"),
+        pytest.param(["k_top=0"], "k_top", id="k_top_zero"),
+        pytest.param(["m_candidates=0"], "m_candidates", id="m_candidates_zero"),
+        pytest.param(["cost_rate=nan"], "cost_rate", id="cost_rate_nan"),
+        pytest.param(["keep_top_n=60"], "keep_top_n", id="keep_top_n_over_pool"),
+    ],
+)
+def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, snapshot, sets, key) -> None:
+    # A bad value fails before the loop runs and writes nothing.
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    assert _evolve(snapshot, tmp_path / "r", overrides) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key}=" in err
+    assert err.count("config key ") == 1
+    assert not (tmp_path / "r").exists()
+
+
 # ------------------------------------------------------------------- evolve
 
 
@@ -409,6 +435,20 @@ def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting, fi
         assert float(lines[k].split(",")[2]) == pytest.approx(value, rel=1e-12), k
         fallbacks = [row.date for row in ledger if row.phase == "fallback"]
         assert len(fallbacks) == (first_created - 60 - 1 if first_created else 0), k
+
+
+def test_report_factor_sweep_falls_back_without_warnings(tmp_path, caplog) -> None:
+    # Steps before any factor is graded take the market fallback quietly:
+    # the ledger's fallback phase records them, not a warning per k.
+    library = str(tmp_path / "late.json")
+    records = seed_factors((7,))
+    save_library([reset_created_step(rec, 70 + 5 * i) for i, rec in enumerate(records)], library)
+    snap = str(tmp_path / "snap.json")
+    save_snapshot(planted_momentum_table(n_assets=12, n_steps=140, seed=5, signal=0.6), snap)
+    with caplog.at_level(logging.WARNING, logger="evofactor"):
+        assert main(["report", "--mode", "factor_sweep", "--snapshot", snap, "--library", library,
+                     "-o", str(tmp_path / "rep"), *_SET]) == 0
+    assert not [rec for rec in caplog.records if "live step failed" in rec.getMessage()]
 
 
 def test_report_score_heatmap(tmp_path, snapshot, library) -> None:

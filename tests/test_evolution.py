@@ -645,6 +645,23 @@ def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
     assert after.turnover == 0.5 and after.cost == 0.002 * 0.5
 
 
+def test_trade_warns_once_per_failed_step_and_never_for_no_rows(caplog) -> None:
+    cfg = _cfg()
+    realized = np.array([1.01, 0.99, 1.02, 1.0])
+    cost = portfolio.CostModel(0.0)
+    ragged = [np.zeros(4), np.zeros(3)]  # aggregate_scores raises ValueError
+    with caplog.at_level(logging.WARNING, logger="evofactor.evolution"):
+        for t in range(3):
+            weights, r_t, turn, fee, drifted = evolution.trade([], realized, None, cfg, cost, t)
+            assert (weights, turn, fee, drifted) == (None, 0.0, 0.0, None)
+            assert r_t == float(realized.mean())
+        assert not caplog.records
+        for t in range(3):
+            assert evolution.trade(ragged, realized, None, cfg, cost, t)[0] is None
+    failed = [rec.getMessage() for rec in caplog.records]
+    assert len(failed) == 3 and all("live step failed" in msg for msg in failed)
+
+
 def test_live_step_bug_is_not_a_market_fallback(monkeypatch) -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
 

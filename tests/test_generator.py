@@ -15,6 +15,7 @@ from evofactor.generator import (
     ForbiddenTokens,
     GenerationRequest,
     GeneratorConfig,
+    SYSTEM_PROMPT,
     TopFactor,
     TransportError,
     build_prompt,
@@ -52,6 +53,15 @@ def _request(m: int = 5, seed: int | None = 0, step: int = 65, windows=(7,)) -> 
 
 
 # -------------------------------------------------------------- prompt
+
+
+def test_prompt_offers_the_grammar_the_parser_accepts() -> None:
+    for op in (*dsl.UNARY_OPS, *dsl.BINARY_OPS, *dsl.TS_OPS, "last"):
+        assert f" {op}(" in SYSTEM_PROMPT, op
+    assert set(dsl.OP_CLASSES) == {*dsl.UNARY_OPS, *dsl.BINARY_OPS, *dsl.TS_OPS, "last"}
+    for feature in dsl.FEATURES:
+        assert feature in SYSTEM_PROMPT, feature
+    assert ", ".join(map(str, dsl.ALLOWED_WINDOWS)) in SYSTEM_PROMPT
 
 
 def test_build_prompt_sections() -> None:

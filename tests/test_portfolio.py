@@ -37,6 +37,12 @@ def test_portfolio_weights_invariants() -> None:
         PortfolioWeights({0: 0.6, 1: 0.5})
     with pytest.raises(ValueError):
         PortfolioWeights({0: 1.5, 1: -0.5})
+    with pytest.raises(ValueError):
+        PortfolioWeights({0: math.nan, 1: math.nan})
+    with pytest.raises(ValueError):
+        PortfolioWeights({0: math.nan})
+    with pytest.raises(ValueError):
+        temperature_weights([0, 1], np.array([0.2, 0.1]), math.nan)
     # Tolerance is 1e-9 on the budget.
     PortfolioWeights({0: 0.5 + 4e-10, 1: 0.5})
 
