@@ -19,6 +19,7 @@ from . import dsl
 from .evolution import (
     SearchRecord,
     filter_factor_versions,
+    json_object,
     load_checkpoints,
     read_jsonl,
     search_record_to_json,
@@ -97,10 +98,12 @@ def merge_runs(
 def aggregate_records(
     paths: Sequence[str], n_limit: int = 0, ratio: float = 1.0
 ) -> list[MergedRecord]:
-    """Load checkpoint files and merge them (see merge_runs)."""
+    """Load checkpoint files and merge them (see merge_runs). The files share
+    one record memo, so each distinct pool entry is decoded once per call."""
     if not paths:
         raise ValueError("need at least one checkpoint path")
-    return merge_runs([load_checkpoints(path) for path in paths], n_limit, ratio)
+    memo: dict = {}
+    return merge_runs([load_checkpoints(path, memo) for path in paths], n_limit, ratio)
 
 
 def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
@@ -140,9 +143,9 @@ def json_to_merged(doc: dict) -> MergedRecord:
             raise ValueError(f"merged record missing key {key!r}")
     return MergedRecord(
         step=int(doc["step"]),
-        performance={k: float(v) for k, v in doc["performance"].items()},
-        quality={k: float(v) for k, v in doc["quality"].items()},
-        expressions={k: str(v) for k, v in doc["expressions"].items()},
+        performance={k: float(v) for k, v in json_object(doc, "performance").items()},
+        quality={k: float(v) for k, v in json_object(doc, "quality").items()},
+        expressions={k: str(v) for k, v in json_object(doc, "expressions").items()},
     )
 
 

@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="merge checkpoint streams from several runs")
     p.add_argument("checkpoints", nargs="+", help="checkpoints.jsonl files")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--max-records", type=int, default=0, help="cap on aligned records (0 = off)")
+    p.add_argument("--max-records", type=int, default=0, help="cap on aligned records (0 or 1 = off)")
     p.add_argument("--ratio", type=float, default=1.0, help="fraction of aligned records kept")
     p.set_defaults(func=cmd_aggregate)
 
@@ -512,15 +512,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # This command's own log handler on the current stderr, at this command's
+    # level; both are undone on return, so repeated in-process calls never
+    # inherit an earlier call's stream or level.
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

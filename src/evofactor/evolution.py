@@ -434,16 +434,45 @@ def search_record_to_json(record: SearchRecord) -> dict:
     }
 
 
-def json_to_search_record(doc: dict) -> SearchRecord:
+def json_object(doc: dict, key: str) -> dict:
+    """doc[key], which must be a JSON object."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
+    """json_to_record(doc), reusing the record of an earlier entry in memo
+    whose every field that json_to_record reads is equal. An entry with an
+    unhashable field or a parent that is not a string is decoded on its own."""
+    try:
+        parents = tuple(doc["parents"])
+        fields = (doc["name"], doc["expr"], doc["base_name"], doc["version"], doc["origin"])
+        key = (*fields, parents, doc["created_step"])
+        record = memo.get(key)
+    except (KeyError, TypeError):
+        return json_to_record(doc)
+    if record is None:
+        record = json_to_record(doc)
+        if all(type(p) is str for p in parents):
+            memo[key] = record
+    return record
+
+
+def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
+    """One checkpoint line; lines decoded with the same memo share the pool
+    records they repeat."""
     for key in ("step", "pool", "performance", "quality", "state"):
         if key not in doc:
             raise ValueError(f"checkpoint record missing key {key!r}")
+    memo = {} if memo is None else memo
     return SearchRecord(
         step=int(doc["step"]),
-        pool=tuple(json_to_record(item) for item in doc["pool"]),
-        performance={k: dict(v) for k, v in doc["performance"].items()},
-        quality={k: dict(v) for k, v in doc["quality"].items()},
-        state=dict(doc["state"]),
+        pool=tuple(_pool_entry(item, memo) for item in doc["pool"]),
+        performance={k: dict(v) for k, v in json_object(doc, "performance").items()},
+        quality={k: dict(v) for k, v in json_object(doc, "quality").items()},
+        state=dict(json_object(doc, "state")),
     )
 
 
@@ -472,8 +501,11 @@ def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
     write_jsonl(map(search_record_to_json, records), path)
 
 
-def load_checkpoints(path: str) -> list[SearchRecord]:
-    return read_jsonl(path, json_to_search_record, "checkpoint")
+def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
+    """Every checkpoint in path; each distinct pool entry is decoded once per
+    file, or once across all calls that pass the same memo."""
+    memo = {} if memo is None else memo
+    return read_jsonl(path, lambda doc: json_to_search_record(doc, memo), "checkpoint")
 
 
 def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:

@@ -2,6 +2,7 @@
 library construction, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -21,7 +22,7 @@ from evofactor.aggregation import (
     save_merged,
 )
 from evofactor.evolution import SearchRecord, save_checkpoints, search_record_to_json
-from evofactor.seeds import make_record
+from evofactor.seeds import make_record, record_to_json
 
 
 def _rec(step: int, factors: dict[str, tuple[float, float, str]]) -> SearchRecord:
@@ -292,6 +293,46 @@ def test_load_merged_reports_bad_line(tmp_path) -> None:
     path.write_text(json.dumps(good) + "\n" + "{}\n")
     with pytest.raises(ValueError, match=":2:"):
         load_merged(str(path))
+
+
+@pytest.mark.parametrize("key", ["performance", "quality", "expressions"])
+def test_load_merged_names_a_map_that_is_not_an_object(tmp_path, key) -> None:
+    good = merged_to_json(merge_runs([_run_of_length(1, "a")])[0])
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: [1.0]}) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: .*'{key}' must be a JSON object"):
+        load_merged(str(path))
+
+
+def test_aggregate_records_parses_each_distinct_pool_entry_once(tmp_path, monkeypatch) -> None:
+    # Three streams whose pools repeat entries across lines and across files;
+    # one name recurs with another expression and one with another origin.
+    shared = {"a_7_v1": (101.0, 0.1, "ts_delta(prices, 7)"), "b_7_v1": (99.0, 0.2, "last(prices)")}
+    other = {**shared, "a_7_v1": (102.0, 0.1, "ts_delta(prices, 14)")}
+    runs = [
+        [_rec(60 + 5 * i, shared) for i in range(4)],
+        [_rec(60 + 5 * i, other) for i in range(5)],
+        [_rec(60 + 5 * i, shared if i % 2 else other) for i in range(4)],
+    ]
+    runs[2][0] = dataclasses.replace(
+        runs[2][0], pool=tuple(dataclasses.replace(r, origin="remote") for r in runs[2][0].pool)
+    )
+    paths = []
+    for i, run in enumerate(runs):
+        paths.append(str(tmp_path / f"run{i}.jsonl"))
+        save_checkpoints(run, paths[-1])
+    distinct = {
+        json.dumps(record_to_json(rec), sort_keys=True) for run in runs for r in run for rec in r.pool
+    }
+    assert len(distinct) == 5
+    calls = []
+    parse = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
+    first = aggregate_records(paths)
+    assert len(calls) == len(distinct)
+    # A second command starts from an empty memo: no state outlives a call.
+    assert aggregate_records(paths) == first
+    assert len(calls) == 2 * len(distinct)
 
 
 # ------------------------------------------------------------ end to end

@@ -2,8 +2,10 @@
 deterministic outputs, and the error exit path."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import logging
 import re
@@ -40,6 +42,30 @@ def library(tmp_path_factory) -> str:
     path = str(tmp_path_factory.mktemp("lib") / "library.json")
     save_library(seed_factors((7,)), path)
     return path
+
+
+# ------------------------------------------------------------------- logging
+
+
+def test_each_main_call_logs_to_its_own_stderr_at_its_own_level(monkeypatch) -> None:
+    log = logging.getLogger("evofactor.cli")
+
+    def command(args) -> int:
+        log.warning("warning from %s", args.output)
+        log.info("info from %s", args.output)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_aggregate", command)
+    streams = {}
+    for run, verbose in (("one", []), ("two", ["--verbose"]), ("three", [])):
+        streams[run] = io.StringIO()
+        with contextlib.redirect_stderr(streams[run]):
+            assert main([*verbose, "aggregate", "in.jsonl", "-o", run]) == 0
+    assert streams["one"].getvalue() == "WARNING evofactor.cli: warning from one\n"
+    assert streams["two"].getvalue() == (
+        "WARNING evofactor.cli: warning from two\nINFO evofactor.cli: info from two\n"
+    )
+    assert streams["three"].getvalue() == "WARNING evofactor.cli: warning from three\n"
 
 
 # ------------------------------------------------------------------- ingest
@@ -341,6 +367,21 @@ def test_aggregate_truncation_flags(tmp_path, checkpoint_paths) -> None:
     merged_lines = (outdir / "merged.jsonl").read_text().strip().splitlines()
     assert len(merged_lines) == 1  # floor(min(L, 2) * 0.5)
     assert main(["aggregate", *checkpoint_paths, "-o", str(outdir), "--ratio", "2.0"]) == 2
+
+
+@pytest.mark.parametrize("key", ["performance", "quality", "state"])
+def test_aggregate_names_a_checkpoint_map_that_is_not_an_object(
+    tmp_path, capsys, checkpoint_paths, key
+) -> None:
+    lines = Path(checkpoint_paths[0]).read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc[key] = [1.0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
+    assert main(["aggregate", str(bad), "-o", str(tmp_path / "agg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.jsonl:2: bad checkpoint record" in err
+    assert f"'{key}' must be a JSON object" in err
 
 
 # ------------------------------------------------------------------- report

@@ -2,6 +2,8 @@
 benchmark gate, and the full search-and-backtest loop with resume."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import logging
 import re
 from pathlib import Path
@@ -40,7 +42,14 @@ from evofactor.market_data import (
     to_relative_returns,
     window_matrices,
 )
-from evofactor.seeds import make_record, reset_created_step, seed_factors
+from evofactor.seeds import (
+    FactorRecord,
+    json_to_record,
+    make_record,
+    parse_name,
+    reset_created_step,
+    seed_factors,
+)
 from evofactor.synthetic import dominant_asset_table, planted_momentum_table, random_walk_table
 
 
@@ -846,3 +855,75 @@ def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
     # Blank lines are tolerated.
     path.write_text(_json.dumps(good) + "\n\n")
     assert len(load_checkpoints(str(path))) == 1
+
+
+_ENTRY_NAMES = ("alpha_7_v1", "alpha_7_v2", "beta_14_v1")
+_ENTRY_FIELDS = {
+    # two spellings that print alike, versions and steps that int() maps
+    # alike, and parents that are equal under == but not in type
+    "expr": ("ts_delta(prices, 7)", "ts_delta(prices,7)", "last(prices)"),
+    "version": (1, 2, 1.0, True, "2"),
+    "origin": ("seed", "mutated", "remote", "pooled"),
+    "parents": ([], ["alpha_7_v1"], ["beta_14_v1", "alpha_7_v1"], [1], [True], [1.0]),
+    "created_step": (0, 1, 2, 1.0, True),
+}
+
+
+@st.composite
+def _checkpoint_pools(draw) -> list[list[dict]]:
+    """Pools of valid checkpoint entries: each entry is one of a few base
+    entries with at most one field redrawn, so names recur with exactly one
+    field different."""
+    bases = [
+        {"name": name, "base_name": parse_name(name)[0],
+         **{key: draw(st.sampled_from(values)) for key, values in _ENTRY_FIELDS.items()}}
+        for name in draw(st.lists(st.sampled_from(_ENTRY_NAMES), min_size=1, max_size=3))
+    ]
+
+    def entry() -> dict:
+        doc = dict(draw(st.sampled_from(bases)))
+        for key in draw(st.lists(st.sampled_from(sorted(_ENTRY_FIELDS)), max_size=1)):
+            doc[key] = draw(st.sampled_from(_ENTRY_FIELDS[key]))
+        return doc
+
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    return [[entry() for _ in range(size)] for size in sizes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_checkpoint_pools())
+def test_interned_pool_entries_decode_like_each_entry_alone(pools) -> None:
+    memo: dict = {}
+    for step, entries in enumerate(pools):
+        doc = {"step": step, "pool": entries, "performance": {}, "quality": {}, "state": {}}
+        decoded = json_to_search_record(doc, memo)
+        assert len(decoded.pool) == len(entries)
+        for got, entry in zip(decoded.pool, entries):
+            want = json_to_record(entry)
+            for f in dataclasses.fields(FactorRecord):
+                # repr tells 1 from True and 1.0, which == does not
+                assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+            assert got.expr_text == want.expr_text
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("expr", "ts_delta(prices, 8)", id="expr"),
+        pytest.param("base_name", "beta", id="base_name"),
+        pytest.param("origin", "alien", id="origin"),
+        pytest.param("version", "x", id="version"),
+    ],
+)
+def test_malformed_entry_after_a_valid_one_of_the_same_name_fails_at_its_line(
+    tmp_path, key, value
+) -> None:
+    rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated")
+    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    bad = json.loads(json.dumps(good))
+    bad["step"] = 70
+    bad["pool"][0][key] = value
+    path = tmp_path / "ck.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=r"ck\.jsonl:2: bad checkpoint record"):
+        load_checkpoints(str(path))
