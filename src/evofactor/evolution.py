@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -128,24 +128,34 @@ class PerfTracker:
     """Per-factor standalone evaluation series, appended step by step.
 
     Each entry holds the factor's own top-m equal-weight gross return, its
-    RankIC against next-step returns, and recall@N. Stats are computed over
-    trailing windows of entries up to a given step.
+    RankIC against next-step returns, and recall@N, kept in one float64 block
+    of shape (3, rows, entries): a name's entries sit left-aligned in its
+    row, and a per-name step list serves count and the cut at a step. drop
+    frees the row for the next new name, so memory follows the live pool.
+    stat computes every column over trailing windows of entries up to a
+    given step; column computes the one a ranking reads.
     """
 
     def __init__(self) -> None:
         self._steps: dict[str, list[int]] = {}
-        self._gross: dict[str, list[float]] = {}
-        self._rankic: dict[str, list[float]] = {}
-        self._recall: dict[str, list[float]] = {}
+        self._rows: dict[str, int] = {}
+        self._free: list[int] = []
+        self._values = np.empty((3, 0, 0))
 
     def add(self, name: str, step: int, gross: float, rankic: float, recall: float) -> None:
         steps = self._steps.setdefault(name, [])
         if steps and step <= steps[-1]:
             raise ValueError(f"tracker steps must increase for {name!r}")
+        if name not in self._rows:  # with no free row, every allocated row is live
+            self._rows[name] = self._free.pop() if self._free else len(self._rows)
+        row, n = self._rows[name], len(steps)
+        _, rows, entries = self._values.shape
+        if row >= rows or n >= entries:
+            grown = np.empty((3, max(rows, row + 1), max(entries, 2 * n + 16)))
+            grown[:, :rows, :entries] = self._values
+            self._values = grown
+        self._values[:, row, n] = (gross, rankic, recall)
         steps.append(step)
-        self._gross.setdefault(name, []).append(float(gross))
-        self._rankic.setdefault(name, []).append(float(rankic))
-        self._recall.setdefault(name, []).append(float(recall))
 
     def names(self) -> list[str]:
         return sorted(self._steps)
@@ -157,16 +167,28 @@ class PerfTracker:
         return bisect_right(steps, upto)
 
     def drop(self, name: str) -> None:
-        for table in (self._steps, self._gross, self._rankic, self._recall):
-            table.pop(name, None)
+        if self._steps.pop(name, None) is not None:
+            self._free.append(self._rows.pop(name))
 
     def series(self, name: str) -> tuple[list[int], list[float], list[float], list[float]]:
-        return (
-            list(self._steps.get(name, [])),
-            list(self._gross.get(name, [])),
-            list(self._rankic.get(name, [])),
-            list(self._recall.get(name, [])),
-        )
+        steps = self._steps.get(name, [])
+        values = self._values[:, self._rows[name], : len(steps)].tolist() if steps else ([], [], [])
+        return (list(steps), *values)
+
+    def _blocks(self, names: Iterable[str], window: int, upto: int) -> Iterator[tuple]:
+        """(names, their (3, k, n) block of gross, rankic and recall) for each
+        group of names with n of their last `window` entries up to step
+        upto; names with none are left out."""
+        groups: dict[int, list[tuple[str, int, int]]] = {}
+        for name in names:
+            hi = bisect_right(self._steps.get(name, []), upto)
+            n = min(window, hi)
+            if n > 0:
+                groups.setdefault(n, []).append((name, self._rows[name], hi))
+        for n, group in groups.items():
+            group_names, rows, ends = zip(*group)
+            cols = np.add.outer(ends, np.arange(-n, 0))
+            yield group_names, self._values[:, np.array(rows)[:, None], cols]
 
     def stat(
         self, names: Iterable[str], window: int, upto: int, recall_n: int
@@ -174,21 +196,23 @@ class PerfTracker:
         """Every metrics.window_stats column over each name's last `window`
         entries up to step upto, leaving out names with none. Names with
         equally many entries are reduced together as one stacked block."""
-        groups: dict[int, list[tuple[str, slice]]] = {}
-        for name in names:
-            hi = bisect_right(self._steps.get(name, []), upto)
-            n = min(window, hi)
-            if n > 0:
-                groups.setdefault(n, []).append((name, slice(hi - n, hi)))
         stats: dict[str, dict[str, float]] = {}
-        tables = (self._gross, self._rankic, self._recall)
-        for group in groups.values():
-            blocks = [np.array([table[name][sl] for name, sl in group]) for table in tables]
-            columns = metrics.window_stats(*blocks, recall_n)
+        for group, block in self._blocks(names, window, upto):
+            columns = metrics.window_stats(*block, recall_n)
             rows = zip(*(values.tolist() for values in columns.values()))
-            for (name, _), row in zip(group, rows):
-                stats[name] = dict(zip(columns, row))
+            stats.update((name, dict(zip(columns, row))) for name, row in zip(group, rows))
         return stats
+
+    def column(self, names: Iterable[str], window: int, upto: int, metric: str) -> dict[str, float]:
+        """stat's column for a metric of QUALITY_METRICS alone, bit for bit:
+        the same blocks reduced by window_stats' own expressions."""
+        if metric not in QUALITY_METRICS:
+            raise ValueError(f"metric {metric!r} must be one of {QUALITY_METRICS}")
+        values: dict[str, float] = {}
+        for group, (gross, rankic, _) in self._blocks(names, window, upto):
+            column = 100.0 * np.prod(gross, axis=1) if metric == "final_value" else rankic.mean(axis=1)
+            values.update(zip(group, column.tolist()))
+        return values
 
 
 class ScoreCache:
@@ -327,14 +351,11 @@ def replay_tracker(
 
 def rank_by_quality(
     names: Iterable[str], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
-) -> dict[str, dict[str, float]]:
-    """The PerfTracker.stat rows of the names with tracker history up to
-    upto, version-filtered and ordered best first by quality_metric over
-    their trailing window entries."""
-    stats = tracker.stat(names, window, upto, cfg.recall_n)
-    values = {name: row[cfg.quality_metric] for name, row in stats.items()}
-    ranked = sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
-    return {name: stats[name] for name in ranked}
+) -> list[str]:
+    """The names with tracker history up to upto, version-filtered and
+    ordered best first by quality_metric over their trailing window entries."""
+    values = tracker.column(names, window, upto, cfg.quality_metric)
+    return sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
 
 
 def clean_factor_pool(
@@ -349,7 +370,7 @@ def clean_factor_pool(
     entries of removed factors are dropped in place."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
-    ranked = list(rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1))
+    ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
     seeds = [name for name in sorted(pool) if pool[name].origin == "seed"]
     picks = [name for name in ranked[: cfg.keep_top_n] if pool[name].origin != "seed"]
     rest = sorted(pool.keys() - {*seeds, *picks}, key=lambda n: (-pool[n].created_step, n))
@@ -395,8 +416,8 @@ def benchmark_gate(
     if fv >= gated_fv:
         return True, "cleared benchmark"
     # The pool median is needed only when the value leg fails.
-    stats = tracker.stat(incumbents, cfg.search_interval, t, cfg.recall_n)
-    pool_median = median(row["mean_rankic"] for row in stats.values())
+    ics = tracker.column(incumbents, cfg.search_interval, t, "mean_rankic")
+    pool_median = median(ics.values())
     if mean_ic < pool_median:
         return False, (
             f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
@@ -445,18 +466,15 @@ def json_object(doc: dict, key: str) -> dict:
 def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
     """json_to_record(doc), reusing the record of an earlier entry in memo
     whose every field that json_to_record reads is equal. An entry with an
-    unhashable field or a parent that is not a string is decoded on its own."""
+    unhashable field is decoded on its own."""
     try:
-        parents = tuple(doc["parents"])
         fields = (doc["name"], doc["expr"], doc["base_name"], doc["version"], doc["origin"])
-        key = (*fields, parents, doc["created_step"])
+        key = (*fields, tuple(doc["parents"]), doc["created_step"])
         record = memo.get(key)
     except (KeyError, TypeError):
         return json_to_record(doc)
     if record is None:
-        record = json_to_record(doc)
-        if all(type(p) is str for p in parents):
-            memo[key] = record
+        record = memo[key] = json_to_record(doc)
     return record
 
 
@@ -594,9 +612,9 @@ class EvolutionResult:
 def _build_request(
     pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, t: int
 ) -> GenerationRequest:
-    ranked = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t - 1)
-    top = list(ranked)[: cfg.k_top]
-    tops = tuple(TopFactor(pool[n], *_split_stats(ranked[n])) for n in top)
+    top = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t - 1)[: cfg.k_top]
+    stats = tracker.stat(top, cfg.search_interval, t - 1, cfg.recall_n)
+    tops = tuple(TopFactor(pool[n], *_split_stats(stats[n])) for n in top)
     library = tuple(pool[n] for n in sorted(pool) if pool[n].origin == "seed")
     return GenerationRequest(
         step=t,
@@ -619,7 +637,7 @@ def composite_scores(
     """Normalized score rows at step t of the top k_top factors, best first
     by rank_by_quality over the trailing search_interval entries; empty when
     no factor has been graded yet."""
-    used = list(rank_by_quality(pool, tracker, cfg, cfg.search_interval, t))[: cfg.k_top]
+    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t)[: cfg.k_top]
     return [dsl.normalize_scores(scorer.scores(pool[n], t)) for n in used]
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import dsl
@@ -188,7 +189,7 @@ def json_to_record(doc: dict) -> FactorRecord:
     for key in ("name", "expr", "base_name", "version", "origin", "parents", "created_step"):
         if key not in doc:
             raise ValueError(f"factor record missing {key!r}")
-    base, window, _ = parse_name(doc["name"])
+    base, window, version = parse_name(doc["name"])
     record = FactorRecord(
         name=doc["name"],
         expr=dsl.parse(doc["expr"]),
@@ -199,10 +200,11 @@ def json_to_record(doc: dict) -> FactorRecord:
         created_step=int(doc["created_step"]),
         window=window,
     )
-    if record.base_name != base:
-        raise ValueError(
-            f"base_name {doc['base_name']!r} does not match name {doc['name']!r}"
-        )
+    for key, want in (("base_name", base), ("version", version)):
+        if getattr(record, key) != want:
+            raise ValueError(f"{key} {doc[key]!r} does not match name {doc['name']!r}")
+    if not all(isinstance(p, str) for p in record.parents):
+        raise ValueError(f"parents {doc['parents']!r} must all be strings")
     return record
 
 
@@ -225,4 +227,8 @@ def load_library(path: str) -> list[FactorRecord]:
 
 
 def reset_created_step(record: FactorRecord, step: int) -> FactorRecord:
-    return replace(record, created_step=step)
+    """replace(record, created_step=step) without validating the expression
+    again; a cached expr_text carries over."""
+    moved = copy(record)
+    object.__setattr__(moved, "created_step", step)
+    return moved

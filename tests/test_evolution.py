@@ -164,35 +164,57 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
 
 
 @st.composite
-def _tracker_series(draw) -> dict[str, tuple[list[int], list[float], list[float], list[float]]]:
-    """Named series with mixed start steps, gaps and lengths (some empty),
-    some of them constant."""
-    series = {}
-    for i in range(draw(st.integers(1, 8))):
-        steps = sorted(draw(st.sets(st.integers(0, 60), max_size=25)))
-        n = len(steps)
-        if draw(st.booleans()):
-            gross = [draw(st.floats(0.5, 1.5))] * n
-            rankic = [draw(st.floats(-1.0, 1.0))] * n
+def _tracker_ops(draw) -> list[tuple[str, tuple[int, float, float, float] | None]]:
+    """Interleaved adds and drops over a few names, as (name, entry) with
+    entry None for a drop. Each add steps past the name's last step since it
+    was last dropped; a re-added name, or a new one, reuses a freed row.
+    Some names always add the same gross and rankic."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 6)))]
+    fixed = {
+        name: (draw(st.floats(0.5, 1.5)), draw(st.floats(-1.0, 1.0)))
+        for name in names
+        if draw(st.booleans())
+    }
+    last = dict.fromkeys(names, -1)
+    ops: list[tuple[str, tuple[int, float, float, float] | None]] = []
+    for _ in range(draw(st.integers(0, 120))):
+        name = draw(st.sampled_from(names))
+        if draw(st.integers(0, 11)) == 0:
+            ops.append((name, None))
+            last[name] = -1
+            continue
+        last[name] += draw(st.integers(1, 4))
+        gross, rankic = fixed.get(name) or (draw(st.floats(0.5, 1.5)), draw(st.floats(-1.0, 1.0)))
+        ops.append((name, (last[name], gross, rankic, draw(st.integers(0, 4)) / 4)))
+    return ops
+
+
+def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[tuple[int, float, float, float]]]]:
+    """The tracker after ops, and the entries each live name holds."""
+    tr = PerfTracker()
+    entries: dict[str, list[tuple[int, float, float, float]]] = {}
+    for name, entry in ops:
+        if entry is None:
+            tr.drop(name)
+            entries.pop(name, None)
         else:
-            gross = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
-            rankic = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-        recall = [k / 4 for k in draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))]
-        series[f"f{i}"] = (steps, gross, rankic, recall)
-    return series
+            tr.add(name, *entry)
+            entries.setdefault(name, []).append(entry)
+    return tr, entries
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tracker_series(), st.integers(1, 30), st.integers(-1, 65))
-def test_tracker_stat_matches_per_name_reference(series, window, upto) -> None:
-    tr = PerfTracker()
-    for name, (steps, *values) in series.items():
-        for step, gross, ic, recall in zip(steps, *values):
-            tr.add(name, step, gross, ic, recall)
-    names = [*series, "ghost"]
+@given(_tracker_ops(), st.integers(1, 30), st.integers(-1, 120))
+def test_tracker_stat_matches_per_name_reference(ops, window, upto) -> None:
+    tr, entries = _replay_ops(ops)
+    assert tr.names() == sorted(entries)
+    names = sorted({name for name, _ in ops} | {"ghost"})
     got = tr.stat(names, window, upto, recall_n=4)
     for name in names:
-        want = oracles.tracker_window_stats(*tr.series(name), window, upto, recall_n=4)
+        # The oracle reads the drawn entries, never the tracker's storage.
+        series = [list(column) for column in zip(*entries.get(name, []))] or [[], [], [], []]
+        assert tr.series(name) == tuple(series)
+        want = oracles.tracker_window_stats(*series, window, upto, recall_n=4)
         if want is None:
             assert name not in got
         else:
@@ -200,6 +222,21 @@ def test_tracker_stat_matches_per_name_reference(series, window, upto) -> None:
             assert {k: repr(v) for k, v in got[name].items()} == {
                 k: repr(v) for k, v in want.items()
             }
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tracker_ops(), st.integers(1, 30), st.integers(-1, 120))
+def test_tracker_column_matches_stat(ops, window, upto) -> None:
+    tr, _ = _replay_ops(ops)
+    names = sorted({name for name, _ in ops} | {"ghost"})
+    stats = tr.stat(names, window, upto, recall_n=4)
+    for metric in evolution.QUALITY_METRICS:
+        got = tr.column(names, window, upto, metric)
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: repr(row[metric]) for k, row in stats.items()
+        }
+    with pytest.raises(ValueError, match="metric"):
+        tr.column(names, window, upto, "sharpe_ratio")
 
 
 # ----------------------------------------------------- version filtering
@@ -725,6 +762,28 @@ def test_evolution_with_offline_generator() -> None:
             assert abs(total - 1.0) <= 1e-9
 
 
+def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=160, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    rows: list[int] = []
+    tracked: set[str] = set()
+
+    def recording_add(self, name, *args, _add=PerfTracker.add):
+        _add(self, name, *args)
+        tracked.add(name)
+        rows.append(self._values.shape[1])  # rows allocated so far
+
+    monkeypatch.setattr(PerfTracker, "add", recording_add)
+    res = run_evolution(table, cfg, gen=generate_offline)
+    bound = max(len(rec.pool) for rec in res.records) + cfg.m_candidates
+    # More names than the bound passed through, so only reused rows keep to it.
+    assert len(tracked) > bound
+    assert max(rows) <= bound
+    dropped = tracked - {rec.name for rec in res.pool}
+    assert dropped and not dropped & set(res.tracker.names())
+    assert res.tracker.names() == [rec.name for rec in res.pool]
+
+
 def test_evolution_determinism() -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
@@ -890,12 +949,27 @@ def _checkpoint_pools(draw) -> list[list[dict]]:
     return [[entry() for _ in range(size)] for size in sizes]
 
 
+def _decode_alone(entry: dict) -> FactorRecord | str:
+    try:
+        return json_to_record(entry)
+    except ValueError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_checkpoint_pools())
 def test_interned_pool_entries_decode_like_each_entry_alone(pools) -> None:
     memo: dict = {}
     for step, entries in enumerate(pools):
         doc = {"step": step, "pool": entries, "performance": {}, "quality": {}, "state": {}}
+        # Entries are decoded in order, so a pool fails with the message of
+        # its first entry that fails alone, and only then.
+        errors = [got for got in map(_decode_alone, entries) if isinstance(got, str)]
+        if errors:
+            with pytest.raises(ValueError) as failed:
+                json_to_search_record(doc, memo)
+            assert str(failed.value) == errors[0]
+            continue
         decoded = json_to_search_record(doc, memo)
         assert len(decoded.pool) == len(entries)
         for got, entry in zip(decoded.pool, entries):
@@ -913,6 +987,8 @@ def test_interned_pool_entries_decode_like_each_entry_alone(pools) -> None:
         pytest.param("base_name", "beta", id="base_name"),
         pytest.param("origin", "alien", id="origin"),
         pytest.param("version", "x", id="version"),
+        pytest.param("version", 2, id="version_not_the_names"),
+        pytest.param("parents", [1], id="parents_not_strings"),
     ],
 )
 def test_malformed_entry_after_a_valid_one_of_the_same_name_fails_at_its_line(

@@ -1,7 +1,9 @@
 """Seed library tests: naming grammar, record validation, formula fidelity."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +101,20 @@ def test_make_record_derives_fields() -> None:
     bumped = reset_created_step(rec, 55)
     assert bumped.created_step == 55 and rec.created_step == 40
     assert bumped.name == rec.name
+
+
+def test_reset_created_step_copies_without_validating_again(monkeypatch) -> None:
+    rec = make_record("momentum_14_v3", dsl.parse("ts_delta(prices, 14)"), "mutated", ("momentum_14_v2",), 40)
+    text = rec.expr_text
+    calls = []
+    monkeypatch.setattr(dsl, "validate_expr", lambda expr: calls.append(expr))
+    bumped = reset_created_step(rec, 55)
+    assert calls == []
+    want = dataclasses.replace(rec, created_step=55)
+    for f in dataclasses.fields(FactorRecord):
+        assert repr(getattr(bumped, f.name)) == repr(getattr(want, f.name)), f.name
+    assert bumped.expr is rec.expr
+    assert bumped.__dict__["expr_text"] is text  # the cached text carries over
 
 
 # ------------------------------------------------------------- library
@@ -211,3 +227,22 @@ def test_json_to_record_validation() -> None:
     mismatched = dict(doc, base_name="other")
     with pytest.raises(ValueError):
         json_to_record(mismatched)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("version", 2, id="version"),
+        pytest.param("version", "3", id="version_text"),
+        pytest.param("parents", [1], id="parents_int"),
+        pytest.param("parents", ["alpha_7_v1", None], id="parents_none"),
+    ],
+)
+def test_json_to_record_rejects_fields_that_disagree_naming_the_key(key, value) -> None:
+    rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated")
+    doc = dict(record_to_json(rec), **{key: value})
+    with pytest.raises(ValueError, match=rf"^{key} {re.escape(repr(value))} "):
+        json_to_record(doc)
+    # int()-equal versions and string parents still decode.
+    for ok in ({"version": 1.0}, {"version": "1"}, {"parents": ["alpha_7_v0x"]}):
+        assert json_to_record(dict(record_to_json(rec), **ok)).version == 1
