@@ -4,7 +4,10 @@ and a pooled factor library for re-evaluation under a static backtest.
 Per aligned step, each run's record is version-filtered, then factors are
 max-merged on final_value; an exact final_value tie is broken by the higher
 mean_rankic. Runs are processed in a canonical content order so the merge
-result does not depend on argument order.
+result does not depend on argument order: the truncated runs' records are
+compared in turn as sorted-key JSON lines, each encoded only up to the first
+difference. This orders like the lines joined by newlines: json.dumps escapes
+control characters, so "\\n" sorts below every character a line holds.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ class MergedRecord:
             raise ValueError("merged maps must share the same factor names")
 
 
-def _canonical_key(run: Sequence[SearchRecord]) -> str:
-    return "\n".join(json.dumps(search_record_to_json(r), sort_keys=True) for r in run)
-
-
-def _mean_rankic_key(record: SearchRecord, name: str) -> float:
-    return float(record.quality[name]["mean_rankic"])
+def _content_order(runs: list[list[SearchRecord]]) -> list[list[SearchRecord]]:
+    """Stable sort of equal-length runs in the content order above: record i
+    of a run is encoded once, and only if records 0..i-1 tie another run's."""
+    keys: list[list[str]] = [[] for _ in runs]
+    for i in range(len(runs[0])):
+        for r in [r for r, key in enumerate(keys) if keys.count(key) > 1]:
+            keys[r].append(json.dumps(search_record_to_json(runs[r][i]), sort_keys=True))
+    return [runs[r] for r in sorted(range(len(runs)), key=keys.__getitem__)]
 
 
 def merge_runs(
@@ -68,7 +73,7 @@ def merge_runs(
         length = min(length, math.floor(length * ratio))
     if length < 1:
         raise ValueError("no aligned records remain after truncation")
-    ordered = sorted((list(run[:length]) for run in runs), key=_canonical_key)
+    ordered = _content_order([list(run[:length]) for run in runs])
     merged: list[MergedRecord] = []
     for i in range(length):
         perf: dict[str, float] = {}
@@ -83,7 +88,7 @@ def merge_runs(
             expr_by_name = {rec.name: rec.expr_text for rec in record.pool}
             for name in filter_factor_versions(values):
                 fv = values[name]
-                ic = _mean_rankic_key(record, name)
+                ic = float(record.quality[name]["mean_rankic"])
                 if name not in perf or fv > perf[name]:
                     perf[name] = fv
                     qual[name] = ic
@@ -124,7 +129,7 @@ def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
             logger.info("pooled alias %s duplicates %s", name, seen[canon])
             continue
         seen[canon] = name
-        records.append(make_record(name, expr, origin="pooled", parents=(), created_step=0))
+        records.append(make_record(name, expr, "pooled", validated=True))
     return records
 
 

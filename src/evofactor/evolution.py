@@ -282,13 +282,14 @@ def filter_factor_versions(values: Mapping[str, float]) -> list[str]:
     Ties (shared top version across windows, or equal values) break toward
     the lexicographically smallest name. Returns sorted kept names.
     """
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, list[tuple[int, str]]] = {}
     for name in values:
-        groups.setdefault(parse_name(name)[0], []).append(name)
+        base, _, version = parse_name(name)
+        groups.setdefault(base, []).append((-version, name))
     kept: set[str] = set()
-    for names in groups.values():
-        kept.add(min(names, key=lambda n: (-parse_name(n)[2], n)))
-        kept.add(min(names, key=lambda n: (-values[n], n)))
+    for entries in groups.values():
+        kept.add(min(entries)[1])
+        kept.add(min((-values[n], n) for _, n in entries)[1])
     return sorted(kept)
 
 

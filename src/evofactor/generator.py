@@ -274,7 +274,7 @@ def candidate_record(
         raise ValueError(f"name {name!r} violates the naming convention")
     expr = dsl.parse(expr_text)
     origin, parents = _infer_lineage(name, pool)
-    return make_record(name, expr, origin, parents, created_step=step)
+    return make_record(name, expr, origin, parents, created_step=step, validated=True)
 
 
 # ----------------------------------------------------------- validation

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 from . import dsl
@@ -83,8 +83,9 @@ class FactorRecord:
     parents: tuple[str, ...] = ()
     created_step: int = 0
     window: int | None = field(default=None, compare=False)
+    validated: InitVar[bool] = False  # True when the caller has validated expr
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, validated: bool) -> None:
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
         if self.origin == "crossover":
@@ -96,7 +97,8 @@ class FactorRecord:
                 raise ValueError("crossover base_name must contain '_comb_'")
         if len(self.parents) > 2:
             raise ValueError("at most 2 parents")
-        dsl.validate_expr(self.expr)
+        if not validated:
+            dsl.validate_expr(self.expr)
 
     @cached_property
     def expr_text(self) -> str:
@@ -109,9 +111,10 @@ def make_record(
     origin: str,
     parents: tuple[str, ...] = (),
     created_step: int = 0,
+    validated: bool = False,
 ) -> FactorRecord:
     base, window, version = parse_name(name)
-    return FactorRecord(name, expr, base, version, origin, parents, created_step, window)
+    return FactorRecord(name, expr, base, version, origin, parents, created_step, window, validated)
 
 
 # ------------------------------------------------------------ seed factors
@@ -164,9 +167,9 @@ def seed_factors(windows: tuple[int, ...] = dsl.ALLOWED_WINDOWS) -> list[FactorR
     records: list[FactorRecord] = []
     for w in windows:
         for name, expr in _seed_exprs(w).items():
-            records.append(make_record(name, expr, "seed"))
+            records.append(make_record(name, expr, "seed", validated=True))
     for name, expr in _fixed_seed_exprs().items():
-        records.append(make_record(name, expr, "seed"))
+        records.append(make_record(name, expr, "seed", validated=True))
     return records
 
 
@@ -199,6 +202,7 @@ def json_to_record(doc: dict) -> FactorRecord:
         parents=tuple(doc["parents"]),
         created_step=int(doc["created_step"]),
         window=window,
+        validated=True,
     )
     for key, want in (("base_name", base), ("version", version)):
         if getattr(record, key) != want:

@@ -9,8 +9,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evofactor import dsl
+from evofactor import aggregation, dsl
 from evofactor.aggregation import (
     MergedRecord,
     aggregate_records,
@@ -40,15 +42,19 @@ def _rec(step: int, factors: dict[str, tuple[float, float, str]]) -> SearchRecor
     )
 
 
-def _canonical_first(*runs):
-    """Reimplement the documented content ordering with public pieces."""
-    keyed = sorted(
+def _canonical_order(runs):
+    """Reimplement the documented content ordering with public pieces: the
+    records' sorted-key JSON lines joined by newlines, sorted stably."""
+    return sorted(
         runs,
         key=lambda run: "\n".join(
             json.dumps(search_record_to_json(r), sort_keys=True) for r in run
         ),
     )
-    return keyed[0]
+
+
+def _canonical_first(*runs):
+    return _canonical_order(runs)[0]
 
 
 # ---------------------------------------------------------- truncation
@@ -333,6 +339,98 @@ def test_aggregate_records_parses_each_distinct_pool_entry_once(tmp_path, monkey
     # A second command starts from an empty memo: no state outlives a call.
     assert aggregate_records(paths) == first
     assert len(calls) == 2 * len(distinct)
+
+
+# ------------------------------------------------------------ run order
+
+
+# Few names, values and expressions, so runs tie often and exact
+# final_value ties make the merge depend on the run order.
+_FACTOR_MAPS = st.dictionaries(
+    st.sampled_from(["a_7_v1", "a_7_v2", "b_3_v1"]),
+    st.tuples(
+        st.sampled_from([100.0, 101.0]),
+        st.sampled_from([0.0, 0.5]),
+        st.sampled_from(["ts_delta(prices, 7)", "ts_mean(returns, 3)", "last(prices)"]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _run_sets(draw) -> list[list[SearchRecord]]:
+    """2-4 runs that copy the first k records of one template run (k drawn
+    per run, up to the whole template) and then go on with drawn records, so
+    runs share prefixes, repeat each other, or agree only up to the shortest."""
+    contents = draw(st.lists(_FACTOR_MAPS, min_size=1, max_size=3))
+    index = st.integers(0, len(contents) - 1)
+    template = draw(st.lists(index, min_size=1, max_size=5))
+    runs = []
+    for _ in range(draw(st.integers(2, 4))):
+        shared = draw(st.integers(0, len(template)))
+        tail = draw(st.lists(index, min_size=0 if shared else 1, max_size=3))
+        # Fresh objects per run, as when each run is read from its own file.
+        runs.append([_rec(60 + 5 * i, contents[c]) for i, c in enumerate(template[:shared] + tail)])
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_sets(), st.sampled_from([0, 1, 2, 3]), st.sampled_from([1.0, 0.75, 0.5]))
+def test_run_order_and_merge_equal_the_joined_text_order(runs, n_limit, ratio) -> None:
+    content_order = aggregation._content_order
+    calls = []
+
+    def spy(truncated):
+        ordered = content_order(truncated)
+        calls.append((truncated, ordered))
+        return ordered
+
+    def merged_or_error(order):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregation, "_content_order", order)
+            try:
+                return merge_runs(runs, n_limit, ratio)
+            except ValueError as exc:
+                return str(exc)
+
+    assert merged_or_error(spy) == merged_or_error(_canonical_order)
+    for truncated, ordered in calls:
+        # Identity, so tied runs must also keep their argument order.
+        assert [id(run) for run in ordered] == [id(run) for run in _canonical_order(truncated)]
+
+
+def _save_runs(tmp_path, runs) -> list[str]:
+    paths = []
+    for i, run in enumerate(runs):
+        paths.append(str(tmp_path / f"run{i}.jsonl"))
+        save_checkpoints(run, paths[-1])
+    return paths
+
+
+def test_run_order_encodes_records_only_up_to_the_first_difference(tmp_path, monkeypatch) -> None:
+    encoded = []
+    encode = aggregation.search_record_to_json
+    monkeypatch.setattr(
+        aggregation, "search_record_to_json", lambda r: encoded.append(r.step) or encode(r)
+    )
+    # First records differ: only the three first records are encoded.
+    runs = [
+        [_rec(60 + 5 * i, {"a_7_v1": (100.0 + j, 0.1, "ts_delta(prices, 7)")}) for i in range(6)]
+        for j in range(3)
+    ]
+    aggregate_records(_save_runs(tmp_path, runs))
+    assert 0 < len(encoded) <= 3 and set(encoded) == {60}
+    # Two runs alike through record j = 2 that differ from record 3 on.
+    same = {"a_7_v1": (100.0, 0.1, "ts_delta(prices, 7)")}
+    other = {"a_7_v1": (100.0, 0.2, "ts_delta(prices, 7)")}
+    runs = [
+        [_rec(60 + 5 * i, same) for i in range(6)],
+        [_rec(60 + 5 * i, same if i <= 2 else other) for i in range(6)],
+    ]
+    encoded.clear()
+    aggregate_records(_save_runs(tmp_path, runs))
+    assert sorted(encoded) == [60, 60, 65, 65, 70, 70, 75, 75]
 
 
 # ------------------------------------------------------------ end to end

@@ -43,11 +43,14 @@ from evofactor.market_data import (
     window_matrices,
 )
 from evofactor.seeds import (
+    LIBRARY_SCHEMA,
     FactorRecord,
     json_to_record,
+    load_library,
     make_record,
     parse_name,
     reset_created_step,
+    save_library,
     seed_factors,
 )
 from evofactor.synthetic import dominant_asset_table, planted_momentum_table, random_walk_table
@@ -263,6 +266,39 @@ def test_filter_factor_versions_cases() -> None:
     out = filter_factor_versions({"a_7_v1": 1.0, "a_7_v2": 2.0, "c_3_v1": 0.0})
     assert out == ["a_7_v2", "c_3_v1"]
     assert filter_factor_versions({}) == []
+
+
+def _filter_factor_versions_oracle(values: dict[str, float]) -> list[str]:
+    """The filter as first written: parse_name again inside the version key."""
+    groups: dict[str, list[str]] = {}
+    for name in values:
+        groups.setdefault(parse_name(name)[0], []).append(name)
+    kept: set[str] = set()
+    for names in groups.values():
+        kept.add(min(names, key=lambda n: (-parse_name(n)[2], n)))
+        kept.add(min(names, key=lambda n: (-values[n], n)))
+    return sorted(kept)
+
+
+# Shared bases across windows (momentum_3, momentum_7_v2), bare seed-style
+# names (rsi_14, log_return_1), equal versions and equal values.
+_VERSIONED_NAMES = st.builds(
+    lambda base, window, version: base + window + version,
+    st.sampled_from(["momentum", "alpha", "alpha_comb_momentum", "rsi", "log_return"]),
+    st.sampled_from(["", "_1", "_3", "_7", "_14"]),
+    st.sampled_from(["", "_v1", "_v2", "_v3"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_VERSIONED_NAMES, st.sampled_from([-0.5, 1.0, 2.0, 2.0]), max_size=12))
+def test_filter_factor_versions_matches_the_oracle_parsing_each_name_once(values) -> None:
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "parse_name", lambda name: calls.append(name) or parse_name(name))
+        kept = filter_factor_versions(values)
+    assert kept == _filter_factor_versions_oracle(values)
+    assert sorted(calls) == sorted(values)
 
 
 # -------------------------------------------------------- tracker replay
@@ -914,6 +950,46 @@ def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
     # Blank lines are tolerated.
     path.write_text(_json.dumps(good) + "\n\n")
     assert len(load_checkpoints(str(path))) == 1
+
+
+def test_loading_validates_each_decoded_expression_once(tmp_path, monkeypatch) -> None:
+    records = seed_factors((7,))
+    path = str(tmp_path / "ck.jsonl")
+    save_checkpoints([SearchRecord(65, tuple(records), {}, {}, {})], path)
+    save_library(records, str(tmp_path / "lib.json"))
+    calls = []
+    validate = dsl.validate_expr
+    monkeypatch.setattr(dsl, "validate_expr", lambda expr: calls.append(expr) or validate(expr))
+    assert load_checkpoints(path)[0].pool == tuple(records)
+    assert load_library(str(tmp_path / "lib.json")) == records
+    assert seed_factors((7,)) == records
+    assert calls == [rec.expr for rec in records] * 3
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        pytest.param("add(prices, 1e999)", "non-finite constant inf", id="constant"),
+        pytest.param(
+            "neg(" * dsl.MAX_DEPTH + "prices" + ")" * dsl.MAX_DEPTH,
+            f"expression depth {dsl.MAX_DEPTH + 1} exceeds cap {dsl.MAX_DEPTH}",
+            id="depth",
+        ),
+    ],
+)
+def test_an_invalid_expression_still_fails_naming_its_line(tmp_path, expr, message) -> None:
+    rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated")
+    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    bad = json.loads(json.dumps(good))
+    bad["pool"][0]["expr"] = expr
+    path = tmp_path / "ck.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: bad checkpoint record: {re.escape(message)}$"):
+        load_checkpoints(str(path))
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps({"schema": LIBRARY_SCHEMA, "factors": bad["pool"]}))
+    with pytest.raises(dsl.ExprError, match=rf"^{re.escape(message)}$"):
+        load_library(str(library))
 
 
 _ENTRY_NAMES = ("alpha_7_v1", "alpha_7_v2", "beta_14_v1")
