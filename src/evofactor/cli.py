@@ -15,10 +15,9 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,11 +37,11 @@ from .evolution import (
     update_tracker,
 )
 from .generator import (
-    DEFAULT_API_KEY_ENV,
     GenerationRequest,
     GeneratorConfig,
     generate_offline,
     generate_remote,
+    http_transport,
 )
 from .market_data import (
     load_price_table,
@@ -54,6 +53,8 @@ from .market_data import (
 from .seeds import FactorRecord, load_library, save_library
 
 logger = logging.getLogger(__name__)
+
+C = TypeVar("C", EvolutionConfig, GeneratorConfig)
 
 
 def _int(value: object) -> int:
@@ -75,52 +76,65 @@ def _opt_int(text: object) -> int | None:
     return _int(text)
 
 
-# key: (default, caster, what it controls)
-CONFIG_SCHEMA: dict[str, tuple[object, Callable[[object], object], str]] = {
-    "data": ("", str, "price snapshot consumed by backtest/evolve"),
-    "output_dir": ("run", str, "directory receiving ledgers, reports, manifest"),
-    "rng_seed": (0, _int, "single entropy source; all randomness derives from it"),
-    "lookback": (30, _int, "window length fed to factor expressions"),
-    "warmup_steps": (60, _int, "steps earning the market average while factor history accumulates"),
-    "search_interval": (5, _int, "steps between generator calls; also the trailing stats window"),
-    "m": (10, _int, "portfolio cardinality cap (nonzero weights per step)"),
-    "k_top": (5, _int, "factors blended into the composite score"),
-    "m_candidates": (5, _int, "candidates requested per search step; small batches stay reliable"),
-    "cost_rate": (0.0, float, "proportional transaction cost charged on turnover"),
-    "weighting": ("equal", str, "weight scheme: equal | positive_score | temperature"),
-    "tau": (1.0, float, "softmax temperature; small values concentrate on the top score"),
-    "quality_metric": ("final_value", str, "factor ranking basis: final_value | mean_rankic"),
-    "max_pool_size": (50, _int, "pool size triggering pruning"),
-    "keep_top_n": (20, _int, "best factors guaranteed to survive pruning"),
-    "t_drop": (0.0, float, "margin a candidate must clear over the market baseline"),
-    "recall_n": (20, _int, "top-N overlap size for recall quality stats"),
-    "stats_window": (120, _int, "cap on the trailing window behind checkpoint stats"),
-    "seed_windows": ((3, 7, 14, 21), _windows, "window grid instantiating the seed library"),
-    "generator": ("offline", str, "candidate source: offline (deterministic) | remote (HTTP endpoint)"),
-    "endpoint": ("", str, "remote chat endpoint URL"),
-    "model": ("", str, "remote model identifier"),
-    "temperature": (0.7, float, "remote sampling temperature"),
-    "max_retries": (3, _int, "remote attempts before a search step gives up"),
-    "min_valid": (None, _opt_int, "parsed candidates required to accept a batch; blank = half of m_candidates"),
-    "timeout": (60.0, float, "remote request timeout in seconds"),
-    "api_key_env": (DEFAULT_API_KEY_ENV, str, "environment variable holding the API key"),
-    "audit_log": ("", str, "JSON-lines file recording every remote request/response"),
+# Every run key with its default: the keys only the CLI reads, then the
+# fields of EvolutionConfig and GeneratorConfig, which own their defaults
+# and rules. A key's caster follows the type of its default.
+_DEFAULTS: dict[str, object] = {
+    "data": "",
+    "output_dir": "run",
+    "generator": "offline",
+    **{f.name: f.default for cls in (EvolutionConfig, GeneratorConfig) for f in dataclasses.fields(cls)},
+}
+_CASTERS: dict[type, Callable] = {int: _int, float: float, str: str, tuple: _windows, type(None): _opt_int}
+GENERATORS = ("offline", "remote")
+
+# key: what it controls, in --help order
+CONFIG_SCHEMA: dict[str, str] = {
+    "data": "price snapshot consumed by backtest/evolve",
+    "output_dir": "directory receiving ledgers, reports, manifest",
+    "rng_seed": "single entropy source; all randomness derives from it",
+    "lookback": "window length fed to factor expressions",
+    "warmup_steps": "steps earning the market average while factor history accumulates",
+    "search_interval": "steps between generator calls; also the trailing stats window",
+    "m": "portfolio cardinality cap (nonzero weights per step)",
+    "k_top": "factors blended into the composite score",
+    "m_candidates": "candidates requested per search step; small batches stay reliable",
+    "cost_rate": "proportional transaction cost charged on turnover",
+    "weighting": "weight scheme: equal | positive_score | temperature",
+    "tau": "softmax temperature; small values concentrate on the top score",
+    "quality_metric": "factor ranking basis: final_value | mean_rankic",
+    "max_pool_size": "pool size triggering pruning",
+    "keep_top_n": "best factors guaranteed to survive pruning",
+    "t_drop": "margin a candidate must clear over the market baseline",
+    "recall_n": "top-N overlap size for recall quality stats",
+    "stats_window": "cap on the trailing window behind checkpoint stats",
+    "seed_windows": "window grid instantiating the seed library",
+    "generator": "candidate source: offline (deterministic) | remote (HTTP endpoint)",
+    "endpoint": "remote chat endpoint URL",
+    "model": "remote model identifier",
+    "temperature": "remote sampling temperature",
+    "max_retries": "remote attempts before a search step gives up",
+    "min_valid": "parsed candidates required to accept a batch; blank = half of m_candidates",
+    "timeout": "remote request timeout in seconds",
+    "api_key_env": "environment variable holding the API key",
+    "audit_log": "JSON-lines file recording every remote request/response",
 }
 
 
 def config_epilog() -> str:
     lines = ["config keys (JSON file and --set key=value):"]
-    for key, (default, _, what) in CONFIG_SCHEMA.items():
+    for key, what in CONFIG_SCHEMA.items():
+        default = _DEFAULTS[key]
         shown = "" if default is None else repr(list(default) if isinstance(default, tuple) else default)
         lines.append(f"  {key} (default {shown or 'auto'}): {what}")
     return "\n".join(lines)
 
 
 def _cast(key: str, value: object) -> object:
-    if key not in CONFIG_SCHEMA:
+    if key not in _DEFAULTS:
         raise ValueError(f"unknown config key {key!r}")
     try:
-        return CONFIG_SCHEMA[key][1](value)
+        return _CASTERS[type(_DEFAULTS[key])](value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key {key}: {exc}") from exc
 
@@ -128,7 +142,7 @@ def _cast(key: str, value: object) -> object:
 def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
     """Defaults, then config file, then --set overrides; unknown keys and
     values that do not cast fail, naming the key."""
-    cfg = {key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
+    cfg = dict(_DEFAULTS)
     if path:
         with open(path) as handle:
             doc = json.load(handle)
@@ -144,21 +158,10 @@ def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
     return cfg
 
 
-def evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(EvolutionConfig)})
-
-
-def generator_config(cfg: dict) -> GeneratorConfig:
-    return GeneratorConfig(
-        endpoint=cfg["endpoint"],
-        model=cfg["model"],
-        temperature=cfg["temperature"],
-        max_retries=cfg["max_retries"],
-        min_valid=cfg["min_valid"],
-        timeout=cfg["timeout"],
-        api_key_env=cfg["api_key_env"],
-        audit_path=cfg["audit_log"] or None,
-    )
+def build_config(cls: type[C], cfg: dict) -> C:
+    """An EvolutionConfig or GeneratorConfig from the run keys; its own
+    rules reject bad values, naming the key."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
 # ------------------------------------------------------------------ outputs
@@ -172,15 +175,8 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _config_json(cfg: dict) -> str:
-    canonical = {
-        key: list(value) if isinstance(value, tuple) else value for key, value in cfg.items()
-    }
-    return json.dumps(canonical, sort_keys=True, indent=2) + "\n"
-
-
 def write_manifest(outdir: Path, cfg: dict, inputs: Sequence[str]) -> None:
-    text = _config_json(cfg)
+    text = json.dumps(cfg, sort_keys=True, indent=2) + "\n"  # tuples write as lists
     manifest = {
         "code_version": __version__,
         "config": json.loads(text),
@@ -271,7 +267,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     table = load_snapshot(cfg["data"])
     library = load_library(args.library) if args.library else None
-    ecfg = evolution_config(cfg)
+    ecfg = build_config(EvolutionConfig, cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -282,31 +278,23 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def _make_generator(cfg: dict) -> Callable[[GenerationRequest], object]:
+    """The run's generator. A remote one is checked and its transport built
+    here, before the snapshot loads, so a bad remote setting writes nothing."""
+    if cfg["generator"] not in GENERATORS:
+        raise ValueError(f"config key generator={cfg['generator']!r} must be one of {GENERATORS}")
     if cfg["generator"] == "offline":
         return generate_offline
-    if cfg["generator"] == "remote":
-        if cfg["min_valid"] is not None and cfg["min_valid"] > cfg["m_candidates"]:
-            raise ValueError(
-                f"config key min_valid={cfg['min_valid']} exceeds m_candidates={cfg['m_candidates']}"
-            )
-        if cfg["max_retries"] < 1:
-            raise ValueError(f"config key max_retries={cfg['max_retries']} must be >= 1")
-        if not cfg["timeout"] > 0:
-            raise ValueError(f"config key timeout={cfg['timeout']} must be positive")
-        if not os.environ.get(cfg["api_key_env"], ""):
-            raise ValueError(
-                f"remote generation needs the {cfg['api_key_env']} environment variable"
-            )
-        gcfg = generator_config(cfg)
-        return lambda req: generate_remote(req, gcfg)
-    raise ValueError("generator must be 'offline' or 'remote'")
+    gcfg = build_config(GeneratorConfig, cfg)
+    gcfg.min_valid_for(cfg["m_candidates"])
+    transport = http_transport(gcfg)
+    return lambda req: generate_remote(req, gcfg, transport)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     gen = _make_generator(cfg)
     table = load_snapshot(cfg["data"])
-    ecfg = evolution_config(cfg)
+    ecfg = build_config(EvolutionConfig, cfg)
     resume = None
     if args.resume_from:
         tail = load_checkpoints(args.resume_from)
@@ -360,7 +348,7 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     grading pass: row k trades as `backtest` with k_top=k."""
     if not args.snapshot or not args.library:
         raise ValueError("factor_sweep needs --snapshot and --library")
-    ecfg = evolution_config(cfg)
+    ecfg = build_config(EvolutionConfig, cfg)
     run = start_run(load_snapshot(args.snapshot), ecfg, pool=load_library(args.library))
     cost_model = portfolio.CostModel(ecfg.cost_rate)
     # One ranking per step serves every k: k_top=k blends its first k rows.
@@ -396,7 +384,7 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
     library = load_library(args.library)
     rows = portfolio.read_ledger(args.ledger[0])
     rm = to_relative_returns(table)
-    ecfg = evolution_config(cfg)
+    ecfg = build_config(EvolutionConfig, cfg)
     scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
     date_to_t = {date: t - 1 for t, date in enumerate(rm.dates)}
     index_of = {asset: i for i, asset in enumerate(table.asset_ids)}
@@ -443,12 +431,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The top level and every command that reads run keys list them in --help.
+    keys = {"epilog": config_epilog(), "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
         prog="evofactor",
         description="Evolutionary factor search: DSL factors, sparse top-m backtests, "
         "and a generate/validate/prune loop.",
-        epilog=config_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **keys,
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -467,23 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     running.add_argument("--snapshot", help="price snapshot (overrides data key)")
     running.add_argument("-o", "--output", help="run directory (overrides output_dir key)")
 
-    p = sub.add_parser(
-        "backtest",
-        parents=[running],
-        help="static-pool backtest of a factor library",
-        epilog=config_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("backtest", parents=[running], help="static-pool backtest of a factor library", **keys)
     p.add_argument("--library", help="factor library JSON (default: the seed library over seed_windows)")
     p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser(
-        "evolve",
-        parents=[running],
-        help="full evolutionary search run",
-        epilog=config_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("evolve", parents=[running], help="full evolutionary search run", **keys)
     p.add_argument("--resume-from", help="checkpoints.jsonl to resume after")
     p.set_defaults(func=cmd_evolve)
 
@@ -494,13 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=1.0, help="fraction of aligned records kept")
     p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser(
-        "report",
-        parents=[common],
-        help="emit plot-ready CSV matrices",
-        epilog=config_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("report", parents=[common], help="emit plot-ready CSV matrices", **keys)
     p.add_argument("--mode", required=True, choices=("wealth_curve", "factor_sweep", "score_heatmap"))
     p.add_argument("--ledger", action="append", help="ledger CSV (repeatable)")
     p.add_argument("--snapshot", help="price snapshot (factor_sweep, score_heatmap)")

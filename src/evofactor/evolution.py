@@ -113,6 +113,7 @@ class EvolutionConfig:
             ("recall_n", self.recall_n >= 1, "must be >= 1"),
             ("stats_window", self.stats_window >= 1, "must be >= 1"),
             ("rng_seed", self.rng_seed >= 0, "must be >= 0"),
+            ("seed_windows", len(self.seed_windows) >= 1, "must not be empty"),
             (
                 "seed_windows",
                 all(w in dsl.ALLOWED_WINDOWS for w in self.seed_windows),

@@ -463,19 +463,42 @@ class GeneratorConfig:
     min_valid: int | None = None  # defaults to ceil(M/2)
     timeout: float = 60.0
     api_key_env: str = DEFAULT_API_KEY_ENV
-    audit_path: str | None = None
+    audit_log: str = ""  # "" keeps no audit log
+
+    def __post_init__(self) -> None:
+        # Each rule holds for valid values, so NaN fails it.
+        rules = (
+            ("temperature", 0.0 <= self.temperature < math.inf, "must be finite and >= 0"),
+            ("max_retries", self.max_retries >= 1, "must be >= 1"),
+            ("min_valid", self.min_valid is None or self.min_valid >= 1, "must be >= 1"),
+            ("timeout", self.timeout > 0.0, "must be positive"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"config key {key}={getattr(self, key)!r} {rule}")
+
+    def min_valid_for(self, m_candidates: int) -> int:
+        """Parsed candidates that accept a batch of m_candidates; a min_valid
+        above the batch size fails, naming the key."""
+        need = math.ceil(m_candidates / 2) if self.min_valid is None else self.min_valid
+        if need > m_candidates:
+            raise ValueError(f"config key min_valid={need} exceeds m_candidates={m_candidates}")
+        return need
 
 
 Transport = Callable[[str, str], str]
 
 
 def http_transport(cfg: GeneratorConfig) -> Transport:
-    """Minimal JSON-over-HTTP chat call: system+user in, text out."""
-    import requests
-
+    """Minimal JSON-over-HTTP chat call: system+user in, text out. Needs
+    the API key, an endpoint and a model."""
     key = os.environ.get(cfg.api_key_env, "")
     if not key:
         raise TransportError(f"API key env var {cfg.api_key_env} is not set")
+    for name in ("endpoint", "model"):
+        if not getattr(cfg, name):
+            raise ValueError(f"config key {name}='' must be set for remote generation")
+    import requests
 
     def call(system: str, user: str) -> str:
         payload = {
@@ -503,9 +526,9 @@ def http_transport(cfg: GeneratorConfig) -> Transport:
 
 
 def _audit(cfg: GeneratorConfig, entry: dict) -> None:
-    if cfg.audit_path is None:
+    if not cfg.audit_log:
         return
-    with open(cfg.audit_path, "a") as handle:
+    with open(cfg.audit_log, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
@@ -521,11 +544,9 @@ def generate_remote(
     dropped individually. Total failure returns an empty result so the
     evolution loop can log and proceed.
     """
+    min_valid = cfg.min_valid_for(req.m_candidates)
     if transport is None:
         transport = http_transport(cfg)
-    min_valid = cfg.min_valid if cfg.min_valid is not None else math.ceil(req.m_candidates / 2)
-    if min_valid > req.m_candidates:
-        raise ValueError("min_valid cannot exceed the candidate count")
     pool = {rec.name: rec for rec in req.pool_records}
     prompt = build_prompt(req)
     log: list[dict] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from evofactor import cli, dsl
 from evofactor.aggregation import aggregate_records, save_merged
 from evofactor.cli import main
 from evofactor.evolution import EvolutionConfig, run_evolution, save_checkpoints
+from evofactor.generator import GeneratorConfig
 from evofactor.market_data import BASE_DATE, load_snapshot, save_snapshot
 from evofactor.portfolio import read_ledger, write_ledger
 from evofactor.seeds import load_library, reset_created_step, save_library, seed_factors
@@ -78,6 +80,49 @@ def test_help_lists_config_keys(capsys) -> None:
     out = capsys.readouterr().out
     for key in ("rng_seed", "weighting", "search_interval", "audit_log"):
         assert key in out
+
+
+_CLI_ONLY = {"data": "", "output_dir": "run", "generator": "offline"}
+
+
+def _dataclass_defaults() -> dict[str, object]:
+    return {
+        f.name: f.default
+        for cls in (EvolutionConfig, GeneratorConfig)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def test_cli_keys_are_the_config_fields_with_their_defaults(capsys) -> None:
+    expected = {**_CLI_ONLY, **_dataclass_defaults()}
+    assert len(expected) == len(_CLI_ONLY) + len(_dataclass_defaults())
+    defaults = cli.load_run_config(None, [])
+    assert defaults == expected
+    assert {k: type(v) for k, v in defaults.items()} == {k: type(v) for k, v in expected.items()}
+    assert set(cli.CONFIG_SCHEMA) == set(expected)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for key in expected:
+        assert f"  {key} (default " in out, key
+
+
+def test_readme_key_table_defaults_match_the_configs() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`(?: / `(\w+)`)? \| ([^|]+?) \|", table, re.M)
+    defaults = {**_CLI_ONLY, **_dataclass_defaults()}
+    seen = set()
+    for first, second, cell in rows:
+        keys = [first] + ([second] if second else [])
+        cells = cell.split(" / ")
+        assert len(cells) == len(keys), (keys, cell)
+        for key, text in zip(keys, cells):
+            assert key in defaults, key
+            assert str(defaults[key]) == text, (key, text, defaults[key])
+            seen.add(key)
+    assert len(rows) == table.count("\n| `") and len(seen) == 15
+    assert {"max_pool_size", "keep_top_n", "generator"} <= seen
 
 
 def test_ingest_round_trip(tmp_path, capsys) -> None:
@@ -240,10 +285,16 @@ def test_int_keys_reject_bools_and_fractions(tmp_path, capsys, snapshot, library
 def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv("EVOFACTOR_API_KEY", "unused")
     missing = str(tmp_path / "missing.json")
+    endpoint, model = "endpoint=http://localhost:9/v1", "model=m"
     for bad, key in (("min_valid=9", "min_valid"), ("max_retries=0", "max_retries"),
-                     ("timeout=0", "timeout")):
+                     ("timeout=0", "timeout"), ("min_valid=0", "min_valid"),
+                     ("min_valid=-3", "min_valid"), ("temperature=nan", "temperature"),
+                     ("temperature=-0.5", "temperature"), ("temperature=inf", "temperature"),
+                     (model, "endpoint"), (endpoint, "model")):
         assert _evolve(missing, tmp_path / "r", ["--set", "generator=remote", "--set", bad]) == 2
-        assert f"config key {key}=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key {key}=" in err
+        assert err.count("config key ") == 1
     assert not (tmp_path / "r").exists()
 
 
@@ -260,6 +311,8 @@ def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkey
         pytest.param(["m_candidates=0"], "m_candidates", id="m_candidates_zero"),
         pytest.param(["cost_rate=nan"], "cost_rate", id="cost_rate_nan"),
         pytest.param(["keep_top_n=60"], "keep_top_n", id="keep_top_n_over_pool"),
+        pytest.param(["seed_windows="], "seed_windows", id="seed_windows_empty"),
+        pytest.param(["generator=psychic"], "generator", id="generator_unknown"),
     ],
 )
 def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, snapshot, sets, key) -> None:

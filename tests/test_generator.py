@@ -460,7 +460,7 @@ def test_generate_remote_audit_log(tmp_path) -> None:
     req = _request(m=4)
     audit = tmp_path / "audit.jsonl"
     responses = iter(["garbage", json.dumps(_good_items(4))])
-    cfg = GeneratorConfig(min_valid=4, max_retries=3, audit_path=str(audit))
+    cfg = GeneratorConfig(min_valid=4, max_retries=3, audit_log=str(audit))
     result = generate_remote(req, cfg, lambda s, u: next(responses))
     assert result.success and result.attempts == 2
     lines = audit.read_text().strip().split("\n")
