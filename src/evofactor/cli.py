@@ -64,6 +64,20 @@ def _int(value: object) -> int:
     return int(value)
 
 
+def _float(value: object) -> float:
+    """float() that refuses bools rather than reading them as 0.0/1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _str(value: object) -> str:
+    """Refuses a JSON null or number rather than spelling it as a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _windows(text: object) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
         return tuple(_int(w) for w in text)
@@ -85,7 +99,7 @@ _DEFAULTS: dict[str, object] = {
     "generator": "offline",
     **{f.name: f.default for cls in (EvolutionConfig, GeneratorConfig) for f in dataclasses.fields(cls)},
 }
-_CASTERS: dict[type, Callable] = {int: _int, float: float, str: str, tuple: _windows, type(None): _opt_int}
+_CASTERS: dict[type, Callable] = {int: _int, float: _float, str: _str, tuple: _windows, type(None): _opt_int}
 GENERATORS = ("offline", "remote")
 
 # key: what it controls, in --help order

@@ -16,6 +16,12 @@ yield the neutral score 0.0, and any NaN/inf produced by overflow is
 scrubbed to 0.0 at the node boundary. Window lengths are restricted to the
 whitelist {3, 7, 14, 21}; trees are capped at depth 12 and 64 nodes.
 
+Windows are reduced across columns: `_eval_ts` views the padded child as
+(n, window, steps), so each op reduces whole (n, steps) columns rather than
+one short window at a time. `_window_sum` adds them in numpy's own order for
+a short axis, so scores keep the bits of a per-window reduction (a property
+test pins this on the installed numpy).
+
 Panel form: `evaluate_panel` evaluates a tree once over an (n_assets, steps)
 span, with `last` taken as the identity, and reads column j as the score of
 the step ending at column j. Every operator is causal, so this equals the
@@ -349,45 +355,71 @@ def _lag_index(steps: int, window: int) -> np.ndarray:
     return np.maximum(np.arange(steps) - window, 0)
 
 
+def _window_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum (n, window, steps) terms over axis 1 in the order numpy reduces a
+    short window axis: left to right under 8 terms, else eight interleaved
+    partial sums, paired ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
+    left to right. Window sums and moments thus keep numpy's bits."""
+    window = terms.shape[1]
+    head = window - window % 8
+    if head:
+        lanes = terms[:, :8].copy()
+        for k in range(8, head, 8):
+            lanes += terms[:, k : k + 8]
+        r = np.moveaxis(lanes, 1, 0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    else:
+        total, head = terms[:, 0].copy(), 1
+    for k in range(head, window):
+        total += terms[:, k]
+    return total
+
+
 def _eval_ts(op: str, child: np.ndarray, window: int) -> np.ndarray:
-    n, steps = child.shape
+    steps = child.shape[1]
     if op == "lag":
         return child[:, _lag_index(steps, window)]
     if op == "ts_delta":
         return child - child[:, _lag_index(steps, window)]
     pad = np.concatenate([np.repeat(child[:, :1], window - 1, axis=1), child], axis=1)
-    win = sliding_window_view(pad, window, axis=1)  # (n, steps, window)
-    if op == "ts_sum":
-        return win.sum(axis=-1)
-    if op == "ts_mean":
-        return win.mean(axis=-1)
-    if op == "ts_std":
-        return win.std(axis=-1)  # population std, matches the seed formulas
-    if op == "ts_min":
-        return win.min(axis=-1)
-    if op == "ts_max":
-        return win.max(axis=-1)
     if op == "ts_ema":
         alpha = 2.0 / (window + 1.0)
         coef = alpha * (1.0 - alpha) ** np.arange(window - 1, -1, -1, dtype=np.float64)
         coef[0] = (1.0 - alpha) ** (window - 1)  # recursion seeded at the oldest value
-        return win @ coef
-    if op == "ts_rank_pos":
-        last = win[..., -1:]
-        if window == 1:
-            return np.full((n, steps), 0.5)
-        less = (win < last).sum(axis=-1)
-        equal = (win == last).sum(axis=-1)
-        return (less + 0.5 * (equal - 1)) / (window - 1)
-    if op == "ts_drawdown":
-        runmax = np.maximum.accumulate(win, axis=-1)
-        safe = np.where(np.abs(runmax) >= _DIV_EPS, runmax, 1.0)
-        dd = np.where(np.abs(runmax) >= _DIV_EPS, (win - runmax) / safe, 0.0)
-        return dd.min(axis=-1)
+        return sliding_window_view(pad, window, axis=1) @ coef
     if op == "ts_argmax_recency":
         # Last index attaining the window max, scaled to (0, 1].
+        win = sliding_window_view(pad, window, axis=1)
         from_end = np.argmax(win[..., ::-1], axis=-1)
         return (window - from_end).astype(np.float64) / window
+    stack = sliding_window_view(pad, steps, axis=1)  # [:, k]: k-th oldest of each window
+    if op == "ts_sum":
+        return _window_sum(stack)
+    if op == "ts_mean":
+        return _window_sum(stack) / window
+    if op == "ts_std":
+        # population std, matches the seed formulas; numpy's _var order
+        dev = stack - (_window_sum(stack) / window)[:, None]
+        dev *= dev
+        return np.sqrt(_window_sum(dev) / window)
+    if op == "ts_min":
+        return stack.min(axis=1)
+    if op == "ts_max":
+        return stack.max(axis=1)
+    if op == "ts_rank_pos":
+        last = stack[:, -1:]
+        less = (stack < last).sum(axis=1)
+        equal = (stack == last).sum(axis=1)
+        return (less + 0.5 * (equal - 1)) / (window - 1)
+    if op == "ts_drawdown":
+        peak = stack[:, 0].copy()
+        worst = np.zeros_like(peak)
+        for k in range(1, window):
+            np.maximum(peak, stack[:, k], out=peak)
+            ok = np.abs(peak) >= _DIV_EPS
+            dd = np.where(ok, (stack[:, k] - peak) / np.where(ok, peak, 1.0), 0.0)
+            np.minimum(worst, dd, out=worst)
+        return worst
     raise ExprError(f"unknown time-series op {op!r}")
 
 

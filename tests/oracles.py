@@ -2,9 +2,10 @@
 
 Everything here is deliberately written as plain-Python loops over floats,
 with no imports from the package and no numpy vectorization, so agreement
-with the engine is evidence of correctness rather than shared code. The one
-exception is tracker_window_stats, a bit-exact reference that reduces each
-series on its own with 1-D numpy calls.
+with the engine is evidence of correctness rather than shared code. The two
+exceptions are bit-exact references built on numpy: tracker_window_stats,
+which reduces each series on its own with 1-D numpy calls, and
+ts_window_reference, which reduces every trailing window on its own.
 """
 from __future__ import annotations
 
@@ -136,6 +137,52 @@ def tracker_window_stats(
         f"mean_recall@{recall_n}": mean_rc,
         f"std_recall@{recall_n}": std_rc,
     }
+
+
+def ts_window_reference(op: str, child: np.ndarray, window: int) -> np.ndarray:
+    """A DSL time-series op over an (n, steps) array, one trailing window at a
+    time: numpy reduces the last axis of an (n, steps, window) view. The
+    series is edge-padded with its first column; lag clamps to column 0."""
+    n, steps = child.shape
+    lag_index = np.maximum(np.arange(steps) - window, 0)
+    if op == "lag":
+        return child[:, lag_index]
+    if op == "ts_delta":
+        return child - child[:, lag_index]
+    pad = np.concatenate([np.repeat(child[:, :1], window - 1, axis=1), child], axis=1)
+    win = np.lib.stride_tricks.sliding_window_view(pad, window, axis=1)  # (n, steps, window)
+    if op == "ts_sum":
+        return win.sum(axis=-1)
+    if op == "ts_mean":
+        return win.mean(axis=-1)
+    if op == "ts_std":
+        return win.std(axis=-1)  # population std, matches the seed formulas
+    if op == "ts_min":
+        return win.min(axis=-1)
+    if op == "ts_max":
+        return win.max(axis=-1)
+    if op == "ts_ema":
+        alpha = 2.0 / (window + 1.0)
+        coef = alpha * (1.0 - alpha) ** np.arange(window - 1, -1, -1, dtype=np.float64)
+        coef[0] = (1.0 - alpha) ** (window - 1)  # recursion seeded at the oldest value
+        return win @ coef
+    if op == "ts_rank_pos":
+        last = win[..., -1:]
+        if window == 1:
+            return np.full((n, steps), 0.5)
+        less = (win < last).sum(axis=-1)
+        equal = (win == last).sum(axis=-1)
+        return (less + 0.5 * (equal - 1)) / (window - 1)
+    if op == "ts_drawdown":
+        runmax = np.maximum.accumulate(win, axis=-1)
+        safe = np.where(np.abs(runmax) >= _EPS, runmax, 1.0)
+        dd = np.where(np.abs(runmax) >= _EPS, (win - runmax) / safe, 0.0)
+        return dd.min(axis=-1)
+    if op == "ts_argmax_recency":
+        # Last index attaining the window max, scaled to (0, 1].
+        from_end = np.argmax(win[..., ::-1], axis=-1)
+        return (window - from_end).astype(np.float64) / window
+    raise ValueError(f"unknown time-series op {op!r}")
 
 
 def scan_for_leakage(text: str, forbidden: Iterable[str], min_len: int = 3) -> list[str]:

@@ -282,6 +282,22 @@ def test_int_keys_reject_bools_and_fractions(tmp_path, capsys, snapshot, library
     assert (cfg["m"], cfg["min_valid"]) == (2, 3)
 
 
+def test_string_and_float_keys_reject_other_json_types(tmp_path, capsys, snapshot, library,
+                                                      monkeypatch) -> None:
+    # A JSON null must not become a run directory named "None", nor true a tau of 1.0.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    for bad, key in (('{"output_dir": null}', "output_dir"), ('{"api_key_env": 5}', "api_key_env"),
+                     ('{"weighting": null}', "weighting"), ('{"tau": true}', "tau"),
+                     ('{"cost_rate": false}', "cost_rate")):
+        cfg_path.write_text(bad)
+        assert main(["backtest", "--config", str(cfg_path), "--snapshot", snapshot,
+                     "--library", library, *_SET]) == 2, bad
+        err = capsys.readouterr().err
+        assert f"config key {key}: " in err and err.count("config key ") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv("EVOFACTOR_API_KEY", "unused")
     missing = str(tmp_path / "missing.json")

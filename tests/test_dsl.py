@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import ts_window_reference
 from strategies import expressions, panels
 
 from evofactor import dsl
@@ -168,6 +169,56 @@ def test_lag_clamps_to_series_start() -> None:
     expr = TimeSeries("lag", Feature("prices"), 7)
     assert _eval_prefix(expr, prices, returns, 2)[0] == 1.0  # clamped
     assert _eval_prefix(expr, prices, returns, 9)[0] == 3.0  # 10 - 7
+
+
+# Values at the drawdown guard (|peak| < 1e-12), signed zeros and overflow.
+_EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 1e-13, 1e300, -1e300])
+
+
+@st.composite
+def ts_children(draw) -> np.ndarray:
+    """(n, steps) inputs of a time-series op, often shorter than its window:
+    random walks, integer plateaus (ties) or picks from _EDGE_VALUES."""
+    n = draw(st.integers(1, 12))
+    steps = draw(st.one_of(st.integers(1, 21), st.integers(1, 90)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regime = draw(st.sampled_from(("walk", "plateau", "edge")))
+    if regime == "walk":
+        scale = draw(st.sampled_from((1e-8, 1.0, 1e8)))
+        return scale * np.cumsum(rng.normal(size=(n, steps)), axis=1)
+    if regime == "plateau":
+        moves = rng.integers(-1, 2, size=(n, steps)) * (rng.random((n, steps)) < 0.3)
+        return np.cumsum(moves, axis=1).astype(np.float64)
+    return rng.choice(_EDGE_VALUES, size=(n, steps))
+
+
+@pytest.mark.parametrize("op", TS_OPS)
+@pytest.mark.parametrize("window", ALLOWED_WINDOWS)
+@settings(max_examples=40, deadline=None)
+@given(child=ts_children())
+def test_ts_ops_match_the_windowed_reference_bit_for_bit(op: str, window: int, child) -> None:
+    # _scrub maps NaN/inf to 0 as _eval does; array_equal counts -0.0 == 0.0,
+    # which scores, ranks and _safe_div treat alike.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = dsl._scrub(dsl._eval_ts(op, child, window))
+        want = dsl._scrub(ts_window_reference(op, child, window))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("window", (14, 21))
+def test_window_sums_keep_numpys_pairwise_order(window: int) -> None:
+    # 1e16 + 1 rounds back to 1e16, so a left-to-right sum drops both ones;
+    # numpy's reduction pairs (1 + 1) before adding it to 1e16.
+    row = np.zeros(window)
+    row[0], row[2], row[3] = 1e16, 1.0, 1.0
+    left_to_right = 0.0
+    for value in row:
+        left_to_right += value
+    assert left_to_right == 1e16
+    assert ts_window_reference("ts_sum", row[None, :], window)[0, -1] == 1e16 + 2.0
+    for op in ("ts_sum", "ts_mean", "ts_std"):
+        got = dsl._eval_ts(op, row[None, :], window)
+        assert np.array_equal(got, ts_window_reference(op, row[None, :], window)), op
 
 
 # ---------------------------------------------------- scalar operators
