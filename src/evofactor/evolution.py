@@ -176,20 +176,22 @@ class PerfTracker:
         values = self._values[:, self._rows[name], : len(steps)].tolist() if steps else ([], [], [])
         return (list(steps), *values)
 
-    def _blocks(self, names: Iterable[str], window: int, upto: int) -> Iterator[tuple]:
+    def _blocks(self, names: Iterable[str], window: int, upto: int, padded: bool = False) -> Iterator[tuple]:
         """(names, their (3, k, n) block of gross, rankic and recall) for each
-        group of names with n of their last `window` entries up to step
-        upto; names with none are left out."""
-        groups: dict[int, list[tuple[str, int, int]]] = {}
+        group of names with n of their last `window` entries up to step upto,
+        leaving out names with none; padded makes one group, left-padded with 1.0."""
+        groups: dict[int, list[tuple[str, int, int, int]]] = {}
         for name in names:
             hi = bisect_right(self._steps.get(name, []), upto)
             n = min(window, hi)
             if n > 0:
-                groups.setdefault(n, []).append((name, self._rows[name], hi))
-        for n, group in groups.items():
-            group_names, rows, ends = zip(*group)
-            cols = np.add.outer(ends, np.arange(-n, 0))
-            yield group_names, self._values[:, np.array(rows)[:, None], cols]
+                groups.setdefault(0 if padded else n, []).append((name, self._rows[name], hi, n))
+        for group in groups.values():
+            group_names, rows, ends, counts = zip(*group)
+            cols = np.add.outer(ends, np.arange(-max(counts), 0))
+            block = self._values[:, np.array(rows)[:, None], cols]
+            block[:, cols < np.subtract(ends, counts)[:, None]] = 1.0
+            yield group_names, block
 
     def stat(
         self, names: Iterable[str], window: int, upto: int, recall_n: int
@@ -205,13 +207,15 @@ class PerfTracker:
         return stats
 
     def column(self, names: Iterable[str], window: int, upto: int, metric: str) -> dict[str, float]:
-        """stat's column for a metric of QUALITY_METRICS alone, bit for bit:
-        the same blocks reduced by window_stats' own expressions."""
+        """stat's column for a metric of QUALITY_METRICS alone, bit for bit: a
+        left-to-right product ignores leading ones, so final_value reads one
+        padded block, while padding would reorder mean_rankic's pairwise sum."""
         if metric not in QUALITY_METRICS:
             raise ValueError(f"metric {metric!r} must be one of {QUALITY_METRICS}")
         values: dict[str, float] = {}
-        for group, (gross, rankic, _) in self._blocks(names, window, upto):
-            column = 100.0 * np.prod(gross, axis=1) if metric == "final_value" else rankic.mean(axis=1)
+        padded = metric == "final_value"
+        for group, (gross, rankic, _) in self._blocks(names, window, upto, padded):
+            column = 100.0 * np.prod(gross, axis=1) if padded else rankic.mean(axis=1)
             values.update(zip(group, column.tolist()))
         return values
 
@@ -238,6 +242,7 @@ class ScoreCache:
         self._last_step = norm.values.shape[1] - 1
         # name -> (expr, panel_equivalent, first step, (steps, n_assets) rows)
         self._blocks: dict[str, tuple[dsl.Expr, bool, int, np.ndarray]] = {}
+        self.realized = metrics.rank_realized(rm.values.T)  # every step, ranked once
 
     def names(self) -> list[str]:
         return sorted(self._blocks)
@@ -311,7 +316,7 @@ def update_tracker(
     if not names:
         return
     scores = np.stack([scorer.scores(pool[name], t) for name in names])
-    grades = metrics.grade_rows(scores, scorer.rm.values[:, t], cfg.m, cfg.recall_n)
+    grades = metrics.grade_rows(scores, scorer.realized.at(slice(t, t + 1)), cfg.m, cfg.recall_n)
     for name, gross, ic, recall in zip(names, *grades):
         tracker.add(name, t, gross, ic, recall)
 
@@ -400,10 +405,10 @@ def benchmark_gate(
     scores = np.stack([scorer.scores(candidate, u) for u in range(start, t + 1)])
     # Contiguous rows: a row mean then sums in the same order as the mean of
     # one return column, so base_fv keeps its bits.
-    realized = np.ascontiguousarray(scorer.rm.values[:, start : t + 1].T)
+    realized = scorer.realized.at(slice(start, t + 1))
     grosses, ics, _ = metrics.grade_rows(scores, realized, cfg.m, cfg.recall_n)
     fv = float(100.0 * np.prod(grosses))
-    base_fv = float(100.0 * np.prod(realized.mean(axis=1)))
+    base_fv = float(100.0 * np.prod(realized.returns.mean(axis=1)))
     mean_ic = float(np.mean(ics))
     incumbents = [
         name

@@ -8,6 +8,10 @@ Max drawdown is the positive peak-to-trough fraction max (P_i - P_j)/P_i.
 
 Functions that can degenerate (flat inputs) return a MetricValue carrying a
 `degenerate` flag instead of raising, so a flat factor never kills a run.
+
+Grading ranks realized returns once per run and each score block with one
+unstable sort: centred average ranks are exact half-integers, so rank-IC sums
+are exact in any order, and only tied rows need a stable re-sort for top-m.
 """
 
 from __future__ import annotations
@@ -105,40 +109,42 @@ def max_drawdown(path: WealthPath | Sequence[float] | np.ndarray) -> float:
     return float(_drawdown_rows(values.reshape(1, -1))[0])
 
 
-def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of each row of a (rows, n) matrix, from one stable sort.
-
-    Returns the 1-based average ranks (tied values share the average of
-    their positions) and each entry's 0-based place in the descending order
-    that keeps the earlier asset first among ties, the order of
-    select_top_m. The places hold for NaN-free rows only.
-    """
-    rows, n = values.shape
-    order = np.argsort(values, axis=1, kind="stable")
-    row = np.arange(rows)[:, None]
-    sorted_vals = values[row, order]
-    # A tie group starts wherever the sorted value changes; NaN != NaN, so
-    # each NaN is a group of its own.
-    starts = np.ones((rows, n), dtype=bool)
-    starts[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-    ends = np.ones((rows, n), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    pos = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    ranks = np.empty((rows, n), dtype=np.float64)
-    ranks[row, order] = 0.5 * (first + last) + 1.0
-    # The group at ascending positions first..last takes descending places
-    # n-1-last..n-1-first, its members still in asset order.
-    places = np.empty((rows, n), dtype=np.intp)
-    places[row, order] = n - 1 - last + (pos - first)
-    return ranks, places
+def _centred_desc(desc: np.ndarray) -> np.ndarray:
+    """Centred average ranks at the positions of (rows, n) rows sorted in
+    descending order: position j has rank n - j, a tie group at first..last
+    shares n - (first + last) / 2 in any order, and the mean is (n + 1) / 2."""
+    flat, n = desc.ravel(), desc.shape[1]
+    starts = np.concatenate(([True], flat[1:] != flat[:-1]))
+    starts[::n] = True  # each row starts a group
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], flat.size) - 1
+    return np.repeat(0.5 * (n - 1 - first % n - last % n), last - first + 1).reshape(desc.shape)
 
 
-def _centered(ranks: np.ndarray) -> np.ndarray:
-    # Average ranks and their row means are exact half-integers, so every
-    # product and sum of centred ranks below is exact in any order.
-    return ranks - ranks.mean(axis=1, keepdims=True)
+class RealizedRanks(NamedTuple):
+    """Realized return rows ranked once for grade_rows, sliced by step with at:
+    the contiguous rows, their centred average ranks and sums of squares, and
+    each asset's place in the descending order that puts earlier ties first."""
+
+    returns: np.ndarray
+    centred: np.ndarray
+    sumsq: np.ndarray
+    places: np.ndarray
+
+    def at(self, steps: slice) -> "RealizedRanks":
+        return RealizedRanks(*(a[steps] for a in self))
+
+
+def rank_realized(returns: np.ndarray) -> RealizedRanks:
+    """Rank each row of a NaN-free (steps, n) block of realized returns."""
+    returns = np.ascontiguousarray(returns, dtype=np.float64)
+    if np.isnan(returns).any():
+        raise ValueError("rows must not hold NaN")
+    order = np.argsort(-returns, axis=1, kind="stable")
+    centred, places = np.empty_like(returns), np.empty_like(order)
+    np.put_along_axis(centred, order, _centred_desc(np.take_along_axis(returns, order, 1)), 1)
+    np.put_along_axis(places, order, np.arange(returns.shape[1]), 1)
+    return RealizedRanks(returns, centred, (centred * centred).sum(axis=1), places)
 
 
 def spearman_rank_corr(
@@ -151,7 +157,7 @@ def spearman_rank_corr(
         raise ValueError("inputs must be equal-length vectors")
     if xa.size < 2:
         return MetricValue(0.0, degenerate=True)
-    dx, dy = _centered(_rank_rows(np.stack([xa, ya]))[0])
+    dx, dy = rank_realized(np.stack([xa, ya])).centred
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         return MetricValue(0.0, degenerate=True)
@@ -167,39 +173,45 @@ def rank_icir(rankics: Sequence[float] | np.ndarray) -> MetricValue:
 
 
 def grade_rows(
-    scores: np.ndarray, realized: np.ndarray, m: int, recall_n: int
+    scores: np.ndarray, realized: np.ndarray | RealizedRanks, m: int, recall_n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grade each row of a (rows, n) score matrix against realized returns.
+    """Grade each row of a (rows, n) score matrix against realized returns:
+    one shared (n,) row or one per score row, raw or as rank_realized rows.
 
-    realized is one shared (n,) row, ranked once, or one row per score row.
-    Returns (gross, rankic, recall), three (rows,) arrays whose entry i is,
-    bit for bit, realized_i[select_top_m(scores[i], m)].mean(),
-    spearman_rank_corr(scores[i], realized_i).value and
-    recall_precision_at_n(scores[i], realized_i, recall_n)[0]. Rows must be
-    NaN-free, as DSL scores and returns are.
+    Returns (gross, rankic, recall), (rows,) arrays whose entry i is, bit for
+    bit, realized_i[select_top_m(scores[i], m)].mean(), spearman_rank_corr(
+    scores[i], realized_i).value and recall@recall_n. Rows must be NaN-free.
+    A row without an adjacent tie has one descending order, so its centred
+    ranks are (n - 1) / 2 - j at position j; a tied row takes average ranks
+    from its tie groups and a stable re-sort for its top assets.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    realized = np.asarray(realized, dtype=np.float64)
-    if scores.ndim != 2 or realized.shape not in (scores.shape, scores.shape[1:]):
+    realized = realized if isinstance(realized, RealizedRanks) else rank_realized(np.atleast_2d(realized))
+    if scores.ndim != 2 or realized.returns.shape not in ((1, scores.shape[1]), scores.shape):
         raise ValueError("realized must be one score row's shape or the score matrix's")
     rows, n = scores.shape
     if m < 1:
         raise ValueError("m must be positive")
     if not 1 <= recall_n <= n:
         raise ValueError(f"N must be in 1..{n}")
-    if np.isnan(scores).any() or np.isnan(realized).any():
+    if np.isnan(scores).any():
         raise ValueError("rows must not hold NaN")
-    realized = np.atleast_2d(realized)
-    score_ranks, score_places = _rank_rows(scores)
-    realized_ranks, realized_places = _rank_rows(realized)
-    picked = np.broadcast_to(realized, scores.shape)[score_places < m]
-    gross = picked.reshape(rows, min(m, n)).mean(axis=1)
-    dx = _centered(score_ranks)
-    dy = _centered(realized_ranks)
-    denom = np.sqrt((dx * dx).sum(axis=1) * (dy * dy).sum(axis=1))
-    rankic = np.divide((dx * dy).sum(axis=1), denom, out=np.zeros(rows), where=denom != 0.0)
-    hits = (score_places < recall_n) & (realized_places < recall_n)
-    recall = hits.sum(axis=1) / recall_n
+    offsets = np.arange(0, rows * n, n)[:, None]  # flat indices: take beats axis-1 indexing
+    shift = 0 if len(realized.returns) == 1 else offsets
+    order = np.argsort(-scores, axis=1)
+    desc = scores.take(order + offsets)
+    tied = (desc[:, 1:] == desc[:, :-1]).any(axis=1)
+    dy = realized.centred.take(order + shift)
+    ranks = 0.5 * (n - 1) - np.arange(n)
+    num, sx2 = dy @ ranks, np.full(rows, ranks @ ranks)
+    if tied.any():
+        dx = _centred_desc(desc[tied])
+        num[tied], sx2[tied] = (dx * dy[tied]).sum(axis=1), (dx * dx).sum(axis=1)
+        order[tied] = np.argsort(-scores[tied], axis=1, kind="stable")
+    denom = np.sqrt(sx2 * realized.sumsq)
+    rankic = np.divide(num, denom, out=np.zeros(rows), where=denom != 0.0)
+    gross = realized.returns.take(np.sort(order[:, :m], axis=1) + shift).mean(axis=1)
+    recall = (realized.places.take(order[:, :recall_n] + shift) < recall_n).sum(axis=1) / recall_n
     return gross, rankic, recall
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately written as plain-Python loops over floats,
 with no imports from the package and no numpy vectorization, so agreement
 with the engine is evidence of correctness rather than shared code. The two
 exceptions are bit-exact references built on numpy: tracker_window_stats,
-which reduces each series on its own with 1-D numpy calls, and
-ts_window_reference, which reduces every trailing window on its own.
+which reduces each series on its own with 1-D numpy calls,
+ts_window_reference, which reduces every trailing window on its own, and
+grade_rows_reference, which ranks every row with one stable sort.
 """
 from __future__ import annotations
 
@@ -78,6 +79,51 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
         return None
     sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     return sxy / math.sqrt(sxx * syy)
+
+
+def _rank_rows_reference(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based average ranks of each row of a (rows, n) matrix, and each
+    entry's 0-based place in the descending order that keeps the earlier
+    asset first among ties, from one stable ascending sort."""
+    rows, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    row = np.arange(rows)[:, None]
+    sorted_vals = values[row, order]
+    starts = np.ones((rows, n), dtype=bool)
+    starts[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+    ends = np.ones((rows, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((rows, n), dtype=np.float64)
+    ranks[row, order] = 0.5 * (first + last) + 1.0
+    # The group at ascending positions first..last takes descending places
+    # n-1-last..n-1-first, its members still in asset order.
+    places = np.empty((rows, n), dtype=np.intp)
+    places[row, order] = n - 1 - last + (pos - first)
+    return ranks, places
+
+
+def grade_rows_reference(
+    scores: np.ndarray, realized: np.ndarray, m: int, recall_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gross, rankic, recall) of each score row against realized, one shared
+    (n,) row or one row per score row, ranking both sides with one stable
+    sort per call: the grading the tracker's bits were first recorded with."""
+    rows, n = scores.shape
+    realized = np.atleast_2d(realized)
+    score_ranks, score_places = _rank_rows_reference(scores)
+    realized_ranks, realized_places = _rank_rows_reference(realized)
+    picked = np.broadcast_to(realized, scores.shape)[score_places < m]
+    gross = picked.reshape(rows, min(m, n)).mean(axis=1)
+    dx = score_ranks - score_ranks.mean(axis=1, keepdims=True)
+    dy = realized_ranks - realized_ranks.mean(axis=1, keepdims=True)
+    denom = np.sqrt((dx * dx).sum(axis=1) * (dy * dy).sum(axis=1))
+    rankic = np.divide((dx * dy).sum(axis=1), denom, out=np.zeros(rows), where=denom != 0.0)
+    hits = (score_places < recall_n) & (realized_places < recall_n)
+    recall = hits.sum(axis=1) / recall_n
+    return gross, rankic, recall
 
 
 def mdd_bruteforce(values: Sequence[float]) -> float:

@@ -16,13 +16,13 @@ import oracles
 from evofactor.metrics import (
     PERFORMANCE_COLUMNS,
     WealthPath,
-    _rank_rows,
     cumulative_wealth,
     grade_rows,
     max_drawdown,
     mean_std,
     quality_columns,
     rank_icir,
+    rank_realized,
     report_columns,
     sharpe_ratio,
     spearman_rank_corr,
@@ -184,10 +184,56 @@ def test_grade_rows_equals_the_per_row_metrics(case) -> None:
         assert repr(float(gross[i])) == repr(float(real[select_top_m(row, m)].mean()))
         assert repr(float(rankic[i])) == repr(spearman_rank_corr(row, real).value)
         assert recall[i] == oracles.recall_at_n(row, real, recall_n)
-    ranks, places = _rank_rows(scores)
+    ranked = rank_realized(scores)
     for i, row in enumerate(scores):
-        assert ranks[i].tolist() == oracles.average_ranks(row)
-        assert np.argsort(places[i]).tolist() == np.argsort(-row, kind="stable").tolist()
+        assert (ranked.centred[i] + (len(row) + 1) / 2).tolist() == oracles.average_ranks(row)
+        assert np.argsort(ranked.places[i]).tolist() == np.argsort(-row, kind="stable").tolist()
+
+
+# Row kinds: tie-free (distinct integers, scaled), one tied pair, a few
+# tied values (signed zeros and 1e300 among them) and a constant row.
+_TIE_VALUES = np.array([-1e300, -2.0, -0.0, 0.0, 1.0, 3.5, 1e300])
+
+
+def _row(rng: np.random.Generator, kind: int, n: int) -> np.ndarray:
+    if kind == 0:
+        return rng.permutation(n) * rng.choice([1e-3, 1.0, 1e290]) - n / 2
+    if kind == 1:
+        row = rng.permutation(n).astype(float)
+        i, j = rng.integers(0, n, size=2)
+        row[i] = row[j]
+        return row
+    if kind == 2:
+        return rng.choice(_TIE_VALUES[: rng.integers(2, 8)], size=n)
+    return np.full(n, rng.choice(_TIE_VALUES))
+
+
+@st.composite
+def _graded_blocks(draw):
+    # n below and above 16 runs both numpy's small-array and partitioning sorts.
+    n = draw(st.integers(1, 16) | st.integers(17, 250))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.integers(0, 3), min_size=rows + 1, max_size=rows + 1))
+    scores = np.stack([_row(rng, kind, n) for kind in kinds[:rows]])
+    if draw(st.booleans()):
+        realized = _row(rng, kinds[rows], n)
+    else:
+        realized = np.stack([_row(rng, draw(st.integers(0, 3)), n) for _ in range(rows)])
+    m = draw(st.integers(1, n + 2))
+    recall_n = draw(st.integers(1, n))
+    return scores, realized, m, recall_n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graded_blocks())
+def test_grade_rows_equals_the_stable_sort_reference(case) -> None:
+    scores, realized, m, recall_n = case
+    want = [[repr(float(v)) for v in a] for a in oracles.grade_rows_reference(*case)]
+    ranked = rank_realized(np.atleast_2d(realized))
+    for given_realized in (realized, ranked):
+        got = grade_rows(scores, given_realized, m, recall_n)
+        assert [[repr(float(v)) for v in a] for a in got] == want
 
 
 def test_grade_rows_rejects_bad_input() -> None:
