@@ -502,14 +502,15 @@ def panel_equivalent(expr: Expr, lookback: int) -> bool:
 def normalize_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Min-max rescale a cross-section to [-1, 1]; degenerate rows go to 0.
 
-    The max maps to exactly +1 and the min to exactly -1. A row whose values
-    are all equal (or that is empty) comes back as zeros.
+    The max maps to exactly +1 and the min to exactly -1, also when max - min
+    overflows. A row of equal values (or an empty one) comes back as zeros.
     """
     values = _scrub(np.asarray(scores, dtype=np.float64).copy())
     if values.size == 0:
         return values
-    low = values.min()
-    high = values.max()
+    low, high = float(values.min()), float(values.max())  # a float span overflows silently
     if high == low:
         return np.zeros_like(values)
-    return 2.0 * (values - low) / (high - low) - 1.0
+    if np.isinf(high - low):  # halving is exact at this magnitude
+        values, low, high = values / 2.0, low / 2.0, high / 2.0
+    return 2.0 * ((values - low) / (high - low)) - 1.0

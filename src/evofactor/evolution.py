@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -44,7 +44,6 @@ from .seeds import (
     json_to_record,
     parse_name,
     record_to_json,
-    reset_created_step,
     seed_factors,
 )
 
@@ -371,10 +370,10 @@ def clean_factor_pool(
     cfg: EvolutionConfig,
     t: int,
 ) -> dict[str, FactorRecord]:
-    """Prune an oversized pool to its first max(max_pool_size, seed count)
-    names in the order: seeds, the non-seed keep_top_n picks by quality
-    after version filtering (best first), the rest newest first. Tracker
-    entries of removed factors are dropped in place."""
+    """The survivors of pruning an oversized pool to its first
+    max(max_pool_size, seed count) names in the order: seeds, the non-seed
+    keep_top_n picks by quality after version filtering (best first), the
+    rest newest first. Reads pool and tracker and changes neither."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
     ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
@@ -382,8 +381,6 @@ def clean_factor_pool(
     picks = [name for name in ranked[: cfg.keep_top_n] if pool[name].origin != "seed"]
     rest = sorted(pool.keys() - {*seeds, *picks}, key=lambda n: (-pool[n].created_step, n))
     survivors = (seeds + picks + rest)[: max(cfg.max_pool_size, len(seeds))]
-    for name in pool.keys() - set(survivors):
-        tracker.drop(name)
     return {name: pool[name] for name in sorted(survivors)}
 
 
@@ -399,7 +396,8 @@ def benchmark_gate(
 
     Dropped only when both legs fail: final value below (1 + t_drop) times
     the 1/N baseline over the same window AND mean RankIC below the median
-    of incumbent pool factors. Costs are ignored here (comparison is c=0).
+    of the pool factors graded through t; pool holds admitted factors only.
+    Costs are ignored here (comparison is c=0).
     """
     start = max(cfg.lookback, t - cfg.search_interval + 1)
     scores = np.stack([scorer.scores(candidate, u) for u in range(start, t + 1)])
@@ -410,13 +408,7 @@ def benchmark_gate(
     fv = float(100.0 * np.prod(grosses))
     base_fv = float(100.0 * np.prod(realized.returns.mean(axis=1)))
     mean_ic = float(np.mean(ics))
-    incumbents = [
-        name
-        for name in pool
-        if name != candidate.name
-        and pool[name].created_step < t
-        and tracker.count(name, t) > 0
-    ]
+    incumbents = [name for name in pool if tracker.count(name, t) > 0]
     if not incumbents:
         return True, "no incumbents to compare against"
     gated_fv = (1.0 + cfg.t_drop) * base_fv
@@ -542,7 +534,7 @@ def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, flo
 @dataclass
 class RunState:
     """A run between steps: what a checkpoint stores or replays, and the
-    next step to run."""
+    next step to run. drop is the one way a factor leaves the pool."""
 
     returns: ReturnMatrix
     scorer: ScoreCache
@@ -552,6 +544,13 @@ class RunState:
     baseline: float = 100.0
     prev: PortfolioWeights | None = None
     t: int = 0
+
+    def drop(self, names: Iterable[str]) -> None:
+        """Evict factors from the pool, the tracker and the score cache."""
+        for name in sorted(names):
+            self.pool.pop(name, None)
+            self.tracker.drop(name)
+            self.scorer.drop(name)
 
 
 def start_run(
@@ -693,6 +692,10 @@ def run_evolution(
 ) -> EvolutionResult:
     """Full search-and-backtest loop over the table's steps.
 
+    Validated candidates wait in a batch outside run.pool, are each gated
+    against the graded pool and join it together; pruned and gated-out
+    factors leave only through RunState.drop.
+
     gen=None disables generation entirely (static-pool backtest). Generator
     failures are logged and skipped; a failed live step falls back to the
     market inside trade. resume_from restarts after the given checkpoint and
@@ -711,12 +714,9 @@ def run_evolution(
         searching = (
             gen is not None and t > cfg.warmup_steps and t % cfg.search_interval == 0
         )
-        new_names: list[str] = []
+        batch: dict[str, FactorRecord] = {}  # validated, not yet gated
         if searching:
-            kept = clean_factor_pool(run.pool, tracker, cfg, t)
-            for name in run.pool.keys() - kept.keys():
-                scorer.drop(name)
-            run.pool = kept
+            run.drop(run.pool.keys() - clean_factor_pool(run.pool, tracker, cfg, t).keys())
             req = _build_request(run.pool, tracker, cfg, t)
             prompt = build_prompt(req)
             leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], forbidden)
@@ -728,27 +728,26 @@ def run_evolution(
                 logger.warning("generator failed at step %d: %s", t, exc)
                 result = GenerationResult((), 0, ({"error": str(exc)},), False)
             for cand in result.candidates[: cfg.m_candidates]:
-                ok, reason = validate_candidate(cand, run.pool)
+                ok, reason = validate_candidate(cand, {**run.pool, **batch})
                 if not ok:
                     logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
                     continue
-                cand = reset_created_step(cand, t)
-                run.pool[cand.name] = cand
-                new_names.append(cand.name)
+                if cand.created_step != t:
+                    cand = replace(cand, created_step=t, validated=True)
+                batch[cand.name] = cand
         if t >= cfg.lookback:
-            incumbents = {n: r for n, r in run.pool.items() if n not in new_names}
-            update_tracker(tracker, incumbents, scorer, t, cfg)
+            update_tracker(tracker, run.pool, scorer, t, cfg)
         # A candidate's first score request is the gate's, at the start of
         # its trailing window; the block it anchors also serves step t.
         admitted: dict[str, FactorRecord] = {}
-        for name in new_names:
-            keep, why = benchmark_gate(run.pool[name], tracker, scorer, cfg, t, run.pool)
+        for name, cand in batch.items():
+            keep, why = benchmark_gate(cand, tracker, scorer, cfg, t, run.pool)
             if keep:
-                admitted[name] = run.pool[name]
+                admitted[name] = cand
             else:
                 logger.info("step %d: gated out %s (%s)", t, name, why)
-                del run.pool[name]
-                scorer.drop(name)
+        run.drop(batch.keys() - admitted.keys())
+        run.pool.update(admitted)
         update_tracker(tracker, admitted, scorer, t, cfg)
 
         weights, r_t, turn, fee, phase = None, rbar, 0.0, 0.0, "warmup"

@@ -296,9 +296,9 @@ def validate_candidate(
     """Accept or reject a structurally parsed candidate against the pool.
 
     Rejection is a value: (False, reason). Checks name convention, name and
-    expression collisions, and a 50-window smoke battery (finite
-    everywhere, non-constant across a random cross-section). The DSL
-    invariants already hold: a FactorRecord validates its expression.
+    expression collisions, and non-constant scores on a 50-window smoke
+    battery. A FactorRecord validates its expression and the evaluator
+    scrubs scores to finite values, so an evaluator error is a bug.
     """
     if not is_generated_name(record.name):
         return False, f"name {record.name!r} violates the naming convention"
@@ -308,12 +308,7 @@ def validate_candidate(
     for other in pool.values():
         if other.expr_text == text:
             return False, f"duplicate expression of {other.name!r}"
-    try:
-        scores = dsl.evaluate_cross_section(record.expr, _SMOKE_PRICES, _SMOKE_RETURNS)
-    except Exception as exc:  # noqa: BLE001 - any evaluator fault is a reject
-        return False, f"evaluation failure: {exc}"
-    if not np.all(np.isfinite(scores)):
-        return False, "non-finite scores on smoke battery"
+    scores = dsl.evaluate_cross_section(record.expr, _SMOKE_PRICES, _SMOKE_RETURNS)
     if np.unique(scores[:16]).size < 2:
         return False, "degenerate cross-section (constant scores)"
     return True, "ok"

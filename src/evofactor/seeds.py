@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from copy import copy
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -229,10 +228,3 @@ def load_library(path: str) -> list[FactorRecord]:
         raise ValueError(f"{path}: not a {LIBRARY_SCHEMA} document")
     return [json_to_record(item) for item in doc["factors"]]
 
-
-def reset_created_step(record: FactorRecord, step: int) -> FactorRecord:
-    """replace(record, created_step=step) without validating the expression
-    again; a cached expr_text carries over."""
-    moved = copy(record)
-    object.__setattr__(moved, "created_step", step)
-    return moved

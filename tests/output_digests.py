@@ -1,0 +1,113 @@
+"""Digest every output of a fixed set of CLI commands, so that two commits
+can be shown to write the same bytes.
+
+In a temporary directory the script writes a planted snapshot, then runs:
+
+- offline `evolve` twice: run `a` with `positive_score` weighting and a
+  `cost_rate`, run `b` with another `rng_seed`, `mean_rankic` and a `t_drop`;
+- `evolve --resume-from` run `a`'s first five checkpoints;
+- `backtest` of the seed library over the size's seed windows;
+- `aggregate` of both runs' checkpoints;
+- `report` in `factor_sweep` and `score_heatmap` modes over the pooled
+  library, and in `wealth_curve` mode over copies of the three ledgers.
+
+It prints `sha256  path` for every output file except `manifest.json`,
+which records input paths and so differs between directories. The file is
+not named test_*.py, so the test suite does not collect it. Run it at two
+commits and compare the printouts:
+
+    PYTHONPATH=src python tests/output_digests.py [--size smoke|full]
+
+`smoke` (10 assets x 100 steps, 7-step seeds) takes about a second; `full`
+(40 assets x 300 steps, every seed window, default config) a few seconds.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from evofactor.cli import main as cli_main
+from evofactor.market_data import save_snapshot
+from evofactor.synthetic import planted_momentum_table
+
+SIZES = {
+    "smoke": (
+        dict(n_assets=10, n_steps=100),
+        ["m=3", "k_top=3", "m_candidates=4", "recall_n=3", "seed_windows=7"],
+    ),
+    "full": (dict(n_assets=40, n_steps=300), []),
+}
+RUNS = {
+    "a": ["rng_seed=0", "weighting=positive_score", "cost_rate=0.002"],
+    "b": ["rng_seed=1", "quality_metric=mean_rankic", "t_drop=0.01"],
+}
+
+
+def _cli(*args: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(list(args))
+    if code != 0:
+        raise RuntimeError(f"evofactor {' '.join(args)} exited {code}")
+
+
+def _sets(keys: list[str]) -> list[str]:
+    return [arg for key in keys for arg in ("--set", key)]
+
+
+def write_outputs(root: Path, size: str) -> Path:
+    """Run every command under root; returns the directory of their outputs."""
+    shape, keys = SIZES[size]
+    inputs, out = root / "inputs", root / "outputs"
+    inputs.mkdir(parents=True)
+    snapshot = str(inputs / "snapshot.json")
+    save_snapshot(planted_momentum_table(**shape, seed=5, signal=0.6), snapshot)
+    common = ["--snapshot", snapshot, *_sets(keys)]
+    for run, run_keys in RUNS.items():
+        _cli("evolve", *common, *_sets(run_keys), "-o", str(out / f"evolve_{run}"))
+    head = inputs / "checkpoints_a_first5.jsonl"
+    lines = (out / "evolve_a" / "checkpoints.jsonl").read_text().splitlines(keepends=True)
+    head.write_text("".join(lines[:5]))
+    _cli("evolve", *common, *_sets(RUNS["a"]), "--resume-from", str(head), "-o", str(out / "resume_a"))
+    _cli("backtest", *common, "-o", str(out / "backtest"))
+    checkpoints = [str(out / f"evolve_{run}" / "checkpoints.jsonl") for run in RUNS]
+    _cli("aggregate", *checkpoints, "-o", str(out / "aggregate"))
+    pooled = str(out / "aggregate" / "pooled_library.json")
+    report = ["report", "--snapshot", snapshot, "--library", pooled, *_sets(keys)]
+    _cli(*report, "--mode", "factor_sweep", "-o", str(out / "report_sweep"))
+    ledger_a = str(out / "evolve_a" / "ledger.csv")
+    _cli(*report, "--mode", "score_heatmap", "--ledger", ledger_a, "-o", str(out / "report_heatmap"))
+    # Ledgers whose stems differ are named by stem alone, not by their path.
+    ledgers = []
+    for run in ("evolve_a", "evolve_b", "backtest"):
+        ledgers += ["--ledger", str(inputs / f"{run}.csv")]
+        (inputs / f"{run}.csv").write_bytes((out / run / "ledger.csv").read_bytes())
+    _cli("report", "--mode", "wealth_curve", *ledgers, "-o", str(out / "report_wealth"))
+    return out
+
+
+def digests(out: Path) -> dict[str, str]:
+    """sha256 of each file under out but manifest.json, by relative path."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", choices=SIZES, default="full")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in digests(write_outputs(Path(tmp), args.size)).items():
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

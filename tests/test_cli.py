@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import output_digests
 from evofactor import cli, dsl
 from evofactor.aggregation import aggregate_records, save_merged
 from evofactor.cli import main
@@ -22,7 +23,7 @@ from evofactor.evolution import EvolutionConfig, run_evolution, save_checkpoints
 from evofactor.generator import GeneratorConfig
 from evofactor.market_data import BASE_DATE, load_snapshot, save_snapshot
 from evofactor.portfolio import read_ledger, write_ledger
-from evofactor.seeds import load_library, reset_created_step, save_library, seed_factors
+from evofactor.seeds import load_library, save_library, seed_factors
 from evofactor.synthetic import planted_momentum_table, random_walk_table
 
 _SET = [
@@ -526,7 +527,7 @@ def test_report_factor_sweep_trades_as_backtest(tmp_path, library, weighting, fi
     if first_created:
         library = str(tmp_path / "late.json")
         records = seed_factors((7,))
-        save_library([reset_created_step(rec, first_created + 5 * i) for i, rec in enumerate(records)], library)
+        save_library([dataclasses.replace(rec, created_step=first_created + 5 * i) for i, rec in enumerate(records)], library)
     snap = str(tmp_path / "snap.json")
     save_snapshot(planted_momentum_table(n_assets=12, n_steps=140, seed=5, signal=0.6), snap)
     sets = [*_SET, "--set", f"weighting={weighting}", "--set", "cost_rate=0.002"]
@@ -552,7 +553,7 @@ def test_report_factor_sweep_falls_back_without_warnings(tmp_path, caplog) -> No
     # the ledger's fallback phase records them, not a warning per k.
     library = str(tmp_path / "late.json")
     records = seed_factors((7,))
-    save_library([reset_created_step(rec, 70 + 5 * i) for i, rec in enumerate(records)], library)
+    save_library([dataclasses.replace(rec, created_step=70 + 5 * i) for i, rec in enumerate(records)], library)
     snap = str(tmp_path / "snap.json")
     save_snapshot(planted_momentum_table(n_assets=12, n_steps=140, seed=5, signal=0.6), snap)
     with caplog.at_level(logging.WARNING, logger="evofactor"):
@@ -589,3 +590,25 @@ def test_report_rerun_is_byte_stable(tmp_path, snapshot, library) -> None:
                      "--library", library, "-o", str(outdir), *_SET]) == 0
         outs.append((outdir / "factor_sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------ output digests
+
+
+def test_output_digests_cover_every_command_output(tmp_path, capsys) -> None:
+    digests = output_digests.digests(output_digests.write_outputs(tmp_path, "smoke"))
+    run_files = ("factor_report.csv", "factor_report.json", "ledger.csv", "ledger.json", "metrics.json", "pool.json")
+    want = {f"{run}/{name}" for run in ("evolve_a", "evolve_b", "resume_a", "backtest") for name in run_files}
+    want |= {f"{run}/checkpoints.jsonl" for run in ("evolve_a", "evolve_b", "resume_a")}
+    want |= {
+        "aggregate/merged.jsonl",
+        "aggregate/pooled_library.json",
+        "report_sweep/factor_sweep.csv",
+        "report_heatmap/score_heatmap.csv",
+        "report_wealth/wealth_curve.csv",
+    }
+    assert set(digests) == want
+    # A second run in another directory prints the same digests.
+    assert output_digests.main(["--size", "smoke"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"{digest}  {name}" for name, digest in digests.items()]

@@ -339,6 +339,33 @@ def test_normalize_scores_affine_invariant_ordering() -> None:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+_EXTREMES = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 0.0])
+_ORDINARY = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_EXTREMES, _ORDINARY), min_size=1, max_size=12))
+def test_normalize_scores_stays_finite_on_extreme_rows(row) -> None:
+    values = np.array(row)
+    out = normalize_scores(values)
+    assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
+    low, high = float(values.min()), float(values.max())
+    if low == high:
+        assert np.array_equal(out, np.zeros_like(values))
+        return
+    assert np.all(out[values == high] == 1.0) and np.all(out[values == low] == -1.0)
+    order = np.argsort(values, kind="stable")
+    assert np.all(np.diff(out[order]) >= 0.0)  # rescaling keeps the order
+    if math.isfinite(2.0 * (high - low)):
+        # Where the old formula did not overflow, every bit is kept.
+        assert np.array_equal(out, 2.0 * (values - low) / (high - low) - 1.0)
+
+
+def test_normalize_scores_overflowing_span_examples() -> None:
+    assert normalize_scores([1e308, -1e308, 0.0]).tolist() == [1.0, -1.0, 0.0]
+    assert normalize_scores([1.7e308, 0.0, 1.0]).tolist() == [1.0, -1.0, -1.0]
+
+
 # ------------------------------------------------------ parse / print
 
 

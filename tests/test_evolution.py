@@ -47,9 +47,9 @@ from evofactor.seeds import (
     FactorRecord,
     json_to_record,
     load_library,
+    make_name,
     make_record,
     parse_name,
-    reset_created_step,
     save_library,
     seed_factors,
 )
@@ -406,6 +406,7 @@ def test_clean_factor_pool_identity_when_small() -> None:
 def test_clean_factor_pool_prunes_to_cap() -> None:
     pool, tracker, extras = _tracked_pool(12)  # 22 seeds + 12 extras = 34
     cfg = _cfg(seed_windows=(3, 7), max_pool_size=30, keep_top_n=4)
+    series = {name: tracker.series(name) for name in tracker.names()}
     out = clean_factor_pool(pool, tracker, cfg, t=75)
     assert len(out) == 30
     assert list(out) == sorted(out)
@@ -416,11 +417,8 @@ def test_clean_factor_pool_prunes_to_cap() -> None:
     # The rest compete on recency: 4 slots left for the 8 losers.
     losers_kept = {n for n in extras[4:] if n in out}
     assert losers_kept == set(sorted(extras[4:], key=lambda n: -pool[n].created_step)[:4])
-    # Dropped factors lose their tracker series in place.
-    for name in set(pool) - set(out):
-        assert tracker.count(name) == 0
-    for name in out:
-        assert tracker.count(name) > 0
+    # Pruning only picks the survivors; the loop evicts the rest.
+    assert len(pool) == 34 and {n: tracker.series(n) for n in tracker.names()} == series
 
 
 def test_clean_factor_pool_seeds_win_over_quality_picks() -> None:
@@ -658,6 +656,56 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
         assert calls.count(rec.created_step) == 1, rec.name
     gated_out = {name for name, keep in kept.items() if not keep}
     assert gated_out and not gated_out & tracked
+
+
+def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch, caplog) -> None:
+    # The generator leaves created_step at 0, and it ends each batch with a
+    # repeat of its first candidate's expression under a fresh name.
+    caches: list[ScoreCache] = []
+    gates: list[tuple[int, FactorRecord, bool, dict[str, FactorRecord]]] = []
+    repeats: dict[int, tuple[str, str]] = {}  # step -> (repeat, the member it copies)
+
+    class RecordingCache(ScoreCache):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            caches.append(self)
+
+    def generator(req):
+        batch = list(generate_offline(req).candidates[:3])
+        if batch:
+            base, window, version = parse_name(batch[0].name)
+            repeat = make_record(make_name(base, window, version + 100), batch[0].expr, "mutated")
+            repeats[req.step] = (repeat.name, batch[0].name)
+            batch.append(repeat)
+        return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, (), True)
+
+    def recording_gate(candidate, tracker, scorer, cfg, t, pool, _gate=benchmark_gate):
+        keep, why = _gate(candidate, tracker, scorer, cfg, t, pool)
+        gates.append((t, candidate, keep, dict(pool)))
+        return keep, why
+
+    monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
+    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
+        res = run_evolution(table, cfg, gen=generator)
+    checkpoints = {record.step: record.pool_map() for record in res.records}
+    assert any(keep for *_, keep, _ in gates) and not all(keep for *_, keep, _ in gates)
+    for t, cand, keep, pool in gates:
+        assert cand.created_step == t and cand.name not in pool
+        assert all(rec.created_step < t for rec in pool.values())
+        assert (checkpoints[t].get(cand.name) == cand) == keep
+    messages = {rec.getMessage() for rec in caplog.records}
+    gated = {(t, cand.name) for t, cand, _, _ in gates}
+    assert not gated & {(t, repeat) for t, (repeat, _) in repeats.items()}
+    copied = [(t, *repeats[t]) for t, name in gated if repeats[t][1] == name]
+    assert copied
+    for t, repeat, first in copied:
+        assert f"step {t}: rejected {repeat} (duplicate expression of {first!r})" in messages
+    (cache,) = caches
+    names = [rec.name for rec in res.pool]
+    assert res.tracker.names() == cache.names() == names
 
 
 def test_run_rejects_config_the_table_cannot_serve() -> None:
@@ -912,7 +960,7 @@ def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> N
     )
     latest = first_search + 2 * cfg.search_interval
     pool = [
-        reset_created_step(rec, data.draw(st.integers(0, latest), label=rec.name))
+        dataclasses.replace(rec, created_step=data.draw(st.integers(0, latest), label=rec.name))
         for rec in seed_factors(cfg.seed_windows)
     ]
     full = run_evolution(table, cfg, gen=generate_offline, pool=pool)

@@ -18,7 +18,6 @@ from evofactor.seeds import (
     make_record,
     parse_name,
     record_to_json,
-    reset_created_step,
     save_library,
     seed_factors,
 )
@@ -98,23 +97,9 @@ def test_make_record_derives_fields() -> None:
     rec = make_record("momentum_14_v3", dsl.parse("ts_delta(prices, 14)"), "mutated", ("momentum_14_v2",), 40)
     assert (rec.base_name, rec.window, rec.version) == ("momentum", 14, 3)
     assert rec.created_step == 40
-    bumped = reset_created_step(rec, 55)
+    bumped = dataclasses.replace(rec, created_step=55)
     assert bumped.created_step == 55 and rec.created_step == 40
     assert bumped.name == rec.name
-
-
-def test_reset_created_step_copies_without_validating_again(monkeypatch) -> None:
-    rec = make_record("momentum_14_v3", dsl.parse("ts_delta(prices, 14)"), "mutated", ("momentum_14_v2",), 40)
-    text = rec.expr_text
-    calls = []
-    monkeypatch.setattr(dsl, "validate_expr", lambda expr: calls.append(expr))
-    bumped = reset_created_step(rec, 55)
-    assert calls == []
-    want = dataclasses.replace(rec, created_step=55)
-    for f in dataclasses.fields(FactorRecord):
-        assert repr(getattr(bumped, f.name)) == repr(getattr(want, f.name)), f.name
-    assert bumped.expr is rec.expr
-    assert bumped.__dict__["expr_text"] is text  # the cached text carries over
 
 
 # ------------------------------------------------------------- library
