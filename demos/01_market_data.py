@@ -36,7 +36,7 @@ def main() -> None:
     norm = to_normalized_prices(rm)
     print(f"\nreturn matrix shape {rm.values.shape} (asset x step, gross relatives)")
     print(f"first asset, first 5 relatives: {[round(float(v), 4) for v in rm.values[0, :5]]}")
-    print(f"normalized path starts at {norm.values[0, 0]:.1f} for every asset")
+    print(f"normalized path starts at {norm[0, 0]:.1f} for every asset")
 
     # A factor at step t sees exactly the trailing `lookback` columns.
     t, lookback = 30, 14

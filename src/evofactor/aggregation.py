@@ -85,14 +85,14 @@ def merge_runs(
                 name: float(stats["final_value"])
                 for name, stats in record.performance.items()
             }
-            expr_by_name = {rec.name: rec.expr_text for rec in record.pool}
-            for name in filter_factor_versions(values):
+            pool = record.pool_map()
+            for name in filter_factor_versions(values, pool):
                 fv = values[name]
                 ic = float(record.quality[name]["mean_rankic"])
                 if name not in perf or fv > perf[name]:
                     perf[name] = fv
                     qual[name] = ic
-                    exprs[name] = expr_by_name[name]
+                    exprs[name] = pool[name].expr_text
                 elif fv == perf[name] and ic > qual[name]:
                     # literal tie rule: quality updates, expression source stays
                     qual[name] = ic

@@ -47,7 +47,6 @@ from .market_data import (
     load_price_table,
     load_snapshot,
     save_snapshot,
-    to_normalized_prices,
     to_relative_returns,
 )
 from .seeds import FactorRecord, load_library, save_library
@@ -339,10 +338,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _report_wealth_curve(args: argparse.Namespace, outdir: Path) -> None:
+    """A column per ledger, named by the fewest trailing parts of its path,
+    ending in the file stem, that tell all the ledgers apart."""
     ledgers = [portfolio.read_ledger(path) for path in args.ledger]
-    names = [Path(path).stem for path in args.ledger]
-    if len(set(names)) != len(names):
-        names = [str(Path(path).parent / Path(path).stem) for path in args.ledger]
+    parts = [Path(path).resolve().with_suffix("").parts for path in args.ledger]
+    if len(set(parts)) < len(parts):
+        raise ValueError("a ledger is given twice")
+    k = next(k for k in range(1, 1 + max(map(len, parts))) if len({p[-k:] for p in parts}) == len(parts))
+    names = [Path(*p[-k:]).as_posix() for p in parts]
     common = set(row.date for row in ledgers[0])
     for rows in ledgers[1:]:
         common &= {row.date for row in rows}
@@ -371,11 +374,12 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     value = dict.fromkeys(ks, 1.0)
     prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
     ics: dict[int, list[float]] = {k: [] for k in ks}
-    for t in range(ecfg.lookback, run.returns.values.shape[1]):
+    returns = run.scorer.rm.values
+    for t in range(ecfg.lookback, returns.shape[1]):
         update_tracker(run.tracker, run.pool, run.scorer, t, ecfg)
         if t <= ecfg.warmup_steps:
             continue
-        realized = run.returns.values[:, t]
+        realized = returns[:, t]
         rows = composite_scores(run.pool, run.tracker, run.scorer, widest, t)
         if rows:  # every k's composite graded against step t in one call
             composites = np.stack([portfolio.aggregate_scores(rows[:k]) for k in ks])
@@ -402,7 +406,7 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
     rows = portfolio.read_ledger(args.ledger[0])
     rm = to_relative_returns(table)
     ecfg = build_config(EvolutionConfig, cfg)
-    scorer = ScoreCache(to_normalized_prices(rm), rm, ecfg.lookback)
+    scorer = ScoreCache(rm, ecfg.lookback)
     date_to_t = {date: t - 1 for t, date in enumerate(rm.dates)}
     index_of = {asset: i for i, asset in enumerate(table.asset_ids)}
     names = sorted(rec.name for rec in library)

@@ -2,10 +2,16 @@
 benchmark gating, pool pruning, and the rolling sparse-portfolio backtest.
 
 Timeline convention: step t forms scores from prices up to column t and
-realizes the gross return landing on date t+1. Steps 0..warmup_steps earn
-the equal-weight market average while factors accumulate history; live
-trading starts at warmup_steps+1. Generation fires at live steps divisible
-by search_interval.
+realizes the gross return landing on date t+1, rm.values[:, t]. Steps
+0..warmup_steps earn the equal-weight market average while factors
+accumulate history; live trading starts at warmup_steps+1. Generation fires
+at live steps divisible by search_interval.
+
+What each decision at step t reads, as the loop runs today:
+- step t's grade of a factor scores it against rm.values[:, t];
+- the composite's factor ranking and the benchmark gate read grades through
+  t, so they see the return being traded (a look-ahead);
+- pruning and the generation prompt read grades through t-1.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .generator import (
     validate_candidate,
 )
 from .market_data import (
-    NormalizedPrices,
     PriceTable,
     ReturnMatrix,
     to_normalized_prices,
@@ -39,13 +44,7 @@ from .market_data import (
     window_matrices,
 )
 from .portfolio import CostModel, LedgerRow, PortfolioWeights
-from .seeds import (
-    FactorRecord,
-    json_to_record,
-    parse_name,
-    record_to_json,
-    seed_factors,
-)
+from .seeds import FactorRecord, json_to_record, record_to_json, seed_factors
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +219,9 @@ class PerfTracker:
 
 
 class ScoreCache:
-    """Raw factor scores by step over one price panel: the run's one scorer.
+    """Raw factor scores by step over one return matrix: the run's one scorer.
+    It derives the normalized prices from rm and ranks every step's realized
+    returns, once each.
 
     A factor that dsl.panel_equivalent admits is evaluated a block of
     `lookback` steps at a time: the first request at step t evaluates steps
@@ -234,11 +235,10 @@ class ScoreCache:
     re-evaluated rather than served stale.
     """
 
-    def __init__(self, norm: NormalizedPrices, rm: ReturnMatrix, lookback: int) -> None:
-        self.norm = norm
+    def __init__(self, rm: ReturnMatrix, lookback: int) -> None:
+        self.norm = to_normalized_prices(rm)
         self.rm = rm
         self.lookback = lookback
-        self._last_step = norm.values.shape[1] - 1
         # name -> (expr, panel_equivalent, first step, (steps, n_assets) rows)
         self._blocks: dict[str, tuple[dsl.Expr, bool, int, np.ndarray]] = {}
         self.realized = metrics.rank_realized(rm.values.T)  # every step, ranked once
@@ -263,14 +263,14 @@ class ScoreCache:
         return rows[0]
 
     def _evaluate(self, expr: dsl.Expr, panel: bool, t: int) -> np.ndarray:
-        lookback = self.lookback
-        if not lookback <= t <= self._last_step:
-            raise ValueError(f"step {t} outside the scorable steps {lookback}..{self._last_step}")
+        lookback, last = self.lookback, self.norm.shape[1] - 1
+        if not lookback <= t <= last:
+            raise ValueError(f"step {t} outside the scorable steps {lookback}..{last}")
         if panel:
             # The slices stop at the panel's end, which cuts the last block short.
             block = dsl.evaluate_panel(
                 expr,
-                self.norm.values[:, t - lookback + 1 : t + lookback],
+                self.norm[:, t - lookback + 1 : t + lookback],
                 self.rm.values[:, t - lookback : t + lookback - 1],
             )
             rows = np.ascontiguousarray(block[:, lookback - 1 :].T)
@@ -281,16 +281,17 @@ class ScoreCache:
         return rows
 
 
-def filter_factor_versions(values: Mapping[str, float]) -> list[str]:
+def filter_factor_versions(values: Mapping[str, float], pool: Mapping[str, FactorRecord]) -> list[str]:
     """Per base factor, keep the latest version and the best-valued one.
 
+    Names group by their pool record's base_name and order by its version.
     Ties (shared top version across windows, or equal values) break toward
     the lexicographically smallest name. Returns sorted kept names.
     """
     groups: dict[str, list[tuple[int, str]]] = {}
     for name in values:
-        base, _, version = parse_name(name)
-        groups.setdefault(base, []).append((-version, name))
+        rec = pool[name]
+        groups.setdefault(rec.base_name, []).append((-rec.version, name))
     kept: set[str] = set()
     for entries in groups.values():
         kept.add(min(entries)[1])
@@ -356,12 +357,12 @@ def replay_tracker(
 
 
 def rank_by_quality(
-    names: Iterable[str], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
+    pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
 ) -> list[str]:
-    """The names with tracker history up to upto, version-filtered and
+    """The pool names with tracker history up to upto, version-filtered and
     ordered best first by quality_metric over their trailing window entries."""
-    values = tracker.column(names, window, upto, cfg.quality_metric)
-    return sorted(filter_factor_versions(values), key=lambda n: (-values[n], n))
+    values = tracker.column(pool, window, upto, cfg.quality_metric)
+    return sorted(filter_factor_versions(values, pool), key=lambda n: (-values[n], n))
 
 
 def clean_factor_pool(
@@ -479,18 +480,28 @@ def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
 
 def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
     """One checkpoint line; lines decoded with the same memo share the pool
-    records they repeat."""
+    records they repeat. performance and quality must name the same pool
+    factors and hold the final_value and mean_rankic a merge reads."""
     for key in ("step", "pool", "performance", "quality", "state"):
         if key not in doc:
             raise ValueError(f"checkpoint record missing key {key!r}")
     memo = {} if memo is None else memo
-    return SearchRecord(
+    record = SearchRecord(
         step=int(doc["step"]),
         pool=tuple(_pool_entry(item, memo) for item in doc["pool"]),
         performance={k: dict(v) for k, v in json_object(doc, "performance").items()},
         quality={k: dict(v) for k, v in json_object(doc, "quality").items()},
         state=dict(json_object(doc, "state")),
     )
+    if record.performance.keys() != record.quality.keys():
+        raise ValueError("'performance' and 'quality' name different factors")
+    pool = record.pool_map()
+    for key, column in (("performance", "final_value"), ("quality", "mean_rankic")):
+        for name, stats in getattr(record, key).items():
+            if name not in pool or column not in stats:
+                lack = "is not in 'pool'" if name not in pool else f"lacks {column!r}"
+                raise ValueError(f"{key} entry {name!r} {lack}")
+    return record
 
 
 def write_jsonl(docs: Iterable[dict], path: str) -> None:
@@ -533,10 +544,10 @@ def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, flo
 
 @dataclass
 class RunState:
-    """A run between steps: what a checkpoint stores or replays, and the
-    next step to run. drop is the one way a factor leaves the pool."""
+    """A run between steps: what a checkpoint stores or replays, and the next
+    step t to run. The returns are scorer.rm; prev is None or the weights
+    formed at t - 1, drifted. drop is the one way a factor leaves the pool."""
 
-    returns: ReturnMatrix
     scorer: ScoreCache
     pool: dict[str, FactorRecord]
     tracker: PerfTracker
@@ -564,25 +575,22 @@ def start_run(
     tracker is rebuilt by deterministic replay."""
     rm = to_relative_returns(table)
     check_table(rm, cfg)
-    scorer = ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
+    scorer = ScoreCache(rm, cfg.lookback)
     if resume_from is None:
         pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
-        return RunState(rm, scorer, pool_map, PerfTracker())
+        return RunState(scorer, pool_map, PerfTracker())
     pool_map = resume_from.pool_map()
     state = resume_from.state
     raw_prev = state.get("prev_weights")
-    prev = (
-        None
-        if raw_prev is None
-        else PortfolioWeights({int(i): float(w) for i, w in raw_prev}, int(state.get("prev_t", -1)))
-    )
+    prev = None if raw_prev is None else PortfolioWeights({int(i): float(w) for i, w in raw_prev})
     tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
     value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])
-    return RunState(rm, scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)
+    return RunState(scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)
 
 
 def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str) -> SearchRecord:
-    """The checkpoint after step t; stats cover the pool factors graded so far."""
+    """The checkpoint after step t; stats cover the pool factors graded so far.
+    run.prev, when set, holds the weights formed at t, so prev_t is t."""
     names = sorted(run.pool)
     stats = run.tracker.stat(names, _report_window(t, cfg), t, cfg.recall_n)
     parts = {n: _split_stats(stats[n]) for n in names if n in stats}
@@ -598,7 +606,7 @@ def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str)
             "prev_weights": None
             if prev is None
             else [[int(i), float(w)] for i, w in sorted(prev.weights.items())],
-            "prev_t": -1 if prev is None else prev.t,
+            "prev_t": -1 if prev is None else t,
             "phase": phase,
         },
     )
@@ -671,11 +679,11 @@ def trade(
         composite = portfolio.aggregate_scores(rows)
         sel = portfolio.select_top_m(composite, cfg.m)
         if cfg.weighting == "equal":
-            weights = portfolio.equal_weights(sel, t)
+            weights = portfolio.equal_weights(sel)
         elif cfg.weighting == "positive_score":
-            weights = portfolio.positive_score_weights(sel, composite, t)
+            weights = portfolio.positive_score_weights(sel, composite)
         else:
-            weights = portfolio.temperature_weights(sel, composite, cfg.tau, t)
+            weights = portfolio.temperature_weights(sel, composite, cfg.tau)
         r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
         return weights, r_t, turn, fee, portfolio.drift_weights(weights, realized)
     except (ValueError, RuntimeError) as exc:
@@ -702,7 +710,7 @@ def run_evolution(
     returns only the remaining ledger rows (see start_run).
     """
     run = start_run(table, cfg, pool, resume_from)
-    rm, scorer, tracker = run.returns, run.scorer, run.tracker
+    rm, scorer, tracker = run.scorer.rm, run.scorer, run.tracker
     cost_model = CostModel(cfg.cost_rate)
     forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
     rows: list[LedgerRow] = []

@@ -7,7 +7,9 @@ float64 matrix.
 
 Per-step relative returns are gross: r_t = p_t / p_{t-1}. Normalized prices
 rebase every asset to 100 at the first step, p_norm_t = 100 * prod r_s, so
-price-level factors are comparable across assets.
+price-level factors are comparable across assets; to_normalized_prices
+returns them as a plain (n_assets, n_steps) array. A ReturnMatrix keeps the
+calendar, and the asset ids live only on the PriceTable.
 """
 
 from __future__ import annotations
@@ -66,10 +68,9 @@ class ReturnMatrix:
     """Gross relative returns: values[i, t] = prices[i, t+1] / prices[i, t].
 
     dates is the full price calendar (length n_steps); values[:, t] is the
-    return landing on dates[t+1].
+    return landing on dates[t+1]. Row i is the PriceTable's asset i.
     """
 
-    asset_ids: tuple[str, ...]
     dates: tuple[str, ...]
     values: np.ndarray  # (n_assets, n_steps - 1)
 
@@ -80,15 +81,6 @@ class ReturnMatrix:
             raise ValueError("return columns must be one fewer than dates")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise ValueError("relative returns must be finite and positive")
-
-
-@dataclass(frozen=True)
-class NormalizedPrices:
-    """Base-100 price paths: values[i, 0] = 100 for every asset."""
-
-    asset_ids: tuple[str, ...]
-    dates: tuple[str, ...]
-    values: np.ndarray  # (n_assets, n_steps)
 
 
 def _parse_cell(text: str) -> float | None:
@@ -215,25 +207,24 @@ def load_price_table(path: str, layout: str = "wide", values: str = "prices") ->
 def to_relative_returns(table: PriceTable) -> ReturnMatrix:
     """Gross per-step returns; column t is the return landing on date t+1."""
     values = table.prices[:, 1:] / table.prices[:, :-1]
-    return ReturnMatrix(table.asset_ids, table.dates, values)
+    return ReturnMatrix(table.dates, values)
 
 
-def to_normalized_prices(returns: ReturnMatrix) -> NormalizedPrices:
-    """Integrate relatives into base-100 price paths (row cumprod from 100)."""
+def to_normalized_prices(returns: ReturnMatrix) -> np.ndarray:
+    """Base-100 price paths, (n_assets, n_steps): a row cumprod of the
+    relatives from 100, so column 0 is 100 for every asset."""
     n = returns.values.shape[0]
-    values = np.hstack(
-        [np.full((n, 1), 100.0), 100.0 * np.cumprod(returns.values, axis=1)]
-    )
-    return NormalizedPrices(returns.asset_ids, returns.dates, values)
+    return np.hstack([np.full((n, 1), 100.0), 100.0 * np.cumprod(returns.values, axis=1)])
 
 
 def window_matrices(
-    norm: NormalizedPrices, returns: ReturnMatrix, t: int, lookback: int
+    norm: np.ndarray, returns: ReturnMatrix, t: int, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-asset window at price step t: (prices, returns), each (n, lookback).
 
-    Prices cover steps t-lookback+1 .. t; returns cover the same span
-    (return landing on step s sits at returns.values[:, s-1]).
+    norm is to_normalized_prices(returns). Prices cover steps
+    t-lookback+1 .. t; returns cover the same span (return landing on step s
+    sits at returns.values[:, s-1]).
     """
     if lookback < 1:
         raise ValueError("lookback must be positive")
@@ -241,9 +232,9 @@ def window_matrices(
         raise ValueError(
             f"insufficient history: step {t} needs {lookback} prior steps"
         )
-    if t >= norm.values.shape[1]:
+    if t >= norm.shape[1]:
         raise ValueError(f"step {t} out of range")
-    prices = norm.values[:, t - lookback + 1 : t + 1]
+    prices = norm[:, t - lookback + 1 : t + 1]
     rets = returns.values[:, t - lookback : t]
     return prices, rets
 

@@ -4,7 +4,8 @@ The weight vector always satisfies w >= 0, sum(w) = 1 and at most m nonzero
 entries. Costs are charged per unit of one-way turnover, computed as half
 the L1 distance between today's weights and yesterday's weights after they
 have drifted with realized returns; the first allocation from cash pays the
-half buy-in charge.
+half buy-in charge. A weight map does not record its step: the caller that
+trades it knows the step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class PortfolioWeights:
     """Sparse long-only weights at one step: asset index -> weight."""
 
     weights: dict[int, float]
-    t: int = -1
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -92,18 +92,17 @@ def select_top_m(scores: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def equal_weights(selection: Sequence[int] | np.ndarray, t: int = -1) -> PortfolioWeights:
+def equal_weights(selection: Sequence[int] | np.ndarray) -> PortfolioWeights:
     selection = list(selection)
     if not selection:
         raise ValueError("empty selection")
     w = 1.0 / len(selection)
-    return PortfolioWeights({int(i): w for i in selection}, t)
+    return PortfolioWeights({int(i): w for i in selection})
 
 
 def positive_score_weights(
     selection: Sequence[int] | np.ndarray,
     scores: Sequence[float] | np.ndarray,
-    t: int = -1,
 ) -> PortfolioWeights:
     """Weights proportional to max(score, 0); all-nonpositive falls back to
     equal weights."""
@@ -114,17 +113,14 @@ def positive_score_weights(
     clipped = np.maximum(scores[selection], 0.0)
     total = clipped.sum()
     if total <= 0.0:
-        return equal_weights(selection, t)
-    return PortfolioWeights(
-        {i: float(c / total) for i, c in zip(selection, clipped)}, t
-    )
+        return equal_weights(selection)
+    return PortfolioWeights({i: float(c / total) for i, c in zip(selection, clipped)})
 
 
 def temperature_weights(
     selection: Sequence[int] | np.ndarray,
     scores: Sequence[float] | np.ndarray,
     tau: float,
-    t: int = -1,
 ) -> PortfolioWeights:
     """Softmax over the selected scores; tau controls concentration."""
     if not tau > 0.0:
@@ -137,7 +133,7 @@ def temperature_weights(
     logits -= logits.max()  # overflow-safe
     expw = np.exp(logits)
     expw /= expw.sum()
-    return PortfolioWeights({i: float(w) for i, w in zip(selection, expw)}, t)
+    return PortfolioWeights({i: float(w) for i, w in zip(selection, expw)})
 
 
 def drift_weights(
@@ -149,7 +145,7 @@ def drift_weights(
     total = sum(grown.values())
     if total <= 0.0:
         raise ValueError("non-positive portfolio value after drift")
-    return PortfolioWeights({i: w / total for i, w in grown.items()}, weights.t)
+    return PortfolioWeights({i: w / total for i, w in grown.items()})
 
 
 def turnover(current: PortfolioWeights, previous: PortfolioWeights | None) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import dsl
 from .dsl import Expr
@@ -32,7 +32,6 @@ _WINDOW_RE = re.compile(rf"^(?P<base>[a-z0-9_]+)_(?P<window>{_WINDOWS})$")
 _GENERATED_RE = re.compile(rf"^[a-z][a-z0-9_]*_({_WINDOWS})_v[0-9]+$")
 
 
-@lru_cache(maxsize=4096)
 def parse_name(name: str) -> tuple[str, int | None, int]:
     """Split a factor name into (base_name, window_token, version).
 

@@ -454,7 +454,78 @@ def test_aggregate_names_a_checkpoint_map_that_is_not_an_object(
     assert f"'{key}' must be a JSON object" in err
 
 
+def _ghost_factor(doc: dict) -> str:
+    doc["performance"]["ghost_7_v1"] = {"final_value": 100.0}
+    doc["quality"]["ghost_7_v1"] = {"mean_rankic": 0.0}
+    return "ghost_7_v1"
+
+
+def _drop(key: str, column: str | None):
+    """Drop the first factor's column from one stats map, or its whole entry."""
+
+    def corrupt(doc: dict) -> str:
+        name = sorted(doc[key])[0]
+        if column:
+            del doc[key][name][column]
+        else:
+            del doc[key][name]
+        return name
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_ghost_factor, "performance entry {} is not in 'pool'", id="not_in_pool"),
+        pytest.param(
+            _drop("quality", None), "'performance' and 'quality' name different factors", id="no_quality"
+        ),
+        pytest.param(
+            _drop("performance", "final_value"), "performance entry {} lacks 'final_value'", id="no_final_value"
+        ),
+        pytest.param(
+            _drop("quality", "mean_rankic"), "quality entry {} lacks 'mean_rankic'", id="no_mean_rankic"
+        ),
+    ],
+)
+def test_aggregate_rejects_checkpoint_stats_a_merge_cannot_read(
+    tmp_path, capsys, checkpoint_paths, corrupt, message
+) -> None:
+    lines = Path(checkpoint_paths[0]).read_text().splitlines()
+    doc = json.loads(lines[1])
+    name = corrupt(doc)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
+    assert main(["aggregate", bad.as_posix(), checkpoint_paths[1], "-o", str(tmp_path / "agg")]) == 2
+    err = capsys.readouterr().err
+    want = f"error: {bad.as_posix()}:2: bad checkpoint record: {message.format(repr(name))}\n"
+    assert err == want
+
+
 # ------------------------------------------------------------------- report
+
+
+def test_report_wealth_curve_names_ledgers_by_their_shortest_distinct_suffix(
+    tmp_path, snapshot
+) -> None:
+    for run, seed in (("run_a", "0"), ("run_b", "1")):
+        assert _evolve(snapshot, tmp_path / "src" / run, ["--set", f"rng_seed={seed}"]) == 0
+    written = []
+    for root in ("first", "second/deeper"):
+        ledgers = []
+        for run in ("run_a", "run_b"):
+            path = tmp_path / root / run / "ledger.csv"
+            path.parent.mkdir(parents=True)
+            path.write_bytes((tmp_path / "src" / run / "ledger.csv").read_bytes())
+            ledgers += ["--ledger", str(path)]
+        outdir = tmp_path / root / "report"
+        assert main(["report", "--mode", "wealth_curve", *ledgers, "-o", str(outdir)]) == 0
+        written.append((outdir / "wealth_curve.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].decode().splitlines()[0] == "date,run_a/ledger,run_b/ledger"
+    twice = ["--ledger", ledgers[1], "--ledger", ledgers[1]]
+    assert main(["report", "--mode", "wealth_curve", *twice, "-o", str(tmp_path / "rep")]) == 2
 
 
 def test_report_wealth_curve_stem_collision(tmp_path, snapshot) -> None:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import expressions, within_caps
 
-from evofactor import dsl, evolution, portfolio
+from evofactor import dsl, evolution, portfolio, seeds
 from evofactor.dsl import ALLOWED_WINDOWS, TS_OPS, Last, TimeSeries
 from evofactor.evolution import (
     EvolutionConfig,
@@ -254,27 +254,37 @@ def test_tracker_column_matches_stat(ops, window, upto) -> None:
 # ----------------------------------------------------- version filtering
 
 
+def _pool_of(names) -> dict[str, FactorRecord]:
+    """Records named as given, each parsed once by make_record."""
+    expr = dsl.parse("last(prices)")
+    return {name: make_record(name, expr, "mutated") for name in names}
+
+
+def _versions(values: dict[str, float]) -> list[str]:
+    return filter_factor_versions(values, _pool_of(values))
+
+
 def test_filter_factor_versions_worked_example() -> None:
     values = {"momentum_7": 110.0, "momentum_7_v2": 120.0, "momentum_7_v3": 115.0}
-    assert filter_factor_versions(values) == ["momentum_7_v2", "momentum_7_v3"]
+    assert _versions(values) == ["momentum_7_v2", "momentum_7_v3"]
 
 
 def test_filter_factor_versions_cases() -> None:
     # Latest coincides with best: one survivor.
-    assert filter_factor_versions({"a_7_v1": 100.0, "a_7_v2": 120.0}) == ["a_7_v2"]
+    assert _versions({"a_7_v1": 100.0, "a_7_v2": 120.0}) == ["a_7_v2"]
     # Single version: itself.
-    assert filter_factor_versions({"a_7_v1": 100.0}) == ["a_7_v1"]
+    assert _versions({"a_7_v1": 100.0}) == ["a_7_v1"]
     # Windows share a base: momentum_3 and momentum_7 are both version 1, so
     # the latest-tie breaks to the smaller name while best follows value.
-    out = filter_factor_versions({"momentum_3": 100.0, "momentum_7": 105.0})
+    out = _versions({"momentum_3": 100.0, "momentum_7": 105.0})
     assert out == ["momentum_3", "momentum_7"]
     # Equal values tie toward the lexicographically smaller name.
-    out = filter_factor_versions({"b_7_v1": 100.0, "b_7_v2": 90.0, "b_7_v3": 90.0})
+    out = _versions({"b_7_v1": 100.0, "b_7_v2": 90.0, "b_7_v3": 90.0})
     assert out == ["b_7_v1", "b_7_v3"]
     # Separate bases never interact.
-    out = filter_factor_versions({"a_7_v1": 1.0, "a_7_v2": 2.0, "c_3_v1": 0.0})
+    out = _versions({"a_7_v1": 1.0, "a_7_v2": 2.0, "c_3_v1": 0.0})
     assert out == ["a_7_v2", "c_3_v1"]
-    assert filter_factor_versions({}) == []
+    assert _versions({}) == []
 
 
 def _filter_factor_versions_oracle(values: dict[str, float]) -> list[str]:
@@ -300,22 +310,32 @@ _VERSIONED_NAMES = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(_VERSIONED_NAMES, st.sampled_from([-0.5, 1.0, 2.0, 2.0]), max_size=12))
-def test_filter_factor_versions_matches_the_oracle_parsing_each_name_once(values) -> None:
+@given(
+    st.dictionaries(_VERSIONED_NAMES, st.sampled_from([-0.5, 1.0, 2.0, 2.0]), max_size=12),
+    st.sets(_VERSIONED_NAMES, max_size=4),
+)
+def test_filter_factor_versions_matches_the_oracle_without_parsing_names(values, ungraded) -> None:
+    # The pool may hold names without a value, as a ranking's pool does.
+    pool = _pool_of(values.keys() | ungraded)
     calls = []
+
+    def spy(name):
+        calls.append(name)
+        return parse_name(name)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "parse_name", lambda name: calls.append(name) or parse_name(name))
-        kept = filter_factor_versions(values)
+        for module in (seeds, evolution):
+            mp.setattr(module, "parse_name", spy, raising=False)
+        kept = filter_factor_versions(values, pool)
     assert kept == _filter_factor_versions_oracle(values)
-    assert sorted(calls) == sorted(values)
+    assert calls == []  # names group by the records' base_name and version
 
 
 # -------------------------------------------------------- tracker replay
 
 
 def _scorer(table: PriceTable, cfg: EvolutionConfig) -> ScoreCache:
-    rm = to_relative_returns(table)
-    return ScoreCache(to_normalized_prices(rm), rm, cfg.lookback)
+    return ScoreCache(to_relative_returns(table), cfg.lookback)
 
 
 def test_warmup_populates_every_factor() -> None:
@@ -358,7 +378,7 @@ def test_update_tracker_matches_manual_evaluation() -> None:
     momentum = next(r for r in seed_factors((7,)) if r.name == "momentum_7")
     tracker = PerfTracker()
     t = 45
-    update_tracker(tracker, {momentum.name: momentum}, ScoreCache(norm, rm, cfg.lookback), t, cfg)
+    update_tracker(tracker, {momentum.name: momentum}, ScoreCache(rm, cfg.lookback), t, cfg)
     prices_win, returns_win = window_matrices(norm, rm, t, cfg.lookback)
     scores = dsl.evaluate_cross_section(momentum.expr, prices_win, returns_win)
     realized = rm.values[:, t]
@@ -440,18 +460,17 @@ def _gate_fixture():
     table = planted_momentum_table(n_assets=20, n_steps=120, seed=3, signal=0.9)
     cfg = _cfg(m=5, recall_n=5)
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
     pool = {r.name: r for r in seed_factors((7,))}
-    tracker = replay_tracker(pool, ScoreCache(norm, rm, cfg.lookback), cfg, 70)
-    return table, cfg, rm, norm, pool, tracker
+    tracker = replay_tracker(pool, ScoreCache(rm, cfg.lookback), cfg, 70)
+    return table, cfg, rm, pool, tracker
 
 
 def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
-    _, cfg, rm, norm, pool, tracker = _gate_fixture()
+    _, cfg, rm, pool, tracker = _gate_fixture()
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", ("momentum_7",), 70)
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
 
-    scorer = ScoreCache(norm, rm, cfg.lookback)
+    scorer = ScoreCache(rm, cfg.lookback)
     keep, why = benchmark_gate(good, tracker, scorer, cfg, 70, {**pool, good.name: good})
     assert keep, why
     keep, why = benchmark_gate(bad, tracker, scorer, cfg, 70, {**pool, bad.name: bad})
@@ -460,9 +479,9 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
 
 
 def test_benchmark_gate_without_incumbents_keeps() -> None:
-    _, cfg, rm, norm, _, _ = _gate_fixture()
+    _, cfg, rm, _, _ = _gate_fixture()
     cand = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    scorer = ScoreCache(norm, rm, cfg.lookback)
+    scorer = ScoreCache(rm, cfg.lookback)
     keep, why = benchmark_gate(cand, PerfTracker(), scorer, cfg, 70, {cand.name: cand})
     assert keep and "no incumbents" in why
 
@@ -470,10 +489,10 @@ def test_benchmark_gate_without_incumbents_keeps() -> None:
 def test_benchmark_gate_t_drop_raises_the_bar() -> None:
     # With a large t_drop even a factor tracking the baseline fails the
     # wealth leg; it survives only while its RankIC stays above the median.
-    _, cfg, rm, norm, pool, tracker = _gate_fixture()
+    _, cfg, rm, pool, tracker = _gate_fixture()
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", (), 70)
     strict = _cfg(m=5, recall_n=5, t_drop=10.0)  # baseline x11 is unbeatable
-    scorer = ScoreCache(norm, rm, strict.lookback)
+    scorer = ScoreCache(rm, strict.lookback)
     keep, why = benchmark_gate(good, tracker, scorer, strict, 70, {**pool, good.name: good})
     assert keep  # saved by the RankIC leg
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
@@ -492,7 +511,7 @@ def test_composite_scores_matches_manual_blend() -> None:
     records = [r for r in seed_factors((7,)) if r.name in ("momentum_7", "ma_7")]
     pool = {r.name: r for r in records}
     tracker = PerfTracker()
-    scorer = ScoreCache(norm, rm, cfg.lookback)
+    scorer = ScoreCache(rm, cfg.lookback)
     for t in range(30, 71):
         update_tracker(tracker, pool, scorer, t, cfg)
     rows = composite_scores(pool, tracker, scorer, cfg, 70)
@@ -529,8 +548,8 @@ def _check_cache_against_windows(expr: dsl.Expr, lookback: int, data: st.DataObj
     rm = to_relative_returns(table)
     norm = to_normalized_prices(rm)
     record = make_record("cand_7_v2", expr, "mutated")
-    cache = ScoreCache(norm, rm, lookback)
-    steps = list(range(lookback, norm.values.shape[1]))
+    cache = ScoreCache(rm, lookback)
+    steps = list(range(lookback, norm.shape[1]))
     for t in steps + data.draw(st.permutations(steps), label="order"):
         expected = dsl.evaluate_cross_section(expr, *window_matrices(norm, rm, t, lookback))
         assert np.array_equal(cache.scores(record, t), expected), (dsl.print_expr(expr), t)
@@ -575,8 +594,7 @@ def test_score_cache_windowed_fallback(expr, op, window, last_under_ts, lookback
 def test_score_cache_never_serves_a_stale_expression() -> None:
     table = random_walk_table(5, 80, seed=3)
     rm = to_relative_returns(table)
-    norm = to_normalized_prices(rm)
-    cache = ScoreCache(norm, rm, 30)
+    cache = ScoreCache(rm, 30)
     first = make_record("cand_7_v2", dsl.parse("ts_mean(prices, 7)"), "mutated")
     reused = make_record("cand_7_v2", dsl.parse("neg(ts_mean(prices, 7))"), "mutated")
     before = cache.scores(first, 40).copy()
@@ -588,7 +606,7 @@ def test_score_cache_never_serves_a_stale_expression() -> None:
     with pytest.raises(ValueError):
         cache.scores(first, 29)  # needs 30 steps of history
     with pytest.raises(ValueError):
-        cache.scores(first, norm.values.shape[1])  # past the last price step
+        cache.scores(first, rm.values.shape[1] + 1)  # past the last price step
 
 
 def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> None:
@@ -970,6 +988,19 @@ def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> N
     assert resumed.ledger == full.ledger[rec.step + 1 :]
     assert resumed.records == full.records[k + 1 :]
     assert resumed.pool == full.pool
+    # A checkpoint's prev_weights are the weights formed at its own step,
+    # drifted by that step's returns, so prev_t is that step; or none at all.
+    rm = to_relative_returns(table)
+    index = {asset: i for i, asset in enumerate(table.asset_ids)}
+    for record in full.records:
+        row, state = full.ledger[record.step], record.state
+        if row.phase != "live":
+            assert state["prev_weights"] is None and state["prev_t"] == -1
+            continue
+        held = portfolio.PortfolioWeights({index[a]: w for a, w in row.weight_map().items()})
+        drifted = portfolio.drift_weights(held, rm.values[:, record.step])
+        assert state["prev_weights"] == [[i, w] for i, w in sorted(drifted.weights.items())]
+        assert state["prev_t"] == record.step
 
 
 # ------------------------------------------------------------ checkpoints

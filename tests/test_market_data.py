@@ -111,9 +111,9 @@ def test_return_matrix_and_normalized_prices():
     rm = to_relative_returns(table)
     np.testing.assert_allclose(rm.values, [[1.1, 0.9], [1.0, 1.1]])
     norm = to_normalized_prices(rm)
-    np.testing.assert_allclose(norm.values[0], [100.0, 110.0, 99.0])
-    np.testing.assert_allclose(norm.values[1], [100.0, 100.0, 110.0])
-    assert norm.values.shape == prices.shape
+    np.testing.assert_allclose(norm[0], [100.0, 110.0, 99.0])
+    np.testing.assert_allclose(norm[1], [100.0, 100.0, 110.0])
+    assert norm.shape == prices.shape
 
 
 def test_window_matrices_span_and_alignment():
@@ -126,7 +126,7 @@ def test_window_matrices_span_and_alignment():
     norm = to_normalized_prices(rm)
     win_p, win_r = window_matrices(norm, rm, t=10, lookback=5)
     assert win_p.shape == (4, 5) and win_r.shape == (4, 5)
-    np.testing.assert_array_equal(win_p, norm.values[:, 6:11])
+    np.testing.assert_array_equal(win_p, norm[:, 6:11])
     np.testing.assert_array_equal(win_r, rm.values[:, 5:10])
     # the last window return reproduces the last price ratio
     np.testing.assert_allclose(win_r[:, -1], win_p[:, -1] / win_p[:, -2])

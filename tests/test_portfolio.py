@@ -28,7 +28,7 @@ from evofactor.portfolio import (
 
 
 def test_portfolio_weights_invariants() -> None:
-    w = PortfolioWeights({0: 0.5, 3: 0.5}, t=7)
+    w = PortfolioWeights({0: 0.5, 3: 0.5})
     assert w.cardinality == 2
     assert w.as_vector(5).tolist() == [0.5, 0.0, 0.0, 0.5, 0.0]
     with pytest.raises(ValueError):
@@ -60,9 +60,8 @@ def test_select_top_m() -> None:
 
 
 def test_equal_weights() -> None:
-    w = equal_weights([4, 1, 7], t=3)
+    w = equal_weights([4, 1, 7])
     assert w.weights == {4: 1 / 3, 1: 1 / 3, 7: 1 / 3}
-    assert w.t == 3
     with pytest.raises(ValueError):
         equal_weights([])
 
@@ -128,12 +127,11 @@ def test_turnover_arithmetic() -> None:
 
 
 def test_drift_weights() -> None:
-    w = PortfolioWeights({0: 0.5, 1: 0.5}, t=2)
+    w = PortfolioWeights({0: 0.5, 1: 0.5})
     gross = np.array([1.1, 0.9, 1.0])
     drifted = drift_weights(w, gross)
     assert drifted.weights == pytest.approx({0: 0.55 / 1.0, 1: 0.45 / 1.0})
     assert sum(drifted.weights.values()) == pytest.approx(1.0)
-    assert drifted.t == 2
     with pytest.raises(ValueError):
         drift_weights(w, np.array([0.0, 0.0, 1.0]))
 
@@ -167,7 +165,7 @@ def test_cost_ordering_on_fixed_path() -> None:
         value = 1.0
         prev = None
         for t in range(40):
-            w = equal_weights([t % 6, (t + 1) % 6, (t + 2) % 6], t)
+            w = equal_weights([t % 6, (t + 1) % 6, (t + 2) % 6])
             net, _, _ = step_return(w, gross[t], prev, model)
             value *= net
             prev = drift_weights(w, gross[t])
