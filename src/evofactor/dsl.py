@@ -16,11 +16,15 @@ yield the neutral score 0.0, and any NaN/inf produced by overflow is
 scrubbed to 0.0 at the node boundary. Window lengths are restricted to the
 whitelist {3, 7, 14, 21}; trees are capped at depth 12 and 64 nodes.
 
-Windows are reduced across columns: `_eval_ts` views the padded child as
-(n, window, steps), so each op reduces whole (n, steps) columns rather than
-one short window at a time. `_window_sum` adds them in numpy's own order for
-a short axis, so scores keep the bits of a per-window reduction (a property
-test pins this on the installed numpy).
+Spans are evaluated time-major: `_eval_span` transposes its inputs once to
+(steps, n), so window term k of every step is the contiguous slab
+pad[k : k + steps] of the edge-padded child, and each op folds whole slabs.
+`_window_sum` adds them in numpy's own order for a short axis, so scores keep
+the bits of a per-window reduction (a property test pins this on the
+installed numpy), with at most four partial sums live: a window's worth of
+fresh temporaries costs more in page faults than it saves. `ts_ema` stays an
+asset-major matmul on a transposed copy, since matmul's summation order
+follows its operands' layout.
 
 Panel form: `evaluate_panel` evaluates a tree once over an (n_assets, steps)
 span, with `last` taken as the identity, and reads column j as the score of
@@ -34,8 +38,8 @@ and two static conditions hold on the tree (`panel_equivalent`):
   (b) no `last` has a time-series ancestor, so every `last` is only ever
       read at the window's final position, where it is the identity.
 
-Under (a) the final position never reaches the edge padding, so a window
-and a longer span ending on the same column give bit-identical scores.
+Under (a) the final position never reaches the edge padding, so every span
+holding a column's receptive field gives that column bit-identical scores.
 """
 
 from __future__ import annotations
@@ -355,71 +359,88 @@ def _lag_index(steps: int, window: int) -> np.ndarray:
     return np.maximum(np.arange(steps) - window, 0)
 
 
-def _window_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum (n, window, steps) terms over axis 1 in the order numpy reduces a
-    short window axis: left to right under 8 terms, else eight interleaved
-    partial sums, paired ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
-    left to right. Window sums and moments thus keep numpy's bits."""
-    window = terms.shape[1]
-    head = window - window % 8
-    if head:
-        lanes = terms[:, :8].copy()
-        for k in range(8, head, 8):
-            lanes += terms[:, k : k + 8]
-        r = np.moveaxis(lanes, 1, 0)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    else:
-        total, head = terms[:, 0].copy(), 1
-    for k in range(head, window):
-        total += terms[:, k]
+def _window_sum(slabs: list[np.ndarray], centre: np.ndarray | None = None) -> np.ndarray:
+    """Sum a window's time-major slabs, oldest first, or with a centre their
+    squares (slab - centre)**2, in the order numpy reduces a short window
+    axis: left to right under 8 terms, else eight interleaved partial sums,
+    paired ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail left to right.
+    Window sums and moments thus keep numpy's bits. At most four partial
+    sums and one scratch slab are live at once, never a window's worth."""
+    head = len(slabs) - len(slabs) % 8
+    scratch = None if centre is None else np.empty_like(centre)
+
+    def term(k: int) -> np.ndarray:
+        if scratch is None:
+            return slabs[k]
+        np.subtract(slabs[k], centre, out=scratch)
+        return np.multiply(scratch, scratch, out=scratch)
+
+    def lanes(lo: int, width: int) -> np.ndarray:
+        if width > 1:  # paired as numpy pairs its partial sums
+            acc = lanes(lo, width // 2)
+            acc += lanes(lo + width // 2, width // 2)
+            return acc
+        acc = term(lo).copy()
+        for k in range(lo + 8, head, 8):
+            acc += term(k)
+        return acc
+
+    total = lanes(0, 8) if head else term(0).copy()
+    for k in range(max(head, 1), len(slabs)):
+        total += term(k)
     return total
 
 
 def _eval_ts(op: str, child: np.ndarray, window: int) -> np.ndarray:
-    steps = child.shape[1]
+    """One time-series op over a time-major (steps, n) child."""
+    steps = len(child)
     if op == "lag":
-        return child[:, _lag_index(steps, window)]
+        return child[_lag_index(steps, window)]
     if op == "ts_delta":
-        return child - child[:, _lag_index(steps, window)]
-    pad = np.concatenate([np.repeat(child[:, :1], window - 1, axis=1), child], axis=1)
+        return child - child[_lag_index(steps, window)]
+    pad = np.concatenate([np.repeat(child[:1], window - 1, axis=0), child])
+    slabs = [pad[k : k + steps] for k in range(window)]  # k-th oldest of each window
     if op == "ts_ema":
         alpha = 2.0 / (window + 1.0)
         coef = alpha * (1.0 - alpha) ** np.arange(window - 1, -1, -1, dtype=np.float64)
         coef[0] = (1.0 - alpha) ** (window - 1)  # recursion seeded at the oldest value
-        return sliding_window_view(pad, window, axis=1) @ coef
-    if op == "ts_argmax_recency":
-        # Last index attaining the window max, scaled to (0, 1].
-        win = sliding_window_view(pad, window, axis=1)
-        from_end = np.argmax(win[..., ::-1], axis=-1)
-        return (window - from_end).astype(np.float64) / window
-    stack = sliding_window_view(pad, steps, axis=1)  # [:, k]: k-th oldest of each window
+        return (sliding_window_view(np.ascontiguousarray(pad.T), window, axis=1) @ coef).T
     if op == "ts_sum":
-        return _window_sum(stack)
+        return _window_sum(slabs)
     if op == "ts_mean":
-        return _window_sum(stack) / window
+        return _window_sum(slabs) / window
     if op == "ts_std":
         # population std, matches the seed formulas; numpy's _var order
-        dev = stack - (_window_sum(stack) / window)[:, None]
-        dev *= dev
-        return np.sqrt(_window_sum(dev) / window)
-    if op == "ts_min":
-        return stack.min(axis=1)
-    if op == "ts_max":
-        return stack.max(axis=1)
+        return np.sqrt(_window_sum(slabs, _window_sum(slabs) / window) / window)
+    if op in ("ts_min", "ts_max"):
+        fold, out = np.minimum if op == "ts_min" else np.maximum, slabs[0].copy()
+        for slab in slabs[1:]:
+            fold(out, slab, out=out)
+        return out
     if op == "ts_rank_pos":
-        last = stack[:, -1:]
-        less = (stack < last).sum(axis=1)
-        equal = (stack == last).sum(axis=1)
+        less, equal = np.zeros(child.shape, np.intp), np.zeros(child.shape, np.intp)
+        for slab in slabs:
+            less += slab < child
+            equal += slab == child
         return (less + 0.5 * (equal - 1)) / (window - 1)
     if op == "ts_drawdown":
-        peak = stack[:, 0].copy()
-        worst = np.zeros_like(peak)
-        for k in range(1, window):
-            np.maximum(peak, stack[:, k], out=peak)
+        peak, worst, dd = slabs[0].copy(), np.zeros(child.shape), np.empty(child.shape)
+        for slab in slabs[1:]:
+            np.maximum(peak, slab, out=peak)
             ok = np.abs(peak) >= _DIV_EPS
-            dd = np.where(ok, (stack[:, k] - peak) / np.where(ok, peak, 1.0), 0.0)
+            np.divide(np.subtract(slab, peak, out=dd), peak, out=dd, where=ok)
+            dd[~ok] = 0.0
             np.minimum(worst, dd, out=worst)
         return worst
+    if op == "ts_argmax_recency":
+        # Newest index attaining the window max, scaled to (0, 1]: from_end
+        # moves only on a strict > while the slabs run newest to oldest.
+        best, from_end = child.copy(), np.zeros(child.shape, np.intp)
+        for k, slab in enumerate(slabs[-2::-1], start=1):
+            better = slab > best
+            np.copyto(best, slab, where=better)
+            from_end[better] = k
+        return (window - from_end).astype(np.float64) / window
     raise ExprError(f"unknown time-series op {op!r}")
 
 
@@ -434,7 +455,7 @@ def _eval(
     if isinstance(expr, TimeSeries):
         return _scrub(_eval_ts(expr.op, args[0], expr.window))
     if isinstance(expr, Last):
-        return args[0] if panel else np.repeat(args[0][:, -1:], prices.shape[1], axis=1)
+        return args[0] if panel else np.repeat(args[0][-1:], len(prices), axis=0)
     return _scrub(_APPLY[expr.op](*args))
 
 
@@ -446,7 +467,7 @@ def _eval_span(expr: Expr, prices: np.ndarray, returns: np.ndarray, panel: bool)
     # Overflow and invalid operations are scrubbed to 0 by policy, so the
     # corresponding numpy warnings are noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _eval(expr, prices, returns, panel)
+        return _eval(expr, np.ascontiguousarray(prices.T), np.ascontiguousarray(returns.T), panel).T
 
 
 def evaluate_cross_section(

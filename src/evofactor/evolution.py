@@ -226,21 +226,21 @@ class ScoreCache:
     A factor that dsl.panel_equivalent admits is evaluated a block of
     `lookback` steps at a time: the first request at step t evaluates steps
     t..t+lookback-1 in one dsl.evaluate_panel call over their price columns
-    plus lookback-1 columns of history, and later steps are served from that
-    block until t leaves it. Other factors take the windowed path, one step
-    per block. Each factor keeps one block, so memory is bounded by the live
-    pool times lookback times n_assets; drop() frees a factor that left the
-    pool. Entries are keyed by name and remember the expression object they
-    were computed from, so a name reused for another expression is
-    re-evaluated rather than served stale.
+    plus the rf-1 columns of history its dsl.receptive_field rf spans, and
+    later steps are served from that block until t leaves it. Other factors
+    take the windowed path, one step per block. Each factor keeps one block,
+    so memory is bounded by the live pool times lookback times n_assets;
+    drop() frees a factor that left the pool. Entries are keyed by name and
+    remember the expression object they were computed from, so a name reused
+    for another expression is re-evaluated rather than served stale.
     """
 
     def __init__(self, rm: ReturnMatrix, lookback: int) -> None:
         self.norm = to_normalized_prices(rm)
         self.rm = rm
         self.lookback = lookback
-        # name -> (expr, panel_equivalent, first step, (steps, n_assets) rows)
-        self._blocks: dict[str, tuple[dsl.Expr, bool, int, np.ndarray]] = {}
+        # name -> (expr, receptive field or 0 off the panel path, first step, (steps, n_assets) rows)
+        self._blocks: dict[str, tuple[dsl.Expr, int, int, np.ndarray]] = {}
         self.realized = metrics.rank_realized(rm.values.T)  # every step, ranked once
 
     def names(self) -> list[str]:
@@ -253,27 +253,27 @@ class ScoreCache:
         """(n_assets,) raw scores of record at price step t; read-only."""
         entry = self._blocks.get(record.name)
         if entry is None or entry[0] is not record.expr:
-            panel = dsl.panel_equivalent(record.expr, self.lookback)
+            rf = dsl.receptive_field(record.expr) if dsl.panel_equivalent(record.expr, self.lookback) else 0
         else:
-            _, panel, start, rows = entry
+            _, rf, start, rows = entry
             if start <= t < start + len(rows):
                 return rows[t - start]
-        rows = self._evaluate(record.expr, panel, t)
-        self._blocks[record.name] = (record.expr, panel, t, rows)
+        rows = self._evaluate(record.expr, rf, t)
+        self._blocks[record.name] = (record.expr, rf, t, rows)
         return rows[0]
 
-    def _evaluate(self, expr: dsl.Expr, panel: bool, t: int) -> np.ndarray:
+    def _evaluate(self, expr: dsl.Expr, rf: int, t: int) -> np.ndarray:
         lookback, last = self.lookback, self.norm.shape[1] - 1
         if not lookback <= t <= last:
             raise ValueError(f"step {t} outside the scorable steps {lookback}..{last}")
-        if panel:
+        if rf:
             # The slices stop at the panel's end, which cuts the last block short.
             block = dsl.evaluate_panel(
                 expr,
-                self.norm[:, t - lookback + 1 : t + lookback],
-                self.rm.values[:, t - lookback : t + lookback - 1],
+                self.norm[:, t - rf + 1 : t + lookback],
+                self.rm.values[:, t - rf : t + lookback - 1],
             )
-            rows = np.ascontiguousarray(block[:, lookback - 1 :].T)
+            rows = block[:, rf - 1 :].T.copy()  # a view would keep the history columns alive
         else:
             prices, returns = window_matrices(self.norm, self.rm, t, lookback)
             rows = dsl.evaluate_cross_section(expr, prices, returns)[None, :]
@@ -481,7 +481,7 @@ def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
 def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
     """One checkpoint line; lines decoded with the same memo share the pool
     records they repeat. performance and quality must name the same pool
-    factors and hold the final_value and mean_rankic a merge reads."""
+    factors and hold the numeric final_value and mean_rankic a merge reads."""
     for key in ("step", "pool", "performance", "quality", "state"):
         if key not in doc:
             raise ValueError(f"checkpoint record missing key {key!r}")
@@ -498,8 +498,10 @@ def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
     pool = record.pool_map()
     for key, column in (("performance", "final_value"), ("quality", "mean_rankic")):
         for name, stats in getattr(record, key).items():
-            if name not in pool or column not in stats:
-                lack = "is not in 'pool'" if name not in pool else f"lacks {column!r}"
+            if name not in pool:
+                raise ValueError(f"{key} entry {name!r} is not in 'pool'")
+            if type(stats.get(column)) not in (float, int):  # JSON true/false is no number here
+                lack = f"has a non-numeric {column!r}: {stats[column]!r}" if column in stats else f"lacks {column!r}"
                 raise ValueError(f"{key} entry {name!r} {lack}")
     return record
 

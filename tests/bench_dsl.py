@@ -1,9 +1,19 @@
-"""DSL-layer microbenchmark: evaluate_panel on one time-series op per case.
+"""DSL-layer microbenchmark: evaluate_panel on the loop's panel blocks.
 
-Each case evaluates `op(prices, window)` over one panel block, at windows 3
-and 21, on the block shapes of the benchmark's `search` workload (40 assets
-x 59 steps) and `backtest` workload (200 assets x 89 steps). The file is not
-named test_*.py, so the test suite does not collect it. Run it with
+`test_evaluate_panel` evaluates `op(prices, window)` over one panel block, at
+windows 3 and 21, on these block shapes:
+
+- `search`, `backtest`: the blocks of the benchmark's `search` workload (40
+  assets x 59 steps) and `backtest` workload (200 assets x 89 steps) when a
+  block carried lookback - 1 columns of history;
+- `<workload>_rf4`, `<workload>_rf22`: a full block of `lookback` steps plus
+  the rf - 1 history columns ScoreCache now feeds a factor of receptive field
+  rf, with the workloads' lookbacks 30 and 60.
+
+`test_seed_library` evaluates the 42 seed factors over one `backtest` block:
+30 steps of 200 assets, each factor on its own rf - 1 columns of history, as
+the `backtest` workload's ScoreCache does. The file is not named test_*.py,
+so the test suite does not collect it. Run it with
 
     PYTHONPATH=src python -m pytest tests/bench_dsl.py --benchmark-only
 """
@@ -12,10 +22,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evofactor import dsl
+from evofactor import dsl, seeds
 from evofactor.dsl import TS_OPS, Feature, TimeSeries
 
-SHAPES = {"search": (40, 59), "backtest": (200, 89)}
+SHAPES = {
+    "search": (40, 59),
+    "backtest": (200, 89),
+    **{f"search_rf{rf}": (40, 30 + rf - 1) for rf in (4, 22)},
+    **{f"backtest_rf{rf}": (200, 60 + rf - 1) for rf in (4, 22)},
+}
+BACKTEST_STEPS = 30  # live steps of the `backtest` workload, all in one block
 
 
 def _block(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -33,3 +49,18 @@ def test_evaluate_panel(benchmark, op: str, window: int, shape: str) -> None:
     expr = TimeSeries(op, Feature("prices"), window)
     out = benchmark(dsl.evaluate_panel, expr, prices, returns)
     assert out.shape == prices.shape
+
+
+def test_seed_library(benchmark) -> None:
+    library = [rec.expr for rec in seeds.seed_factors()]
+    spans = [BACKTEST_STEPS + dsl.receptive_field(expr) - 1 for expr in library]
+    prices, returns = _block(200, max(spans))
+
+    def evaluate_all() -> list[np.ndarray]:
+        return [
+            dsl.evaluate_panel(expr, prices[:, -span:], returns[:, -span:])
+            for expr, span in zip(library, spans)
+        ]
+
+    out = benchmark(evaluate_all)
+    assert len(out) == 42 and all(block.shape == (200, span) for block, span in zip(out, spans))

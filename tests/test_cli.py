@@ -474,6 +474,17 @@ def _drop(key: str, column: str | None):
     return corrupt
 
 
+def _set(key: str, column: str, value: object):
+    """Set the first factor's column in one stats map to a JSON value."""
+
+    def corrupt(doc: dict) -> str:
+        name = sorted(doc[key])[0]
+        doc[key][name][column] = value
+        return name
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -487,6 +498,16 @@ def _drop(key: str, column: str | None):
         pytest.param(
             _drop("quality", "mean_rankic"), "quality entry {} lacks 'mean_rankic'", id="no_mean_rankic"
         ),
+        # A merge reads both columns as numbers: a string, null or bool fails at its line.
+        *[
+            pytest.param(
+                _set(key, column, value),
+                f"{key} entry {{}} has a non-numeric {column!r}: {value!r}",
+                id=f"{column}_{json.dumps(value)}",
+            )
+            for key, column in (("performance", "final_value"), ("quality", "mean_rankic"))
+            for value in ("abc", None, True)
+        ],
     ],
 )
 def test_aggregate_rejects_checkpoint_stats_a_merge_cannot_read(

@@ -200,7 +200,7 @@ def test_ts_ops_match_the_windowed_reference_bit_for_bit(op: str, window: int, c
     # _scrub maps NaN/inf to 0 as _eval does; array_equal counts -0.0 == 0.0,
     # which scores, ranks and _safe_div treat alike.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got = dsl._scrub(dsl._eval_ts(op, child, window))
+        got = dsl._scrub(dsl._eval_ts(op, child.T.copy(), window).T)
         want = dsl._scrub(ts_window_reference(op, child, window))
     assert np.array_equal(got, want)
 
@@ -217,7 +217,7 @@ def test_window_sums_keep_numpys_pairwise_order(window: int) -> None:
     assert left_to_right == 1e16
     assert ts_window_reference("ts_sum", row[None, :], window)[0, -1] == 1e16 + 2.0
     for op in ("ts_sum", "ts_mean", "ts_std"):
-        got = dsl._eval_ts(op, row[None, :], window)
+        got = dsl._eval_ts(op, row[:, None], window).T
         assert np.array_equal(got, ts_window_reference(op, row[None, :], window)), op
 
 
@@ -561,3 +561,18 @@ def test_evaluate_panel_equals_windowed_when_equivalent(expr, slack, data) -> No
         window = slice(c - lookback + 1, c + 1)
         expected = evaluate_cross_section(expr, prices[:, window], returns[:, window])
         assert np.array_equal(out[:, c], expected), (print_expr(expr), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), st.integers(0, 4), st.data())
+def test_evaluate_panel_needs_only_the_receptive_field(expr, slack, data) -> None:
+    # A span cut to rf-1 history columns scores its steps as the
+    # lookback-wide span does: the cut drops only columns no step reads.
+    rf = dsl.receptive_field(expr)
+    lookback = max(2, rf + slack)
+    assume(dsl.panel_equivalent(expr, lookback))
+    prices, returns = data.draw(panels(min_steps=lookback))
+    wide = dsl.evaluate_panel(expr, prices, returns)
+    cut = lookback - rf
+    narrow = dsl.evaluate_panel(expr, prices[:, cut:], returns[:, cut:])
+    assert np.array_equal(narrow[:, rf - 1 :], wide[:, lookback - 1 :]), print_expr(expr)

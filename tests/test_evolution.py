@@ -609,6 +609,34 @@ def test_score_cache_never_serves_a_stale_expression() -> None:
         cache.scores(first, rm.values.shape[1] + 1)  # past the last price step
 
 
+def test_score_cache_feeds_a_block_only_its_receptive_field(monkeypatch) -> None:
+    # A block starting at step t holds min(lookback, last - t + 1) steps and
+    # the rf - 1 columns of history before them, not lookback - 1.
+    lookback, step = 30, {"t": -1}
+    calls: list[tuple[dsl.Expr, int, int]] = []
+
+    def counting_panel(expr, prices, returns, _panel=dsl.evaluate_panel):
+        assert prices.shape == returns.shape
+        calls.append((expr, step["t"], prices.shape[1]))
+        return _panel(expr, prices, returns)
+
+    monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
+    texts = {4: "ts_delta(prices, 3)", 8: "lag(returns, 7)", 22: "div(ts_delta(prices, 21), ts_mean(returns, 7))"}
+    records = {rf: make_record(f"f{rf}_7_v1", dsl.parse(text), "mutated") for rf, text in texts.items()}
+    assert {dsl.receptive_field(rec.expr) for rec in records.values()} == set(texts)
+    rm = to_relative_returns(random_walk_table(5, 100, seed=3))
+    cache = ScoreCache(rm, lookback)
+    last = cache.norm.shape[1] - 1
+    for t in range(lookback, last + 1):
+        step["t"] = t
+        for rec in records.values():
+            cache.scores(rec, t)
+    assert [t for _, t, _ in calls] == [t for t in (30, 60, 90) for _ in texts]
+    for rf, rec in records.items():
+        got = [(t, columns) for expr, t, columns in calls if expr is rec.expr]
+        assert got == [(t, rf - 1 + min(lookback, last - t + 1)) for t in (30, 60, 90)], rf
+
+
 def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> None:
     caches: list[ScoreCache] = []
 
