@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import dsl
@@ -42,6 +42,8 @@ class MergedRecord:
     performance: dict[str, float]  # factor -> final_value
     quality: dict[str, float]  # factor -> mean_rankic
     expressions: dict[str, str]  # factor -> expression text
+    # factor -> the tree merge_runs decoded; neither written nor compared
+    trees: dict[str, dsl.Expr] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.performance.keys() == self.quality.keys() == self.expressions.keys()):
@@ -79,6 +81,7 @@ def merge_runs(
         perf: dict[str, float] = {}
         qual: dict[str, float] = {}
         exprs: dict[str, str] = {}
+        trees: dict[str, dsl.Expr] = {}
         for run in ordered:
             record = run[i]
             values = {
@@ -92,11 +95,11 @@ def merge_runs(
                 if name not in perf or fv > perf[name]:
                     perf[name] = fv
                     qual[name] = ic
-                    exprs[name] = pool[name].expr_text
+                    exprs[name], trees[name] = pool[name].expr_text, pool[name].expr
                 elif fv == perf[name] and ic > qual[name]:
                     # literal tie rule: quality updates, expression source stays
                     qual[name] = ic
-        merged.append(MergedRecord(ordered[0][i].step, perf, qual, exprs))
+        merged.append(MergedRecord(ordered[0][i].step, perf, qual, exprs, trees))
     return merged
 
 
@@ -115,7 +118,8 @@ def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
     """Factor records from the final merged step, deduplicated structurally.
 
     Structural duplicates under different names keep the lexicographically
-    first name; dropped aliases are logged.
+    first name; dropped aliases are logged. Only texts without a tree
+    from the merge, as in a loaded merge file, are parsed.
     """
     if not merged:
         raise ValueError("empty merge")
@@ -123,7 +127,7 @@ def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
     seen: dict[str, str] = {}
     records: list[FactorRecord] = []
     for name in sorted(final.expressions):
-        expr = dsl.parse(final.expressions[name])
+        expr = final.trees[name] if name in final.trees else dsl.parse(final.expressions[name])
         canon = dsl.print_expr(expr)
         if canon in seen:
             logger.info("pooled alias %s duplicates %s", name, seen[canon])

@@ -383,8 +383,8 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
         rows = composite_scores(run.pool, run.tracker, run.scorer, widest, t)
         if rows:  # every k's composite graded against step t in one call
             composites = np.stack([portfolio.aggregate_scores(rows[:k]) for k in ks])
-            step = run.scorer.realized.at(slice(t, t + 1))
-            step_ics = metrics.grade_rows(composites, step, ecfg.m, ecfg.recall_n)[1].tolist()
+            at_t = np.full(len(ks), t)
+            step_ics = metrics.grade_rows(composites, run.scorer.realized, ecfg.m, ecfg.recall_n, at_t)[1].tolist()
         for k in ks:
             weights, r_t, _, _, prev[k] = trade(rows[:k], realized, prev[k], ecfg, cost_model, t)
             if weights is not None:  # a traded step has rows

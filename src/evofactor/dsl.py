@@ -521,17 +521,18 @@ def panel_equivalent(expr: Expr, lookback: int) -> bool:
 
 
 def normalize_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Min-max rescale a cross-section to [-1, 1]; degenerate rows go to 0.
+    """Min-max rescale a cross-section, or each row of a (k, n) block with
+    the bits it gets alone, to [-1, 1]; degenerate rows go to 0.
 
     The max maps to exactly +1 and the min to exactly -1, also when max - min
     overflows. A row of equal values (or an empty one) comes back as zeros.
     """
-    values = _scrub(np.asarray(scores, dtype=np.float64).copy())
-    if values.size == 0:
+    values = _scrub(np.array(scores, dtype=np.float64))
+    if values.shape[-1] == 0:
         return values
-    low, high = float(values.min()), float(values.max())  # a float span overflows silently
-    if high == low:
-        return np.zeros_like(values)
-    if np.isinf(high - low):  # halving is exact at this magnitude
-        values, low, high = values / 2.0, low / 2.0, high / 2.0
-    return 2.0 * ((values - low) / (high - low)) - 1.0
+    low, high = values.min(axis=-1, keepdims=True), values.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a span may overflow; equal rows divide 0 by 0
+        wide = np.isinf(high - low)
+        if wide.any():  # halving is exact at this magnitude
+            values, low, high = (np.where(wide, a / 2.0, a) for a in (values, low, high))
+        return np.where(high == low, 0.0, 2.0 * ((values - low) / (high - low)) - 1.0)

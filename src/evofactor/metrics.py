@@ -122,17 +122,15 @@ def _centred_desc(desc: np.ndarray) -> np.ndarray:
 
 
 class RealizedRanks(NamedTuple):
-    """Realized return rows ranked once for grade_rows, sliced by step with at:
-    the contiguous rows, their centred average ranks and sums of squares, and
-    each asset's place in the descending order that puts earlier ties first."""
+    """Realized return rows ranked once for grade_rows, which reads them by
+    step index: the contiguous rows, their centred average ranks and sums of
+    squares, and each asset's place in the descending order that puts
+    earlier ties first."""
 
     returns: np.ndarray
     centred: np.ndarray
     sumsq: np.ndarray
     places: np.ndarray
-
-    def at(self, steps: slice) -> "RealizedRanks":
-        return RealizedRanks(*(a[steps] for a in self))
 
 
 def rank_realized(returns: np.ndarray) -> RealizedRanks:
@@ -173,10 +171,12 @@ def rank_icir(rankics: Sequence[float] | np.ndarray) -> MetricValue:
 
 
 def grade_rows(
-    scores: np.ndarray, realized: np.ndarray | RealizedRanks, m: int, recall_n: int
+    scores: np.ndarray, realized: np.ndarray | RealizedRanks, m: int, recall_n: int, steps: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grade each row of a (rows, n) score matrix against realized returns:
-    one shared (n,) row or one per score row, raw or as rank_realized rows.
+    row steps[i] of a table for score row i, or without steps one shared
+    (n,) row or one per score row; raw or as rank_realized rows. Realized
+    rows are read in place by flat offsets, never copied out per score row.
 
     Returns (gross, rankic, recall), (rows,) arrays whose entry i is, bit for
     bit, realized_i[select_top_m(scores[i], m)].mean(), spearman_rank_corr(
@@ -187,9 +187,14 @@ def grade_rows(
     """
     scores = np.asarray(scores, dtype=np.float64)
     realized = realized if isinstance(realized, RealizedRanks) else rank_realized(np.atleast_2d(realized))
-    if scores.ndim != 2 or realized.returns.shape not in ((1, scores.shape[1]), scores.shape):
-        raise ValueError("realized must be one score row's shape or the score matrix's")
+    if scores.ndim != 2 or realized.returns.shape[1:] != scores.shape[1:]:
+        raise ValueError("realized rows must have the score rows' length")
     rows, n = scores.shape
+    if steps is None:  # one shared row, or one per score row
+        steps = np.zeros(rows, dtype=np.intp) if len(realized.returns) == 1 else np.arange(len(realized.returns))
+    steps = np.asarray(steps)
+    if steps.shape != (rows,) or rows and not 0 <= steps.min() <= steps.max() < len(realized.returns):
+        raise ValueError("realized needs one shared row, one per score row, or a row index per score row")
     if m < 1:
         raise ValueError("m must be positive")
     if not 1 <= recall_n <= n:
@@ -197,7 +202,7 @@ def grade_rows(
     if np.isnan(scores).any():
         raise ValueError("rows must not hold NaN")
     offsets = np.arange(0, rows * n, n)[:, None]  # flat indices: take beats axis-1 indexing
-    shift = 0 if len(realized.returns) == 1 else offsets
+    shift = steps[:, None] * n
     order = np.argsort(-scores, axis=1)
     desc = scores.take(order + offsets)
     tied = (desc[:, 1:] == desc[:, :-1]).any(axis=1)
@@ -208,7 +213,7 @@ def grade_rows(
         dx = _centred_desc(desc[tied])
         num[tied], sx2[tied] = (dx * dy[tied]).sum(axis=1), (dx * dx).sum(axis=1)
         order[tied] = np.argsort(-scores[tied], axis=1, kind="stable")
-    denom = np.sqrt(sx2 * realized.sumsq)
+    denom = np.sqrt(sx2 * realized.sumsq[steps])
     rankic = np.divide(num, denom, out=np.zeros(rows), where=denom != 0.0)
     gross = realized.returns.take(np.sort(order[:, :m], axis=1) + shift).mean(axis=1)
     recall = (realized.places.take(order[:, :recall_n] + shift) < recall_n).sum(axis=1) / recall_n

@@ -6,7 +6,8 @@ with the engine is evidence of correctness rather than shared code. The two
 exceptions are bit-exact references built on numpy: tracker_window_stats,
 which reduces each series on its own with 1-D numpy calls,
 ts_window_reference, which reduces every trailing window on its own, and
-grade_rows_reference, which ranks every row with one stable sort.
+grade_rows_reference, which ranks every row with one stable sort. StepTracker
+grades the pool a step at a time with the scorer and grader it is given.
 """
 from __future__ import annotations
 
@@ -124,6 +125,43 @@ def grade_rows_reference(
     hits = (score_places < recall_n) & (realized_places < recall_n)
     recall = hits.sum(axis=1) / recall_n
     return gross, rankic, recall
+
+
+class StepTracker:
+    """Per-name tracker series graded one step at a time, with no block: at
+    step t every pool factor with created_step <= t is scored alone by
+    score(record, t), and the step's (k, n) rows are graded in one
+    grade(rows, t) call against that step alone. drop forgets a name, so
+    a name that comes back starts a new series."""
+
+    def __init__(
+        self,
+        score: Callable[[object, int], np.ndarray],
+        grade: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> None:
+        self.score, self.grade = score, grade
+        self.entries: dict[str, tuple[list[int], list[float], list[float], list[float]]] = {}
+
+    def update(self, pool: dict, t: int) -> None:
+        names = sorted(name for name, rec in pool.items() if rec.created_step <= t)
+        if not names:
+            return
+        grades = self.grade(np.stack([self.score(pool[name], t) for name in names]), t)
+        for name, gross, rankic, recall in zip(names, *grades):
+            steps, *columns = self.entries.setdefault(name, ([], [], [], []))
+            steps.append(t)
+            for column, value in zip(columns, (gross, rankic, recall)):
+                column.append(float(value))
+
+    def drop(self, names: Iterable[str]) -> None:
+        for name in names:
+            self.entries.pop(name, None)
+
+    def names(self) -> list[str]:
+        return sorted(self.entries)
+
+    def series(self, name: str) -> tuple[list[int], list[float], list[float], list[float]]:
+        return tuple(list(column) for column in self.entries.get(name, ([], [], [], [])))
 
 
 def mdd_bruteforce(values: Sequence[float]) -> float:

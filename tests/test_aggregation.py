@@ -341,6 +341,32 @@ def test_aggregate_records_parses_each_distinct_pool_entry_once(tmp_path, monkey
     assert len(calls) == 2 * len(distinct)
 
 
+def test_pooled_library_reuses_the_trees_the_merge_decoded(tmp_path, monkeypatch) -> None:
+    # Two names share one tree, so the structural dedup runs on reused trees.
+    factors = {
+        "a_7_v1": (101.0, 0.1, "ts_delta(prices, 7)"),
+        "b_7_v1": (99.0, 0.2, "last(prices)"),
+        "c_7_v1": (98.0, 0.0, "ts_delta( prices , 7 )"),
+    }
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"run{i}.jsonl"))
+        save_checkpoints([_rec(60 + 5 * k, factors) for k in range(3)], paths[-1])
+    merged = aggregate_records(paths)
+    save_merged(merged, str(tmp_path / "merged.jsonl"))
+    loaded = load_merged(str(tmp_path / "merged.jsonl"))
+    assert loaded == merged and loaded[-1].trees == {}
+    calls = []
+    parse = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
+    library = pooled_library(merged)
+    assert calls == []
+    assert [rec.name for rec in library] == ["a_7_v1", "b_7_v1"]
+    # A merge read back from its file holds text only, and pools the same records.
+    assert pooled_library(loaded) == library
+    assert sorted(calls) == sorted(loaded[-1].expressions.values()) and len(calls) == len(factors)
+
+
 # ------------------------------------------------------------ run order
 
 

@@ -341,6 +341,7 @@ def test_normalize_scores_affine_invariant_ordering() -> None:
 
 _EXTREMES = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 0.0])
 _ORDINARY = st.floats(-1e6, 1e6, allow_nan=False)
+_ZEROS = st.sampled_from([-0.0, 0.0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -359,6 +360,36 @@ def test_normalize_scores_stays_finite_on_extreme_rows(row) -> None:
     if math.isfinite(2.0 * (high - low)):
         # Where the old formula did not overflow, every bit is kept.
         assert np.array_equal(out, 2.0 * (values - low) / (high - low) - 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                st.lists(st.one_of(_EXTREMES, _ORDINARY, _ZEROS), min_size=n, max_size=n),
+                st.builds(lambda v: [v] * n, st.one_of(_EXTREMES, _ORDINARY, st.just(-0.0))),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_normalize_scores_block_equals_each_row_alone(rows) -> None:
+    # Overflowing spans, constant rows and signed zeros keep their bits,
+    # those of a row scaled with Python float bounds as well.
+    def scaled_alone(row: list[float]) -> list[float]:
+        values, low, high = np.array(row), min(row), max(row)
+        if high == low:
+            return [0.0] * len(row)
+        if math.isinf(high - low):
+            values, low, high = values / 2.0, low / 2.0, high / 2.0
+        return (2.0 * ((values - low) / (high - low)) - 1.0).tolist()
+
+    block = normalize_scores(np.array(rows))
+    assert block.shape == (len(rows), len(rows[0]))
+    assert repr(block.tolist()) == repr([normalize_scores(row).tolist() for row in rows])
+    assert repr(block.tolist()) == repr([scaled_alone(row) for row in rows])
 
 
 def test_normalize_scores_overflowing_span_examples() -> None:

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from strategies import expressions, within_caps
 
-from evofactor import dsl, evolution, portfolio, seeds
+from evofactor import dsl, evolution, metrics, portfolio, seeds
 from evofactor.dsl import ALLOWED_WINDOWS, TS_OPS, Last, TimeSeries
 from evofactor.evolution import (
     EvolutionConfig,
@@ -104,11 +104,14 @@ def test_config_validation() -> None:
 
 def test_tracker_mechanics() -> None:
     tr = PerfTracker()
-    tr.add("a", 30, 1.01, 0.1, 0.5)
-    tr.add("a", 31, 0.99, -0.2, 0.0)
-    tr.add("b", 31, 1.02, 0.3, 1.0)
+    tr.add(["a"], 30, [1.01], [0.1], [0.5])
+    tr.add(["a", "b"], 31, [0.99, 1.02], [-0.2, 0.3], [0.0, 1.0])
     with pytest.raises(ValueError):
-        tr.add("a", 31, 1.0, 0.0, 0.0)  # steps must increase
+        tr.add(["a"], 31, [1.0], [0.0], [0.0])  # steps must increase
+    with pytest.raises(ValueError):
+        tr.add(["c", "b", "c"], 32, [1.0] * 3, [0.0] * 3, [0.0] * 3)  # names must be distinct
+    with pytest.raises(ValueError):
+        tr.add(["c", "a"], 31, [1.0] * 2, [0.0] * 2, [0.0] * 2)  # a rejected write changes nothing
     assert tr.names() == ["a", "b"]
     assert tr.count("a") == 2
     assert tr.count("a", upto=30) == 1
@@ -124,7 +127,7 @@ def test_tracker_stat_performance_columns() -> None:
     tr = PerfTracker()
     grosses = [1.02, 0.97, 1.01, 1.03]
     for i, g in enumerate(grosses):
-        tr.add("f", 30 + i, g, 0.1 * i, 0.5)
+        tr.add(["f"], 30 + i, [g], [0.1 * i], [0.5])
     stats = tr.stat(["f"], window=10, upto=40, recall_n=4)["f"]
     net = [g - 1.0 for g in grosses]
     assert stats["mean_return"] == pytest.approx(oracles.mean(net))
@@ -150,7 +153,7 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     ics = [0.2, -0.1, 0.4]
     recalls = [0.5, 0.25, 0.75]
     for i, (ic, rc) in enumerate(zip(ics, recalls)):
-        tr.add("f", 30 + i, 1.0, ic, rc)
+        tr.add(["f"], 30 + i, [1.0], [ic], [rc])
     stats = tr.stat(["f", "ghost"], window=5, upto=40, recall_n=4)
     # A name with no entries up to upto is left out, not given neutral stats.
     assert list(stats) == ["f"]
@@ -204,7 +207,7 @@ def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[tuple[int, float, floa
             tr.drop(name)
             entries.pop(name, None)
         else:
-            tr.add(name, *entry)
+            tr.add([name], entry[0], *([v] for v in entry[1:]))
             entries.setdefault(name, []).append(entry)
     return tr, entries
 
@@ -389,6 +392,109 @@ def test_update_tracker_matches_manual_evaluation() -> None:
     assert recall[0] == pytest.approx(oracles.recall_at_n(scores, realized, 2))
 
 
+def test_update_tracker_grades_each_name_once_per_search_block(monkeypatch) -> None:
+    # Blocks of search_interval 4 from lookback 30: 30..31, 32..35, ..., 76..79.
+    calls: list[tuple[int, int]] = []  # (first step, score rows) of each grade_rows call
+
+    def counting_grade(scores, realized, m, recall_n, steps=None, _grade=metrics.grade_rows):
+        calls.append((int(steps[0]), len(scores)))
+        return _grade(scores, realized, m, recall_n, steps)
+
+    monkeypatch.setattr(metrics, "grade_rows", counting_grade)
+    table = random_walk_table(6, 80, seed=2)
+    cfg = _cfg(search_interval=4, recall_n=2)
+    pool = {r.name: r for r in seed_factors((7,))[:3]}
+    late = dataclasses.replace(seed_factors((7,))[3], created_step=41)  # joins mid-block 40..43
+    scorer = _scorer(table, cfg)
+    tracker = PerfTracker()
+    assert scorer.rm.values.shape[1] == 80
+    for t in range(cfg.lookback, 80):
+        if t == 37:  # a name whose staged rows are freed mid-block is graded again from there
+            scorer.drop(next(iter(pool)))
+        update_tracker(tracker, {**pool, late.name: late}, scorer, t, cfg)
+        assert max(tracker.series(name)[0][-1] for name in tracker.names()) == t
+    # One call per block over its pool, rows = names x steps left in the block.
+    late_blocks = [(t, 16) for t in range(44, 80, 4)]
+    assert calls == [(30, 6), (32, 12), (36, 12), (37, 3), (40, 12), (41, 3), *late_blocks]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
+    # Every tracker write of a run and of its resume must equal, by repr, a
+    # reference that scores each factor on its own window and grades one
+    # step at a time; after step t no entry is later than t.
+    lookback = data.draw(st.sampled_from([8, 14]), label="lookback")
+    cfg = _cfg(
+        lookback=lookback,
+        warmup_steps=lookback + data.draw(st.integers(0, 8), label="warmup_slack"),
+        search_interval=data.draw(st.integers(1, 7), label="search_interval"),
+        max_pool_size=data.draw(st.integers(12, 15), label="max_pool_size"),
+        keep_top_n=data.draw(st.integers(1, 4), label="keep_top_n"),
+        t_drop=data.draw(st.sampled_from([0.0, 0.05]), label="t_drop"),
+        rng_seed=data.draw(st.integers(0, 3), label="rng_seed"),
+    )
+    first_search = (cfg.warmup_steps // cfg.search_interval + 1) * cfg.search_interval
+    n_steps = first_search + data.draw(st.integers(2, 5), label="rounds") * cfg.search_interval + 2
+    table = planted_momentum_table(
+        n_assets=data.draw(st.integers(6, 8), label="n_assets"),
+        n_steps=n_steps,
+        seed=data.draw(st.integers(0, 2**16), label="table_seed"),
+        signal=0.6,
+    )
+    pool = [
+        dataclasses.replace(rec, created_step=data.draw(st.integers(0, n_steps - 3), label=rec.name))
+        for rec in seed_factors(cfg.seed_windows)
+    ]
+    rm = to_relative_returns(table)
+    norm = to_normalized_prices(rm)
+
+    def score(rec: FactorRecord, t: int) -> np.ndarray:
+        return dsl.evaluate_cross_section(rec.expr, *window_matrices(norm, rm, t, cfg.lookback))
+
+    def grade(rows: np.ndarray, t: int):
+        return metrics.grade_rows(rows, rm.values[:, t], cfg.m, cfg.recall_n)
+
+    references: dict[int, tuple[PerfTracker, oracles.StepTracker]] = {}  # the tracker keeps its id
+
+    def reference(tracker: PerfTracker) -> oracles.StepTracker:
+        return references.setdefault(id(tracker), (tracker, oracles.StepTracker(score, grade)))[1]
+
+    def checked_update(tracker, pool, scorer, t, cfg, _update=update_tracker):
+        _update(tracker, pool, scorer, t, cfg)
+        ref = reference(tracker)
+        ref.update(pool, t)
+        assert tracker.names() == ref.names()
+        for name in ref.names():
+            got = tracker.series(name)
+            assert repr(got) == repr(ref.series(name)), (t, name)
+            assert got[0][-1] <= t
+        block_start = max(cfg.lookback, t - t % cfg.search_interval)
+        if any(block_start < rec.created_step <= t for rec in pool.values()):
+            event("a factor joins mid-block")
+
+    def checked_drop(self, names, _drop=evolution.RunState.drop):
+        names = sorted(names)
+        graded = [name for name in names if self.tracker.count(name)]
+        event("pruned" if graded else "no pruned factor")
+        event("gated out" if len(graded) < len(names) else "none gated out")
+        reference(self.tracker).drop(names)
+        _drop(self, names)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "update_tracker", checked_update)
+        patch.setattr(evolution.RunState, "drop", checked_drop)
+        chunk = data.draw(st.sampled_from([1, 50, 200, 16_000]), label="chunk")
+        patch.setattr(evolution, "GRADE_CHUNK", chunk)  # small chunks split a block over several calls
+        full = run_evolution(table, cfg, gen=generate_offline, pool=pool)
+        if full.records:
+            rec = full.records[data.draw(st.integers(0, len(full.records) - 1), label="checkpoint")]
+            resumed = run_evolution(table, cfg, gen=generate_offline, pool=pool, resume_from=rec)
+            assert resumed.ledger == full.ledger[rec.step + 1 :]
+    for tracker, ref in references.values():
+        assert tracker.names() == ref.names()
+
+
 # ---------------------------------------------------------- pool hygiene
 
 
@@ -408,11 +514,10 @@ def _tracked_pool(n_extra: int, windows=(3, 7), good: int = 4):
         )
         pool[rec.name] = rec
         extras.append(rec.name)
-    for name in pool:
-        is_good = name in extras[:good]
-        gross = 1.02 if is_good else (0.99 if name in extras else 1.0)
-        for step in range(30, 75):
-            tracker.add(name, step, gross, 0.0, 0.5)
+    names = list(pool)
+    gross = [1.02 if name in extras[:good] else (0.99 if name in extras else 1.0) for name in names]
+    for step in range(30, 75):
+        tracker.add(names, step, gross, [0.0] * len(names), [0.5] * len(names))
     return pool, tracker, extras
 
 
@@ -676,9 +781,9 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
         kept[candidate.name] = keep
         return keep, why
 
-    def recording_add(self, name, *args, _add=PerfTracker.add):
-        tracked.add(name)
-        _add(self, name, *args)
+    def recording_add(self, names, *args, _add=PerfTracker.add):
+        tracked.update(names)
+        _add(self, names, *args)
 
     monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
     monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
@@ -907,9 +1012,9 @@ def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:
     rows: list[int] = []
     tracked: set[str] = set()
 
-    def recording_add(self, name, *args, _add=PerfTracker.add):
-        _add(self, name, *args)
-        tracked.add(name)
+    def recording_add(self, names, *args, _add=PerfTracker.add):
+        _add(self, names, *args)
+        tracked.update(names)
         rows.append(self._values.shape[1])  # rows allocated so far
 
     monkeypatch.setattr(PerfTracker, "add", recording_add)

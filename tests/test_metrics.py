@@ -236,6 +236,22 @@ def test_grade_rows_equals_the_stable_sort_reference(case) -> None:
         assert [[repr(float(v)) for v in a] for a in got] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(_graded_blocks(), st.integers(1, 7), st.data())
+def test_grade_rows_by_step_index_equals_the_reference_on_each_row(case, steps_in_table, data) -> None:
+    # Score row i is graded against row steps[i] of one ranked table, read in place.
+    scores, _, m, recall_n = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="table_seed"))
+    kinds = data.draw(st.lists(st.integers(0, 3), min_size=steps_in_table, max_size=steps_in_table))
+    table = np.stack([_row(rng, kind, scores.shape[1]) for kind in kinds])
+    index = st.integers(0, steps_in_table - 1)
+    steps = np.array(data.draw(st.lists(index, min_size=len(scores), max_size=len(scores))))
+    want = oracles.grade_rows_reference(scores, table[steps], m, recall_n)
+    want = [[repr(float(v)) for v in a] for a in want]
+    got = grade_rows(scores, rank_realized(table), m, recall_n, steps)
+    assert [[repr(float(v)) for v in a] for a in got] == want
+
+
 def test_grade_rows_rejects_bad_input() -> None:
     scores = np.array([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
@@ -250,6 +266,9 @@ def test_grade_rows_rejects_bad_input() -> None:
         grade_rows(scores, scores[0], 1, 0)
     with pytest.raises(ValueError):
         grade_rows(np.array([[1.0, np.nan, 3.0]]), scores[0], 1, 1)
+    for steps in ([2], [-1], [0, 1]):  # out of the table, or not one per score row
+        with pytest.raises(ValueError):
+            grade_rows(scores, np.ones((2, 3)), 1, 1, np.array(steps))
 
 
 # --------------------------------------------------------------- rankic
