@@ -107,7 +107,8 @@ def aggregate_records(
     paths: Sequence[str], n_limit: int = 0, ratio: float = 1.0
 ) -> list[MergedRecord]:
     """Load checkpoint files and merge them (see merge_runs). The files share
-    one record memo, so each distinct pool entry is decoded once per call."""
+    one memo, so each distinct pool entry is decoded, and each distinct
+    expression text parsed, once per call."""
     if not paths:
         raise ValueError("need at least one checkpoint path")
     memo: dict = {}

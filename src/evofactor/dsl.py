@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -223,112 +223,125 @@ def replace_at(expr: Expr, pos: int, replacement: Expr) -> Expr:
 
 
 def validate_expr(expr: Expr) -> None:
-    """Check structural invariants; raises ExprError on violation."""
-    n = 0
-    for node in iter_nodes(expr):
-        n += 1
-        if isinstance(node, Feature):
-            if node.name not in FEATURES:
-                raise ExprError(f"unknown feature {node.name!r}")
-        elif isinstance(node, Const):
-            if not np.isfinite(node.value):
-                raise ExprError(f"non-finite constant {node.value!r}")
-        elif OP_CLASSES.get(op := getattr(node, "op", None)) is not type(node):
-            raise ExprError(f"unknown {type(node).__name__} op {op!r}")
-        elif isinstance(node, TimeSeries) and node.window not in ALLOWED_WINDOWS:
-            raise ExprError(f"window {node.window} not in allowed set {ALLOWED_WINDOWS}")
-    if n > MAX_NODES:
-        raise ExprError(f"expression has {n} nodes, cap is {MAX_NODES}")
-    d = depth(expr)
-    if d > MAX_DEPTH:
-        raise ExprError(f"expression depth {d} exceeds cap {MAX_DEPTH}")
+    """Check structural invariants; raises ExprError on violation. One
+    preorder walk checks every node, then the node count and the depth."""
+    nodes, deepest = _check_tree(expr)
+    if nodes > MAX_NODES:
+        raise ExprError(f"expression has {nodes} nodes, cap is {MAX_NODES}")
+    if deepest > MAX_DEPTH:
+        raise ExprError(f"expression depth {deepest} exceeds cap {MAX_DEPTH}")
+
+
+def _check_tree(node: Expr) -> tuple[int, int]:
+    """Check node, then its subtrees left to right: (nodes, depth)."""
+    if isinstance(node, Feature):
+        if node.name not in FEATURES:
+            raise ExprError(f"unknown feature {node.name!r}")
+        return 1, 1
+    if isinstance(node, Const):
+        if not np.isfinite(node.value):
+            raise ExprError(f"non-finite constant {node.value!r}")
+        return 1, 1
+    if OP_CLASSES.get(op := getattr(node, "op", None)) is not type(node):
+        raise ExprError(f"unknown {type(node).__name__} op {op!r}")
+    if isinstance(node, Binary):
+        left_nodes, left_depth = _check_tree(node.left)
+        right_nodes, right_depth = _check_tree(node.right)
+        return 1 + left_nodes + right_nodes, 1 + max(left_depth, right_depth)
+    if isinstance(node, TimeSeries) and node.window not in ALLOWED_WINDOWS:
+        raise ExprError(f"window {node.window} not in allowed set {ALLOWED_WINDOWS}")
+    nodes, deepest = _check_tree(node.child)
+    return 1 + nodes, 1 + deepest
 
 
 # ------------------------------------------------------------ parse / print
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[a-z_][a-z0-9_]*)"
-    r"|(?P<punct>[(),]))"
+    r"|(?P<punct>[(),])"
+    r"|(?P<other>\S)"
 )
 
+_Token = tuple[str, str, int]  # (kind, text, position of its first character)
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if match.lastgroup is not None:
-            tokens.append((match.lastgroup, match.group(match.lastgroup), match.start()))
-        pos = match.end()
+
+def _tokenize(text: str) -> list[_Token]:
+    """Every token of text from one scan, then an "end" token; whitespace
+    only separates tokens, and any other character fails."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, at in tokens:
+        if kind == "other":
+            raise ParseError(f"unexpected character {value!r} at position {at}")
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _expected(token: _Token, kind: str, value: str | None = None) -> ParseError:
+    """The error for token, found where a kind (and value) token belongs."""
+    got_kind, got, at = token
+    if got_kind == "end":
+        return ParseError("unexpected end of expression")
+    if got_kind != kind:
+        return ParseError(f"expected {kind} at position {at}, got {got!r}")
+    return ParseError(f"expected {value!r} at position {at}, got {got!r}")
+
+
+def _parse_node(tokens: list[_Token], i: int) -> tuple[Expr, int]:
+    """The tree whose text starts at tokens[i], and the index after it."""
+    kind, value, at = tokens[i]
+    if kind == "num":
+        return Const(float(value)), i + 1
+    if kind == "end":
+        raise ParseError("unexpected end of expression")
+    if kind != "name":
+        raise ParseError(f"unexpected token {value!r} at position {at}")
+    if value in FEATURES:
+        return Feature(value), i + 1
+    node_type = OP_CLASSES.get(value)
+    if node_type is None:
+        raise ParseError(f"unknown operator {value!r} at position {at}")
+    if tokens[i + 1][1] != "(":
+        raise _expected(tokens[i + 1], "punct", "(")
+    child, i = _parse_node(tokens, i + 2)
+    if node_type is Binary or node_type is TimeSeries:
+        if tokens[i][1] != ",":
+            raise _expected(tokens[i], "punct", ",")
+        if node_type is Binary:
+            second, i = _parse_node(tokens, i + 1)
+        else:
+            second, i = _parse_window(tokens[i + 1]), i + 2
+        node = node_type(value, child, second)
+    else:
+        node = Last(child) if node_type is Last else Unary(value, child)
+    if tokens[i][1] != ")":
+        raise _expected(tokens[i], "punct", ")")
+    return node, i + 1
+
+
+def _parse_window(token: _Token) -> int:
+    kind, value, _ = token
+    if kind != "num":
+        raise _expected(token, "num")
+    try:
+        window = int(value)
+    except ValueError:
+        raise ParseError(f"window must be an integer, got {value!r}") from None
+    if window not in ALLOWED_WINDOWS:
+        raise ParseError(f"window {window} not in allowed set {ALLOWED_WINDOWS}")
+    return window
 
 
 def parse(text: str) -> Expr:
     """Parse canonical expression text; validates structure on the way out."""
     tokens = _tokenize(text)
-    if not tokens:
+    if len(tokens) == 1:
         raise ParseError("empty expression")
-    index = [0]
-
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[index[0]] if index[0] < len(tokens) else None
-
-    def take(kind: str | None = None, value: str | None = None) -> tuple[str, str, int]:
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind} at position {tok[2]}, got {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r} at position {tok[2]}, got {tok[1]!r}")
-        index[0] += 1
-        return tok
-
-    def parse_window() -> int:
-        tok = take("num")
-        try:
-            window = int(tok[1])
-        except ValueError:
-            raise ParseError(f"window must be an integer, got {tok[1]!r}") from None
-        if window not in ALLOWED_WINDOWS:
-            raise ParseError(
-                f"window {window} not in allowed set {ALLOWED_WINDOWS}"
-            )
-        return window
-
-    def parse_expr() -> Expr:
-        tok = take()
-        kind, value, at = tok
-        if kind == "num":
-            return Const(float(value))
-        if kind != "name":
-            raise ParseError(f"unexpected token {value!r} at position {at}")
-        if value in FEATURES:
-            return Feature(value)
-        node_type = OP_CLASSES.get(value)
-        if node_type is None:
-            raise ParseError(f"unknown operator {value!r} at position {at}")
-        take("punct", "(")
-        args: list = [parse_expr()]
-        if node_type is Binary:
-            take("punct", ",")
-            args.append(parse_expr())
-        elif node_type is TimeSeries:
-            take("punct", ",")
-            args.append(parse_window())
-        take("punct", ")")
-        return Last(*args) if node_type is Last else node_type(value, *args)
-
-    expr = parse_expr()
-    if peek() is not None:
-        tok = peek()
-        raise ParseError(f"trailing input at position {tok[2]}: {tok[1]!r}")  # type: ignore[index]
+    expr, i = _parse_node(tokens, 0)
+    kind, value, at = tokens[i]
+    if kind != "end":
+        raise ParseError(f"trailing input at position {at}: {value!r}")
     validate_expr(expr)
     return expr
 
@@ -375,20 +388,25 @@ def _window_sum(slabs: list[np.ndarray], centre: np.ndarray | None = None) -> np
         np.subtract(slabs[k], centre, out=scratch)
         return np.multiply(scratch, scratch, out=scratch)
 
-    def lanes(lo: int, width: int) -> np.ndarray:
-        if width > 1:  # paired as numpy pairs its partial sums
-            acc = lanes(lo, width // 2)
-            acc += lanes(lo + width // 2, width // 2)
-            return acc
-        acc = term(lo).copy()
-        for k in range(lo + 8, head, 8):
-            acc += term(k)
-        return acc
-
-    total = lanes(0, 8) if head else term(0).copy()
+    total = _lanes(term, head, 0, 8) if head else term(0).copy()
     for k in range(max(head, 1), len(slabs)):
         total += term(k)
     return total
+
+
+def _lanes(term: Callable[[int], np.ndarray], head: int, lo: int, width: int) -> np.ndarray:
+    """Lanes lo .. lo+width-1 of the first head terms (lane j sums terms j,
+    j+8, ...), added as numpy pairs them. A module function, not a closure:
+    a closure that calls itself is a reference cycle, which would keep the
+    window's slabs alive until the cyclic collector runs."""
+    if width > 1:
+        acc = _lanes(term, head, lo, width // 2)
+        acc += _lanes(term, head, lo + width // 2, width // 2)
+        return acc
+    acc = term(lo).copy()
+    for k in range(lo + 8, head, 8):
+        acc += term(k)
+    return acc
 
 
 def _eval_ts(op: str, child: np.ndarray, window: int) -> np.ndarray:

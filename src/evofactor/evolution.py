@@ -508,23 +508,26 @@ def json_object(doc: dict, key: str) -> dict:
 
 
 def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
-    """json_to_record(doc), reusing the record of an earlier entry in memo
-    whose every field that json_to_record reads is equal. An entry with an
-    unhashable field is decoded on its own."""
+    """json_to_record(doc, memo), reusing the record of an earlier entry in
+    memo whose every field that json_to_record reads is equal and of the same
+    type. An entry with an unhashable field is decoded on its own. The same
+    memo maps expression text to its tree, so entries that differ in any
+    other field share one parse."""
     try:
-        fields = (doc["name"], doc["expr"], doc["base_name"], doc["version"], doc["origin"])
-        key = (*fields, tuple(doc["parents"]), doc["created_step"])
+        version, parents, step = doc["version"], doc["parents"], doc["created_step"]
+        key = (doc["name"], doc["expr"], doc["base_name"], version, doc["origin"],
+               tuple(parents), step, type(version), type(parents), type(step))
         record = memo.get(key)
     except (KeyError, TypeError):
-        return json_to_record(doc)
+        return json_to_record(doc, memo)
     if record is None:
-        record = memo[key] = json_to_record(doc)
+        record = memo[key] = json_to_record(doc, memo)
     return record
 
 
 def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
     """One checkpoint line; lines decoded with the same memo share the pool
-    records they repeat. performance and quality must name the same pool
+    records and expression trees they repeat. performance and quality must name the same pool
     factors and hold the numeric final_value and mean_rankic a merge reads."""
     for key in ("step", "pool", "performance", "quality", "state"):
         if key not in doc:
@@ -576,8 +579,9 @@ def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
 
 
 def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
-    """Every checkpoint in path; each distinct pool entry is decoded once per
-    file, or once across all calls that pass the same memo."""
+    """Every checkpoint in path; each distinct pool entry is decoded, and each
+    distinct expression text parsed, once per file, or once across all calls
+    that pass the same memo."""
     memo = {} if memo is None else memo
     return read_jsonl(path, lambda doc: json_to_search_record(doc, memo), "checkpoint")
 

@@ -186,27 +186,42 @@ def record_to_json(record: FactorRecord) -> dict:
     }
 
 
-def json_to_record(doc: dict) -> FactorRecord:
-    for key in ("name", "expr", "base_name", "version", "origin", "parents", "created_step"):
+# A record's JSON fields and the one JSON type each must have.
+_FIELD_TYPES = {"name": str, "expr": str, "base_name": str, "version": int,
+                "origin": str, "parents": list, "created_step": int}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list of strings"}
+
+
+def json_to_record(doc: dict, trees: dict | None = None) -> FactorRecord:
+    """The record a record_to_json document describes. trees maps expression
+    text to its tree: a text found there is not parsed again, and a text
+    parsed here is added to it."""
+    for key in _FIELD_TYPES:
         if key not in doc:
             raise ValueError(f"factor record missing {key!r}")
+    for key, kind in _FIELD_TYPES.items():
+        if type(doc[key]) is not kind:  # JSON true/false is no integer here
+            raise ValueError(f"{key} {doc[key]!r} must be {_TYPE_NAMES[kind]}")
+    if not all(type(p) is str for p in doc["parents"]):
+        raise ValueError(f"parents {doc['parents']!r} must be {_TYPE_NAMES[list]}")
     base, window, version = parse_name(doc["name"])
+    trees = {} if trees is None else trees
+    if doc["expr"] not in trees:
+        trees[doc["expr"]] = dsl.parse(doc["expr"])
     record = FactorRecord(
         name=doc["name"],
-        expr=dsl.parse(doc["expr"]),
+        expr=trees[doc["expr"]],
         base_name=doc["base_name"],
-        version=int(doc["version"]),
+        version=doc["version"],
         origin=doc["origin"],
         parents=tuple(doc["parents"]),
-        created_step=int(doc["created_step"]),
+        created_step=doc["created_step"],
         window=window,
         validated=True,
     )
     for key, want in (("base_name", base), ("version", version)):
         if getattr(record, key) != want:
             raise ValueError(f"{key} {doc[key]!r} does not match name {doc['name']!r}")
-    if not all(isinstance(p, str) for p in record.parents):
-        raise ValueError(f"parents {doc['parents']!r} must all be strings")
     return record
 
 

@@ -1,4 +1,4 @@
-"""DSL-layer microbenchmark: evaluate_panel on the loop's panel blocks.
+"""DSL-layer microbenchmarks: evaluate_panel on the loop's panel blocks, and parse.
 
 `test_evaluate_panel` evaluates `op(prices, window)` over one panel block, at
 windows 3 and 21, on these block shapes:
@@ -12,8 +12,15 @@ windows 3 and 21, on these block shapes:
 
 `test_seed_library` evaluates the 42 seed factors over one `backtest` block:
 30 steps of 200 assets, each factor on its own rf - 1 columns of history, as
-the `backtest` workload's ScoreCache does. The file is not named test_*.py,
-so the test suite does not collect it. Run it with
+the `backtest` workload's ScoreCache does.
+
+`test_parse_expressions` parses the 42 seed factors' texts and the printed
+texts of `RANDOM_TREES` random trees from tests/strategies.py (drawn with a
+fixed seed), each once, as a checkpoint reader parses the distinct texts of
+its inputs.
+
+The file is not named test_*.py, so the test suite does not collect it.
+Run it with
 
     PYTHONPATH=src python -m pytest tests/bench_dsl.py --benchmark-only
 """
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from strategies import expressions
 
 from evofactor import dsl, seeds
 from evofactor.dsl import TS_OPS, Feature, TimeSeries
@@ -32,6 +41,7 @@ SHAPES = {
     **{f"backtest_rf{rf}": (200, 60 + rf - 1) for rf in (4, 22)},
 }
 BACKTEST_STEPS = 30  # live steps of the `backtest` workload, all in one block
+RANDOM_TREES = 100
 
 
 def _block(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,3 +74,21 @@ def test_seed_library(benchmark) -> None:
 
     out = benchmark(evaluate_all)
     assert len(out) == 42 and all(block.shape == (200, span) for block, span in zip(out, spans))
+
+
+def _random_texts(count: int) -> list[str]:
+    texts: list[str] = []
+
+    @settings(max_examples=count, derandomize=True, database=None, phases=[Phase.generate])
+    @given(expressions())
+    def draw(expr: dsl.Expr) -> None:
+        texts.append(dsl.print_expr(expr))
+
+    draw()
+    return texts
+
+
+def test_parse_expressions(benchmark) -> None:
+    texts = [rec.expr_text for rec in seeds.seed_factors()] + _random_texts(RANDOM_TREES)
+    out = benchmark(lambda: [dsl.parse(text) for text in texts])
+    assert [dsl.print_expr(expr) for expr in out] == texts

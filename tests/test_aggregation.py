@@ -23,6 +23,7 @@ from evofactor.aggregation import (
     pooled_library,
     save_merged,
 )
+from evofactor.cli import main
 from evofactor.evolution import SearchRecord, save_checkpoints, search_record_to_json
 from evofactor.seeds import make_record, record_to_json
 
@@ -310,7 +311,7 @@ def test_load_merged_names_a_map_that_is_not_an_object(tmp_path, key) -> None:
         load_merged(str(path))
 
 
-def test_aggregate_records_parses_each_distinct_pool_entry_once(tmp_path, monkeypatch) -> None:
+def test_aggregate_records_parses_each_distinct_expression_once(tmp_path, monkeypatch) -> None:
     # Three streams whose pools repeat entries across lines and across files;
     # one name recurs with another expression and one with another origin.
     shared = {"a_7_v1": (101.0, 0.1, "ts_delta(prices, 7)"), "b_7_v1": (99.0, 0.2, "last(prices)")}
@@ -327,18 +328,45 @@ def test_aggregate_records_parses_each_distinct_pool_entry_once(tmp_path, monkey
     for i, run in enumerate(runs):
         paths.append(str(tmp_path / f"run{i}.jsonl"))
         save_checkpoints(run, paths[-1])
-    distinct = {
-        json.dumps(record_to_json(rec), sort_keys=True) for run in runs for r in run for rec in r.pool
-    }
-    assert len(distinct) == 5
+    entries = [record_to_json(rec) for run in runs for r in run for rec in r.pool]
+    assert len({json.dumps(doc, sort_keys=True) for doc in entries}) == 5
+    texts = sorted({doc["expr"] for doc in entries})
+    assert len(texts) == 3
     calls = []
     parse = dsl.parse
     monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
     first = aggregate_records(paths)
-    assert len(calls) == len(distinct)
+    assert sorted(calls) == texts
     # A second command starts from an empty memo: no state outlives a call.
     assert aggregate_records(paths) == first
-    assert len(calls) == 2 * len(distinct)
+    assert sorted(calls) == sorted(texts * 2)
+
+
+def test_differently_spelled_expressions_merge_and_pool_as_one(tmp_path, monkeypatch) -> None:
+    # Two names spell one expression two ways; the outputs carry its
+    # canonical text, and the pooled library keeps the first name only.
+    spellings = {"a_7_v1": "add(prices, 1.0)", "b_7_v1": "add( prices ,  1.00 )"}
+    factors = {name: (100.0 + i, 0.1, "add(prices, 1.0)") for i, name in enumerate(spellings)}
+    paths = []
+    for i in range(2):
+        paths.append(tmp_path / f"run{i}.jsonl")
+        lines = []
+        for k in range(3):
+            doc = search_record_to_json(_rec(60 + 5 * k, factors))
+            for entry in doc["pool"]:
+                entry["expr"] = spellings[entry["name"]]
+            lines.append(json.dumps(doc) + "\n")
+        paths[-1].write_text("".join(lines))
+    calls = []
+    parse = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
+    outdir = tmp_path / "out"
+    assert main(["aggregate", *map(str, paths), "-o", str(outdir)]) == 0
+    assert sorted(calls) == sorted(spellings.values())
+    merged = [json.loads(line) for line in (outdir / "merged.jsonl").read_text().splitlines()]
+    assert [doc["expressions"] for doc in merged] == [dict.fromkeys(spellings, "add(prices, 1.0)")] * 3
+    pooled = json.loads((outdir / "pooled_library.json").read_text())["factors"]
+    assert [(doc["name"], doc["expr"]) for doc in pooled] == [("a_7_v1", "add(prices, 1.0)")]
 
 
 def test_pooled_library_reuses_the_trees_the_merge_decoded(tmp_path, monkeypatch) -> None:

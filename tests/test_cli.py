@@ -234,6 +234,16 @@ def test_backtest_requires_snapshot(tmp_path, capsys, library) -> None:
     assert "no snapshot" in capsys.readouterr().err
 
 
+def test_backtest_rejects_a_library_field_of_the_wrong_type(tmp_path, capsys, snapshot, library) -> None:
+    doc = json.loads(Path(library).read_text())
+    doc["factors"][0]["name"] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["backtest", "--snapshot", snapshot, "--library", str(bad),
+                 "--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.strip().endswith("error: name 7 must be a string")
+
+
 def test_config_file_set_precedence(tmp_path, snapshot, library) -> None:
     cfg_path = tmp_path / "cfg.json"
     base = {k.split("=")[0]: k for k in ()}  # noqa: F841 - readability anchor

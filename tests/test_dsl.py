@@ -8,6 +8,7 @@ evaluation of the prefix [0..t].
 """
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -219,6 +220,21 @@ def test_window_sums_keep_numpys_pairwise_order(window: int) -> None:
     for op in ("ts_sum", "ts_mean", "ts_std"):
         got = dsl._eval_ts(op, row[:, None], window).T
         assert np.array_equal(got, ts_window_reference(op, row[None, :], window)), op
+
+
+def test_parse_and_window_sums_leave_no_reference_cycles() -> None:
+    # Garbage in a cycle waits for the cyclic collector, and a window sum's
+    # garbage would hold the window's padded copy of the panel until then.
+    rng = np.random.default_rng(0)
+    prices, returns = rng.lognormal(size=(2, 5, 40))
+    gc.collect()
+    gc.disable()
+    try:
+        expr = parse("sub(ts_std(returns, 21), ts_mean(ts_sum(prices, 14), 7))")
+        dsl.evaluate_panel(expr, prices, returns)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------- scalar operators
@@ -435,6 +451,21 @@ def test_parse_numbers_and_whitespace() -> None:
 def test_parse_rejects_malformed(text: str) -> None:
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("add(prices ;x)", "unexpected character ';' at position 11"),
+        ("prices  extra", "trailing input at position 8: 'extra'"),
+        ("add( prices returns)", "expected punct at position 12, got 'returns'"),
+    ],
+)
+def test_parse_error_positions_name_the_offending_character(text: str, message: str) -> None:
+    # A position indexes the character or token named, never the space before it.
+    with pytest.raises(ParseError) as failed:
+        parse(text)
+    assert str(failed.value) == message
 
 
 def test_validate_rejects_bad_nodes() -> None:

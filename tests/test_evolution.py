@@ -1213,6 +1213,36 @@ def test_an_invalid_expression_still_fails_naming_its_line(tmp_path, expr, messa
         load_library(str(library))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("parents", "ab", "parents 'ab' must be a list of strings", id="parents_text"),
+        pytest.param("parents", ["a", 1], "parents ['a', 1] must be a list of strings", id="parents_int"),
+        pytest.param("created_step", 3.7, "created_step 3.7 must be an integer", id="step_float"),
+        pytest.param("created_step", True, "created_step True must be an integer", id="step_bool"),
+        pytest.param("created_step", "5", "created_step '5' must be an integer", id="step_text"),
+        pytest.param("version", True, "version True must be an integer", id="version_bool"),
+        pytest.param("name", 5, "name 5 must be a string", id="name"),
+        pytest.param("expr", ["prices"], "expr ['prices'] must be a string", id="expr"),
+        pytest.param("base_name", None, "base_name None must be a string", id="base_name"),
+        pytest.param("origin", 1, "origin 1 must be a string", id="origin"),
+    ],
+)
+def test_a_field_of_the_wrong_json_type_fails_naming_its_key(tmp_path, key, value, message) -> None:
+    rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated", ("alpha_7_v0",), 3)
+    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    bad = json.loads(json.dumps(good))
+    bad["pool"][0][key] = value
+    path = tmp_path / "ck.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: bad checkpoint record: {re.escape(message)}$"):
+        load_checkpoints(str(path))
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps({"schema": LIBRARY_SCHEMA, "factors": good["pool"] + bad["pool"]}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load_library(str(library))
+
+
 _ENTRY_NAMES = ("alpha_7_v1", "alpha_7_v2", "beta_14_v1")
 _ENTRY_FIELDS = {
     # two spellings that print alike, versions and steps that int() maps

@@ -228,6 +228,9 @@ def test_json_to_record_rejects_fields_that_disagree_naming_the_key(key, value) 
     doc = dict(record_to_json(rec), **{key: value})
     with pytest.raises(ValueError, match=rf"^{key} {re.escape(repr(value))} "):
         json_to_record(doc)
-    # int()-equal versions and string parents still decode.
-    for ok in ({"version": 1.0}, {"version": "1"}, {"parents": ["alpha_7_v0x"]}):
-        assert json_to_record(dict(record_to_json(rec), **ok)).version == 1
+    # Only a JSON integer is a version, even one int() maps to the name's;
+    # parents that are strings but no factor names still decode.
+    for bad in (1.0, "1", True):
+        with pytest.raises(ValueError, match=rf"^version {re.escape(repr(bad))} must be an integer$"):
+            json_to_record(dict(record_to_json(rec), version=bad))
+    assert json_to_record(dict(record_to_json(rec), parents=["alpha_7_v0x"])).version == 1
