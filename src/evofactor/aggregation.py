@@ -22,9 +22,7 @@ from . import dsl
 from .evolution import (
     SearchRecord,
     filter_factor_versions,
-    json_object,
     load_checkpoints,
-    read_jsonl,
     search_record_to_json,
     write_jsonl,
 )
@@ -36,17 +34,17 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class MergedRecord:
     """One aligned step of the merged stream; every factor name is keyed in
-    all three maps, with values taken from exactly one source run."""
+    all four maps, with values taken from exactly one source run."""
 
     step: int
     performance: dict[str, float]  # factor -> final_value
     quality: dict[str, float]  # factor -> mean_rankic
-    expressions: dict[str, str]  # factor -> expression text
+    expressions: dict[str, str]  # factor -> canonical expression text
     # factor -> the tree merge_runs decoded; neither written nor compared
-    trees: dict[str, dsl.Expr] = field(default_factory=dict, compare=False, repr=False)
+    trees: dict[str, dsl.Expr] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (self.performance.keys() == self.quality.keys() == self.expressions.keys()):
+        if not (self.performance.keys() == self.quality.keys() == self.expressions.keys() == self.trees.keys()):
             raise ValueError("merged maps must share the same factor names")
 
 
@@ -118,9 +116,10 @@ def aggregate_records(
 def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
     """Factor records from the final merged step, deduplicated structurally.
 
-    Structural duplicates under different names keep the lexicographically
-    first name; dropped aliases are logged. Only texts without a tree
-    from the merge, as in a loaded merge file, are parsed.
+    Structural duplicates under different names, found by their canonical
+    expression text, keep the lexicographically first name; dropped aliases
+    are logged. Records take the trees the merge decoded, so nothing is
+    parsed or printed here.
     """
     if not merged:
         raise ValueError("empty merge")
@@ -128,13 +127,12 @@ def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
     seen: dict[str, str] = {}
     records: list[FactorRecord] = []
     for name in sorted(final.expressions):
-        expr = final.trees[name] if name in final.trees else dsl.parse(final.expressions[name])
-        canon = dsl.print_expr(expr)
+        canon = final.expressions[name]
         if canon in seen:
             logger.info("pooled alias %s duplicates %s", name, seen[canon])
             continue
         seen[canon] = name
-        records.append(make_record(name, expr, "pooled", validated=True))
+        records.append(make_record(name, final.trees[name], "pooled", validated=True))
     return records
 
 
@@ -147,21 +145,6 @@ def merged_to_json(record: MergedRecord) -> dict:
     }
 
 
-def json_to_merged(doc: dict) -> MergedRecord:
-    for key in ("step", "performance", "quality", "expressions"):
-        if key not in doc:
-            raise ValueError(f"merged record missing key {key!r}")
-    return MergedRecord(
-        step=int(doc["step"]),
-        performance={k: float(v) for k, v in json_object(doc, "performance").items()},
-        quality={k: float(v) for k, v in json_object(doc, "quality").items()},
-        expressions={k: str(v) for k, v in json_object(doc, "expressions").items()},
-    )
-
-
 def save_merged(records: Sequence[MergedRecord], path: str) -> None:
     write_jsonl(map(merged_to_json, records), path)
 
-
-def load_merged(path: str) -> list[MergedRecord]:
-    return read_jsonl(path, json_to_merged, "merged")

@@ -367,7 +367,6 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
         raise ValueError("factor_sweep needs --snapshot and --library")
     ecfg = build_config(EvolutionConfig, cfg)
     run = start_run(load_snapshot(args.snapshot), ecfg, pool=load_library(args.library))
-    cost_model = portfolio.CostModel(ecfg.cost_rate)
     # One ranking per step serves every k: k_top=k blends its first k rows.
     ks = range(1, 11)
     widest = dataclasses.replace(ecfg, k_top=ks[-1])
@@ -386,7 +385,7 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
             at_t = np.full(len(ks), t)
             step_ics = metrics.grade_rows(composites, run.scorer.realized, ecfg.m, ecfg.recall_n, at_t)[1].tolist()
         for k in ks:
-            weights, r_t, _, _, prev[k] = trade(rows[:k], realized, prev[k], ecfg, cost_model, t)
+            weights, r_t, _, _, prev[k] = trade(rows[:k], realized, prev[k], ecfg, t)
             if weights is not None:  # a traded step has rows
                 ics[k].append(step_ics[k - 1])
             value[k] *= r_t

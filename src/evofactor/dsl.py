@@ -185,13 +185,6 @@ def count_nodes(expr: Expr) -> int:
     return sum(1 for _ in iter_nodes(expr))
 
 
-def depth(expr: Expr) -> int:
-    kids = children(expr)
-    if not kids:
-        return 1
-    return 1 + max(depth(k) for k in kids)
-
-
 def windows_in(expr: Expr) -> tuple[int, ...]:
     """Window lengths appearing in the tree, in preorder."""
     return tuple(n.window for n in iter_nodes(expr) if isinstance(n, TimeSeries))

@@ -43,7 +43,7 @@ from .market_data import (
     to_relative_returns,
     window_matrices,
 )
-from .portfolio import CostModel, LedgerRow, PortfolioWeights
+from .portfolio import LedgerRow, PortfolioWeights
 from .seeds import FactorRecord, json_to_record, record_to_json, seed_factors
 
 logger = logging.getLogger(__name__)
@@ -560,30 +560,26 @@ def write_jsonl(docs: Iterable[dict], path: str) -> None:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str, parse: Callable[[dict], object], what: str) -> list:
-    """parse() of each non-blank line; a bad line fails naming path:line."""
+def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
+    write_jsonl(map(search_record_to_json, records), path)
+
+
+def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
+    """Every checkpoint in path, one per non-blank line; a bad line fails
+    naming path:line. Each distinct pool entry is decoded, and each distinct
+    expression text parsed, once per file, or once across all calls that
+    pass the same memo."""
+    memo = {} if memo is None else memo
     records = []
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(parse(json.loads(line)))
+                records.append(json_to_search_record(json.loads(line), memo))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad {what} record: {exc}") from exc
+                raise ValueError(f"{path}:{line_no}: bad checkpoint record: {exc}") from exc
     return records
-
-
-def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
-    write_jsonl(map(search_record_to_json, records), path)
-
-
-def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
-    """Every checkpoint in path; each distinct pool entry is decoded, and each
-    distinct expression text parsed, once per file, or once across all calls
-    that pass the same memo."""
-    memo = {} if memo is None else memo
-    return read_jsonl(path, lambda doc: json_to_search_record(doc, memo), "checkpoint")
 
 
 def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:
@@ -710,11 +706,10 @@ def trade(
     realized: np.ndarray,
     prev: PortfolioWeights | None,
     cfg: EvolutionConfig,
-    cost_model: CostModel,
     t: int,
 ) -> tuple[PortfolioWeights | None, float, float, float, PortfolioWeights | None]:
-    """One live step: blend rows into a composite, hold its top-m assets
-    weighted by cfg.weighting, and earn the realized returns net of costs.
+    """One live step: hold the composite's top-m assets weighted by
+    cfg.weighting; earn the realized returns less cfg.cost_rate * turnover.
 
     Returns (weights, net gross return, turnover, cost, weights drifted by
     the realized returns for the next step's turnover). With no rows, or when
@@ -734,7 +729,7 @@ def trade(
             weights = portfolio.positive_score_weights(sel, composite)
         else:
             weights = portfolio.temperature_weights(sel, composite, cfg.tau)
-        r_t, turn, fee = portfolio.step_return(weights, realized, prev, cost_model)
+        r_t, turn, fee = portfolio.step_return(weights, realized, prev, cfg.cost_rate)
         return weights, r_t, turn, fee, portfolio.drift_weights(weights, realized)
     except (ValueError, RuntimeError) as exc:
         logger.warning("step %d: live step failed (%s); market fallback", t, exc)
@@ -761,8 +756,7 @@ def run_evolution(
     """
     run = start_run(table, cfg, pool, resume_from)
     rm, scorer, tracker = run.scorer.rm, run.scorer, run.tracker
-    cost_model = CostModel(cfg.cost_rate)
-    forbidden = ForbiddenTokens(tok for tok in (*table.asset_ids, *table.dates) if len(tok) >= 3)
+    forbidden = ForbiddenTokens((*table.asset_ids, *table.dates))
     rows: list[LedgerRow] = []
     checkpoints: list[SearchRecord] = []
 
@@ -784,7 +778,7 @@ def run_evolution(
                 result = gen(req)
             except Exception as exc:  # noqa: BLE001 - generator failure is non-fatal
                 logger.warning("generator failed at step %d: %s", t, exc)
-                result = GenerationResult((), 0, ({"error": str(exc)},), False)
+                result = GenerationResult((), 0, ({"error": str(exc)},))
             for cand in result.candidates[: cfg.m_candidates]:
                 ok, reason = validate_candidate(cand, {**run.pool, **batch})
                 if not ok:
@@ -811,7 +805,7 @@ def run_evolution(
         weights, r_t, turn, fee, phase = None, rbar, 0.0, 0.0, "warmup"
         if t > cfg.warmup_steps:
             top = composite_scores(run.pool, tracker, scorer, cfg, t)
-            weights, r_t, turn, fee, run.prev = trade(top, realized, run.prev, cfg, cost_model, t)
+            weights, r_t, turn, fee, run.prev = trade(top, realized, run.prev, cfg, t)
             phase = "fallback" if weights is None else "live"
         held = {} if weights is None else weights.weights
         run.value *= r_t

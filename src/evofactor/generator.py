@@ -90,7 +90,6 @@ class GenerationResult:
     candidates: tuple[FactorRecord, ...]
     attempts: int
     transport_log: tuple[dict, ...]
-    success: bool
 
 
 class TransportError(RuntimeError):
@@ -382,8 +381,11 @@ def _crossover(
         pos_a = int(rng.integers(dsl.count_nodes(a.expr)))
         pos_b = int(rng.integers(dsl.count_nodes(b.expr)))
         child = dsl.replace_at(a.expr, pos_a, dsl.subtree_at(b.expr, pos_b))
-        if dsl.count_nodes(child) <= dsl.MAX_NODES and dsl.depth(child) <= dsl.MAX_DEPTH:
-            return child
+        try:
+            dsl.validate_expr(child)  # subtrees of valid trees fail only the size caps
+        except dsl.ExprError:
+            continue
+        return child
     return None
 
 
@@ -403,7 +405,7 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
         parents_pool.setdefault(tf.record.name, tf.record)
     ordered = [parents_pool[name] for name in sorted(parents_pool)]
     if not ordered:
-        return GenerationResult((), 1, ({"attempt": 1, "error": "empty pool"},), False)
+        return GenerationResult((), 1, ({"attempt": 1, "error": "empty pool"},))
     taken = {rec.name for rec in req.pool_records} | set(parents_pool)
     out: list[FactorRecord] = []
     log: list[dict] = []
@@ -441,7 +443,7 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
         taken.add(name)
         out.append(record)
         log.append({"slot": slot, "action": action, "name": name})
-    return GenerationResult(tuple(out), 1, tuple(log), bool(out))
+    return GenerationResult(tuple(out), 1, tuple(log))
 
 
 # ------------------------------------------------------------- remote path
@@ -530,9 +532,9 @@ def _audit(cfg: GeneratorConfig, entry: dict) -> None:
 def generate_remote(
     req: GenerationRequest,
     cfg: GeneratorConfig,
-    transport: Transport | None = None,
+    transport: Transport,
 ) -> GenerationResult:
-    """Query the endpoint with retry until enough candidates parse.
+    """Query the endpoint through transport, retrying until enough candidates parse.
 
     A batch is accepted when at least min_valid (default ceil(M/2)) of its
     items parse into convention-respecting records; malformed items are
@@ -540,8 +542,6 @@ def generate_remote(
     evolution loop can log and proceed.
     """
     min_valid = cfg.min_valid_for(req.m_candidates)
-    if transport is None:
-        transport = http_transport(cfg)
     pool = {rec.name: rec for rec in req.pool_records}
     prompt = build_prompt(req)
     log: list[dict] = []
@@ -572,6 +572,6 @@ def generate_remote(
             {**entry, "system": prompt["system"], "user": prompt["user"], "response": text},
         )
         if accepted:
-            return GenerationResult(tuple(candidates), attempt, tuple(log), True)
+            return GenerationResult(tuple(candidates), attempt, tuple(log))
     logger.warning("generation failed after %d attempts at step %d", cfg.max_retries, req.step)
-    return GenerationResult((), cfg.max_retries, tuple(log), False)
+    return GenerationResult((), cfg.max_retries, tuple(log))

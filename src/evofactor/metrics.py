@@ -240,7 +240,7 @@ def quality_columns(recall_n: int) -> tuple[str, ...]:
     )
 
 
-def report_columns(recall_n: int = 20) -> tuple[str, ...]:
+def report_columns(recall_n: int) -> tuple[str, ...]:
     return ("factor",) + PERFORMANCE_COLUMNS + quality_columns(recall_n)
 
 
@@ -264,19 +264,15 @@ def window_stats(
     return dict(zip(report_columns(recall_n)[1:], performance + quality))
 
 
-def write_factor_report(
-    rows: Iterable[dict], csv_path: str | None, json_path: str | None, recall_n: int = 20
-) -> None:
-    """Serialize per-factor metric rows with the canonical column set."""
+def write_factor_report(rows: Iterable[dict], csv_path: str, json_path: str, recall_n: int) -> None:
+    """Write per-factor metric rows, canonical columns, as CSV and as JSON."""
     columns = report_columns(recall_n)
     materialized = [{c: row.get(c, "") for c in columns} for row in rows]
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(columns))
-            writer.writeheader()
-            for row in materialized:
-                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(materialized, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(columns))
+        writer.writeheader()
+        for row in materialized:
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
+    with open(json_path, "w") as handle:
+        json.dump(materialized, handle, sort_keys=True, indent=2)
+        handle.write("\n")

@@ -1,11 +1,11 @@
 """Sparse top-m portfolio construction, transaction costs, and the ledger.
 
 The weight vector always satisfies w >= 0, sum(w) = 1 and at most m nonzero
-entries. Costs are charged per unit of one-way turnover, computed as half
-the L1 distance between today's weights and yesterday's weights after they
-have drifted with realized returns; the first allocation from cash pays the
-half buy-in charge. A weight map does not record its step: the caller that
-trades it knows the step.
+entries. Costs are cost_rate (checked by EvolutionConfig) per unit of
+one-way turnover: half the L1 distance between today's weights and
+yesterday's weights after they have drifted with realized returns; the
+first allocation from cash pays the half buy-in charge. A weight map does
+not record its step: the caller that trades it knows the step.
 """
 
 from __future__ import annotations
@@ -56,20 +56,6 @@ class PortfolioWeights:
     @property
     def cardinality(self) -> int:
         return sum(1 for w in self.weights.values() if w > 0)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Proportional transaction cost per unit of one-way turnover."""
-
-    rate_c: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate_c < 1.0:
-            raise ValueError("cost rate must be in [0, 1)")
-
-    def charge(self, turnover_value: float) -> float:
-        return self.rate_c * turnover_value
 
 
 def aggregate_scores(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -166,9 +152,9 @@ def step_return(
     weights: PortfolioWeights,
     gross_returns_next: Sequence[float] | np.ndarray,
     prev_weights: PortfolioWeights | None,
-    cost_model: CostModel,
+    cost_rate: float,
 ) -> tuple[float, float, float]:
-    """One backtest step: (net gross return, turnover, cost charged).
+    """One backtest step: (net gross return, turnover, cost_rate * turnover).
 
     prev_weights must already be drifted by the intra-period returns (see
     drift_weights); pass None for the first allocation from cash.
@@ -176,7 +162,7 @@ def step_return(
     gross = np.asarray(gross_returns_next, dtype=np.float64)
     raw = sum(w * float(gross[i]) for i, w in weights.weights.items())
     turn = turnover(weights, prev_weights)
-    cost = cost_model.charge(turn)
+    cost = cost_rate * turn
     return raw - cost, turn, cost
 
 

@@ -240,5 +240,10 @@ def load_library(path: str) -> list[FactorRecord]:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("schema") != LIBRARY_SCHEMA:
         raise ValueError(f"{path}: not a {LIBRARY_SCHEMA} document")
+    if not isinstance(doc.get("factors"), list):
+        raise ValueError(f"{path}: 'factors' must be a list of factor records")
+    for i, item in enumerate(doc["factors"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: factor {i} is {item!r}, not a JSON object")
     return [json_to_record(item) for item in doc["factors"]]
 

@@ -9,8 +9,6 @@ from evofactor.dsl import (
     ALLOWED_WINDOWS,
     BINARY_OPS,
     FEATURES,
-    MAX_DEPTH,
-    MAX_NODES,
     TS_OPS,
     UNARY_OPS,
     Binary,
@@ -41,7 +39,13 @@ def expressions(max_leaves: int = 6) -> st.SearchStrategy[dsl.Expr]:
 
 
 def within_caps(expr: dsl.Expr) -> bool:
-    return dsl.depth(expr) <= MAX_DEPTH and dsl.count_nodes(expr) <= MAX_NODES
+    """Whether the tree passes validate_expr; built trees can fail only its
+    node and depth caps."""
+    try:
+        dsl.validate_expr(expr)
+    except dsl.ExprError:
+        return False
+    return True
 
 
 @st.composite

@@ -16,8 +16,6 @@ from evofactor import aggregation, dsl
 from evofactor.aggregation import (
     MergedRecord,
     aggregate_records,
-    json_to_merged,
-    load_merged,
     merge_runs,
     merged_to_json,
     pooled_library,
@@ -271,44 +269,27 @@ def test_pooled_library_order_independent() -> None:
 
 
 def test_merged_record_requires_aligned_keys() -> None:
+    tree = {"a_7_v1": dsl.parse("prices")}
     with pytest.raises(ValueError):
-        MergedRecord(65, {"a_7_v1": 1.0}, {}, {"a_7_v1": "prices"})
+        MergedRecord(65, {"a_7_v1": 1.0}, {}, {"a_7_v1": "prices"}, tree)
+    with pytest.raises(ValueError):
+        MergedRecord(65, {"a_7_v1": 1.0}, {"a_7_v1": 0.1}, {"a_7_v1": "prices"}, {})
+    MergedRecord(65, {"a_7_v1": 1.0}, {"a_7_v1": 0.1}, {"a_7_v1": "prices"}, tree)
 
 
 # -------------------------------------------------------- serialization
 
 
 def test_merged_serialization_round_trip(tmp_path) -> None:
+    # merged.jsonl is written, not read back: each line is one record's four
+    # maps and step as sorted-key JSON, and the trees stay out of the file.
     merged = merge_runs([_run_of_length(4, "a"), _run_of_length(6, "b")])
-    path = str(tmp_path / "merged.jsonl")
-    save_merged(merged, path)
-    assert load_merged(path) == merged
-    save_merged(load_merged(path), str(tmp_path / "again.jsonl"))
-    assert (tmp_path / "merged.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
-
-    doc = merged_to_json(merged[0])
-    assert json_to_merged(doc) == merged[0]
-    broken = dict(doc)
-    del broken["expressions"]
-    with pytest.raises(ValueError):
-        json_to_merged(broken)
-
-
-def test_load_merged_reports_bad_line(tmp_path) -> None:
     path = tmp_path / "merged.jsonl"
-    good = merged_to_json(merge_runs([_run_of_length(1, "a")])[0])
-    path.write_text(json.dumps(good) + "\n" + "{}\n")
-    with pytest.raises(ValueError, match=":2:"):
-        load_merged(str(path))
-
-
-@pytest.mark.parametrize("key", ["performance", "quality", "expressions"])
-def test_load_merged_names_a_map_that_is_not_an_object(tmp_path, key) -> None:
-    good = merged_to_json(merge_runs([_run_of_length(1, "a")])[0])
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: [1.0]}) + "\n")
-    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: .*'{key}' must be a JSON object"):
-        load_merged(str(path))
+    save_merged(merged, str(path))
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [merged_to_json(rec) for rec in merged]
+    assert lines == [json.dumps(merged_to_json(rec), sort_keys=True) for rec in merged]
+    assert set(json.loads(lines[0])) == {"step", "performance", "quality", "expressions"}
 
 
 def test_aggregate_records_parses_each_distinct_expression_once(tmp_path, monkeypatch) -> None:
@@ -381,18 +362,16 @@ def test_pooled_library_reuses_the_trees_the_merge_decoded(tmp_path, monkeypatch
         paths.append(str(tmp_path / f"run{i}.jsonl"))
         save_checkpoints([_rec(60 + 5 * k, factors) for k in range(3)], paths[-1])
     merged = aggregate_records(paths)
-    save_merged(merged, str(tmp_path / "merged.jsonl"))
-    loaded = load_merged(str(tmp_path / "merged.jsonl"))
-    assert loaded == merged and loaded[-1].trees == {}
     calls = []
-    parse = dsl.parse
-    monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
+    parse, print_expr = dsl.parse, dsl.print_expr
+    monkeypatch.setattr(dsl, "parse", lambda text: calls.append(("parse", text)) or parse(text))
+    monkeypatch.setattr(dsl, "print_expr", lambda expr: calls.append(("print", expr)) or print_expr(expr))
     library = pooled_library(merged)
+    # The merge's canonical text dedupes and its trees build the records.
     assert calls == []
     assert [rec.name for rec in library] == ["a_7_v1", "b_7_v1"]
-    # A merge read back from its file holds text only, and pools the same records.
-    assert pooled_library(loaded) == library
-    assert sorted(calls) == sorted(loaded[-1].expressions.values()) and len(calls) == len(factors)
+    assert all(rec.expr is merged[-1].trees[rec.name] for rec in library)
+    assert library == [make_record(name, parse(factors[name][2]), "pooled") for name in ("a_7_v1", "b_7_v1")]
 
 
 # ------------------------------------------------------------ run order

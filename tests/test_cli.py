@@ -244,6 +244,29 @@ def test_backtest_rejects_a_library_field_of_the_wrong_type(tmp_path, capsys, sn
     assert capsys.readouterr().err.strip().endswith("error: name 7 must be a string")
 
 
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (None, "'factors' must be a list of factor records"),
+        ({"momentum_7": {}}, "'factors' must be a list of factor records"),
+        ([5], "factor 0 is 5, not a JSON object"),
+    ],
+    ids=["missing", "object", "entry-not-object"],
+)
+def test_backtest_names_a_library_without_a_factor_list(tmp_path, capsys, snapshot, library,
+                                                        factors, message) -> None:
+    doc = json.loads(Path(library).read_text())
+    if factors is None:
+        del doc["factors"]
+    else:
+        doc["factors"] = factors
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["backtest", "--snapshot", snapshot, "--library", str(bad),
+                 "--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+
+
 def test_config_file_set_precedence(tmp_path, snapshot, library) -> None:
     cfg_path = tmp_path / "cfg.json"
     base = {k.split("=")[0]: k for k in ()}  # noqa: F841 - readability anchor

@@ -37,7 +37,6 @@ from evofactor.dsl import (
     TimeSeries,
     Unary,
     count_nodes,
-    depth,
     evaluate_cross_section,
     normalize_scores,
     parse,
@@ -504,8 +503,8 @@ def test_validate_enforces_caps() -> None:
         return Binary("add", left, right)
 
     big = balanced(63)
-    assert count_nodes(big) == 63 and depth(big) <= MAX_DEPTH
-    validate_expr(big)
+    assert count_nodes(big) == 63
+    validate_expr(big)  # within the depth cap too
     too_big = Unary("neg", Binary("add", balanced(63), Feature("prices")))
     assert count_nodes(too_big) > MAX_NODES
     with pytest.raises(ExprError):
@@ -518,7 +517,13 @@ def test_validate_enforces_caps() -> None:
 def test_structure_helpers() -> None:
     expr = parse("div(ts_delta(prices, 7), max2(ts_std(returns, 14), 0.001))")
     assert count_nodes(expr) == 7
-    assert depth(expr) == 4
+    # depth 4: MAX_DEPTH - 4 wrappers reach the cap, one more passes it
+    wrapped = expr
+    for _ in range(MAX_DEPTH - 4):
+        wrapped = Unary("neg", wrapped)
+    validate_expr(wrapped)
+    with pytest.raises(ExprError, match=f"depth {MAX_DEPTH + 1} "):
+        validate_expr(Unary("neg", wrapped))
     assert subtree_at(expr, 0) is expr
     assert subtree_at(expr, 1) == TimeSeries("ts_delta", Feature("prices"), 7)
     with pytest.raises(IndexError):

@@ -828,7 +828,7 @@ def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch,
             repeat = make_record(make_name(base, window, version + 100), batch[0].expr, "mutated")
             repeats[req.step] = (repeat.name, batch[0].name)
             batch.append(repeat)
-        return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, (), True)
+        return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, ())
 
     def recording_gate(candidate, tracker, scorer, cfg, t, pool, _gate=benchmark_gate):
         keep, why = _gate(candidate, tracker, scorer, cfg, t, pool)
@@ -878,9 +878,10 @@ def test_readme_quick_start_runs_as_documented(capsys) -> None:
 # ------------------------------------------------------------- full loop
 
 
-def test_static_run_ledger_invariants() -> None:
+@pytest.mark.parametrize("cost_rate", [0.0, 0.002])
+def test_static_run_ledger_invariants(cost_rate) -> None:
     table = dominant_asset_table(8, 100, seed=11)
-    cfg = _cfg(m=2)
+    cfg = _cfg(m=2, cost_rate=cost_rate)
     res = run_evolution(table, cfg)
     rm = to_relative_returns(table)
     n_steps = rm.values.shape[1]
@@ -908,6 +909,7 @@ def test_static_run_ledger_invariants() -> None:
             assert len(row.weights) == len(row.selected_assets)
             assert abs(sum(row.weights) - 1.0) <= 1e-9
             assert all(w >= 0 for w in row.weights)
+            assert row.cost == cfg.cost_rate * row.turnover  # the config's rate, charged once
 
 
 def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
@@ -938,16 +940,15 @@ def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
 def test_trade_warns_once_per_failed_step_and_never_for_no_rows(caplog) -> None:
     cfg = _cfg()
     realized = np.array([1.01, 0.99, 1.02, 1.0])
-    cost = portfolio.CostModel(0.0)
     ragged = [np.zeros(4), np.zeros(3)]  # aggregate_scores raises ValueError
     with caplog.at_level(logging.WARNING, logger="evofactor.evolution"):
         for t in range(3):
-            weights, r_t, turn, fee, drifted = evolution.trade([], realized, None, cfg, cost, t)
+            weights, r_t, turn, fee, drifted = evolution.trade([], realized, None, cfg, t)
             assert (weights, turn, fee, drifted) == (None, 0.0, 0.0, None)
             assert r_t == float(realized.mean())
         assert not caplog.records
         for t in range(3):
-            assert evolution.trade(ragged, realized, None, cfg, cost, t)[0] is None
+            assert evolution.trade(ragged, realized, None, cfg, t)[0] is None
     failed = [rec.getMessage() for rec in caplog.records]
     assert len(failed) == 3 and all("live step failed" in msg for msg in failed)
 
@@ -1046,7 +1047,7 @@ def test_failing_generator_matches_static_ledger() -> None:
         raise RuntimeError("api down")
 
     def empty(req):
-        return GenerationResult((), 1, (), False)
+        return GenerationResult((), 1, ())
 
     static = run_evolution(table, cfg)
     with_boom = run_evolution(table, cfg, gen=boom)

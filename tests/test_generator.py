@@ -283,7 +283,7 @@ def test_validate_candidate_rejections() -> None:
 def test_generate_offline_deterministic() -> None:
     first = generate_offline(_request())
     second = generate_offline(_request())
-    assert first.success
+    assert first.candidates
     assert [r.name for r in first.candidates] == [r.name for r in second.candidates]
     assert [r.expr_text for r in first.candidates] == [r.expr_text for r in second.candidates]
     # Different seeds or steps explore different mutations.
@@ -301,7 +301,7 @@ def test_generate_offline_deterministic() -> None:
 def test_generate_offline_output_contract() -> None:
     req = _request(m=6, windows=(7, 14))
     result = generate_offline(req)
-    assert result.success and 1 <= len(result.candidates) <= 6
+    assert 1 <= len(result.candidates) <= 6
     pool_names = {rec.name for rec in req.pool_records}
     seen = set()
     for rec in result.candidates:
@@ -351,7 +351,7 @@ def test_generate_offline_single_parent_falls_back_to_mutation() -> None:
     momentum = pool["momentum_7"]
     req = GenerationRequest(65, (), (momentum,), 3, (momentum,), rng_seed=0)
     result = generate_offline(req)
-    assert result.success
+    assert result.candidates
     assert all(rec.origin == "mutated" for rec in result.candidates)
 
 
@@ -361,7 +361,7 @@ def test_generate_offline_requires_seed_and_pool() -> None:
         generate_offline(req)
     empty = GenerationRequest(65, (), (), 5, (), rng_seed=0)
     result = generate_offline(empty)
-    assert not result.success and result.candidates == ()
+    assert result.candidates == ()
 
 
 # ----------------------------------------------------------- remote path
@@ -384,7 +384,7 @@ def test_generate_remote_success_first_attempt() -> None:
         return json.dumps(_good_items(4))
 
     result = generate_remote(req, GeneratorConfig(), transport)
-    assert result.success and result.attempts == 1
+    assert result.attempts == 1
     assert len(result.candidates) == 4
     assert len(calls) == 1
     assert "GRAMMAR" in calls[0][0]
@@ -405,7 +405,7 @@ def test_generate_remote_retries_until_min_valid() -> None:
         return next(responses)
 
     result = generate_remote(req, GeneratorConfig(max_retries=3), transport)
-    assert result.success and result.attempts == 3
+    assert result.attempts == 3
     assert len(result.candidates) == 3
     assert [e["accepted"] for e in result.transport_log] == [False, False, True]
 
@@ -417,7 +417,6 @@ def test_generate_remote_total_failure_is_nonfatal() -> None:
         raise TransportError("connection refused")
 
     result = generate_remote(req, GeneratorConfig(max_retries=3), transport)
-    assert not result.success
     assert result.candidates == ()
     assert result.attempts == 3
     assert all("error" in e for e in result.transport_log)
@@ -431,7 +430,6 @@ def test_generate_remote_drops_malformed_items_individually() -> None:
         return json.dumps(items)
 
     result = generate_remote(req, GeneratorConfig(min_valid=3), transport)
-    assert result.success
     assert len(result.candidates) == 3
     assert result.transport_log[0]["rejects"] == 2
 
@@ -443,7 +441,7 @@ def test_generate_remote_min_valid_bounds() -> None:
     result = generate_remote(
         req, GeneratorConfig(min_valid=1), lambda s, u: json.dumps(_good_items(1))
     )
-    assert result.success and len(result.candidates) == 1
+    assert len(result.candidates) == 1
 
 
 def test_generate_remote_default_min_valid_is_half() -> None:
@@ -453,7 +451,7 @@ def test_generate_remote_default_min_valid_is_half() -> None:
         return json.dumps(_good_items(math.ceil(5 / 2)))
 
     result = generate_remote(req, GeneratorConfig(), transport)
-    assert result.success and len(result.candidates) == 3
+    assert len(result.candidates) == 3
 
 
 def test_generate_remote_audit_log(tmp_path) -> None:
@@ -462,7 +460,7 @@ def test_generate_remote_audit_log(tmp_path) -> None:
     responses = iter(["garbage", json.dumps(_good_items(4))])
     cfg = GeneratorConfig(min_valid=4, max_retries=3, audit_log=str(audit))
     result = generate_remote(req, cfg, lambda s, u: next(responses))
-    assert result.success and result.attempts == 2
+    assert len(result.candidates) == 4 and result.attempts == 2
     lines = audit.read_text().strip().split("\n")
     assert len(lines) == 2
     entries = [json.loads(line) for line in lines]

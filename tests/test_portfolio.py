@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from evofactor.portfolio import (
-    CostModel,
     LedgerRow,
     PortfolioWeights,
     aggregate_scores,
@@ -107,15 +106,6 @@ def test_temperature_limits() -> None:
 # ---------------------------------------------------------------- costs
 
 
-def test_cost_model() -> None:
-    assert CostModel(0.0).charge(0.7) == 0.0
-    assert CostModel(0.001).charge(0.5) == pytest.approx(0.0005)
-    with pytest.raises(ValueError):
-        CostModel(-0.1)
-    with pytest.raises(ValueError):
-        CostModel(1.0)
-
-
 def test_turnover_arithmetic() -> None:
     a = PortfolioWeights({0: 0.5, 1: 0.5})
     b = PortfolioWeights({1: 0.5, 2: 0.5})
@@ -139,19 +129,18 @@ def test_drift_weights() -> None:
 def test_step_return_accounting() -> None:
     w = PortfolioWeights({0: 0.6, 2: 0.4})
     gross = np.array([1.05, 0.5, 0.95])
-    cost_model = CostModel(0.001)
-    net, turn, cost = step_return(w, gross, None, cost_model)
+    net, turn, cost = step_return(w, gross, None, 0.001)
     raw = 0.6 * 1.05 + 0.4 * 0.95
     assert turn == pytest.approx(0.5)
-    assert cost == pytest.approx(0.0005)
+    assert cost == pytest.approx(0.0005) and cost == 0.001 * turn
     assert net == pytest.approx(raw - 0.0005)
 
     prev = PortfolioWeights({0: 1.0})
-    net2, turn2, cost2 = step_return(w, gross, prev, cost_model)
+    net2, turn2, cost2 = step_return(w, gross, prev, 0.001)
     assert turn2 == pytest.approx(0.4)
     assert net2 == pytest.approx(raw - 0.001 * 0.4)
-    # Zero-cost model returns the raw weighted gross return.
-    net3, _, cost3 = step_return(w, gross, prev, CostModel(0.0))
+    # A zero cost rate returns the raw weighted gross return.
+    net3, _, cost3 = step_return(w, gross, prev, 0.0)
     assert cost3 == 0.0 and net3 == pytest.approx(raw)
 
 
@@ -161,12 +150,11 @@ def test_cost_ordering_on_fixed_path() -> None:
     gross = 1.0 + rng.normal(0.001, 0.01, size=(40, 6))
     finals = []
     for rate in (0.0, 0.001, 0.002):
-        model = CostModel(rate)
         value = 1.0
         prev = None
         for t in range(40):
             w = equal_weights([t % 6, (t + 1) % 6, (t + 2) % 6])
-            net, _, _ = step_return(w, gross[t], prev, model)
+            net, _, _ = step_return(w, gross[t], prev, rate)
             value *= net
             prev = drift_weights(w, gross[t])
         finals.append(value)
