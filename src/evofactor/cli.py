@@ -30,6 +30,7 @@ from .evolution import (
     ScoreCache,
     composite_scores,
     load_checkpoints,
+    pool_by_name,
     run_evolution,
     save_checkpoints,
     start_run,
@@ -226,7 +227,6 @@ def write_run_outputs(
     outdir: Path, result: EvolutionResult, ecfg: EvolutionConfig, checkpoints: bool
 ) -> dict[str, float]:
     portfolio.write_ledger(result.ledger, str(outdir / "ledger.csv"))
-    portfolio.write_ledger_json(result.ledger, str(outdir / "ledger.json"))
     save_library(list(result.pool), str(outdir / "pool.json"))
     if checkpoints:
         save_checkpoints(result.records, str(outdir / "checkpoints.jsonl"))
@@ -401,15 +401,14 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
     if not args.snapshot or not args.library or len(args.ledger) != 1:
         raise ValueError("score_heatmap needs --snapshot, --library, and one --ledger")
     table = load_snapshot(args.snapshot)
-    library = load_library(args.library)
+    records = pool_by_name(load_library(args.library))
     rows = portfolio.read_ledger(args.ledger[0])
     rm = to_relative_returns(table)
     ecfg = build_config(EvolutionConfig, cfg)
     scorer = ScoreCache(rm, ecfg.lookback)
     date_to_t = {date: t - 1 for t, date in enumerate(rm.dates)}
     index_of = {asset: i for i, asset in enumerate(table.asset_ids)}
-    names = sorted(rec.name for rec in library)
-    records = {rec.name: rec for rec in library}
+    names = sorted(records)
     with open(outdir / "score_heatmap.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["factor"] + [row.date for row in rows])

@@ -233,17 +233,14 @@ class ScoreCache:
     It derives the normalized prices from rm, ranks every step's realized
     returns once, and stages the grades update_tracker writes.
 
-    A factor that dsl.panel_equivalent admits is evaluated a block of
-    `lookback` steps at a time: the first request at step t evaluates steps
-    t..t+lookback-1 in one dsl.evaluate_panel call over their price columns
-    plus the rf-1 columns of history its dsl.receptive_field rf spans, and
-    later steps are served from that block until t leaves it. Other factors
-    take the windowed path, one step per block. A read past a block's end
-    evaluates the next block there and keeps the rows from the read's first
-    step, so a factor holds at most lookback rows plus one read's; drop()
-    frees a factor that left the pool. Scores and staged grades remember
-    the expression object they came from, so a name reused for another
-    expression is evaluated again rather than served stale.
+    Each factor keeps one block of rows. A read of steps t..stop-1 is served
+    from it when the block came from the record's expression object and
+    covers those steps; otherwise one new block from t replaces it. A factor
+    that dsl.panel_equivalent admits gets max(lookback, stop - t) steps, cut
+    at the last price step, in one dsl.evaluate_panel call over their price
+    columns plus the rf-1 columns of history its dsl.receptive_field rf
+    reads; another factor gets the read's steps, each scored on its own
+    window. drop() frees a factor that left the pool.
     """
 
     def __init__(self, rm: ReturnMatrix, lookback: int) -> None:
@@ -270,17 +267,16 @@ class ScoreCache:
     def rows(self, record: FactorRecord, t: int, stop: int) -> np.ndarray:
         """(stop - t, n_assets) raw scores of record at price steps t..stop-1,
         in one cache read; read-only."""
-        entry = self._blocks.get(record.name)
-        if entry is None or entry[0] is not record.expr:
-            rf = dsl.receptive_field(record.expr) if dsl.panel_equivalent(record.expr, self.lookback) else 0
-            entry = (record.expr, rf, t, self._evaluate(record.expr, rf, t))
-        expr, rf, start, rows = entry
-        if not start <= t < start + len(rows):
-            start, rows = t, self._evaluate(expr, rf, t)
-        while start + len(rows) < stop:  # run on into the next block, keeping the rows from t on
-            start, rows = t, np.concatenate([rows[t - start :], self._evaluate(expr, rf, start + len(rows))])
-            rows.flags.writeable = False
-        self._blocks[record.name] = (expr, rf, start, rows)
+        expr, rf, start, rows = self._blocks.get(record.name) or (None, 0, t, ())
+        if expr is not record.expr:  # a new expression starts with no rows
+            expr, rows = record.expr, ()
+            rf = dsl.receptive_field(expr) if dsl.panel_equivalent(expr, self.lookback) else 0
+        if not start <= t < stop <= start + len(rows):  # the one refill: a new block from t
+            last = self.norm.shape[1] - 1
+            if not self.lookback <= t < stop <= last + 1:
+                raise ValueError(f"steps {t}..{stop - 1} outside the scorable steps {self.lookback}..{last}")
+            start, rows = t, self._evaluate(expr, rf, t, max(self.lookback, stop - t) if rf else stop - t)
+            self._blocks[record.name] = (expr, rf, start, rows)
         return rows[t - start : stop - start]
 
     def grades(self, records: Sequence[FactorRecord], t: int, block: range, m: int, recall_n: int) -> np.ndarray:
@@ -305,21 +301,18 @@ class ScoreCache:
             self._grades = np.concatenate([self._grades, grades], axis=1)
         return self._grades[:, [staged[rec.name][1] for rec in records], col]
 
-    def _evaluate(self, expr: dsl.Expr, rf: int, t: int) -> np.ndarray:
-        lookback, last = self.lookback, self.norm.shape[1] - 1
-        if not lookback <= t <= last:
-            raise ValueError(f"step {t} outside the scorable steps {lookback}..{last}")
+    def _evaluate(self, expr: dsl.Expr, rf: int, t: int, steps: int) -> np.ndarray:
+        """(steps, n_assets) read-only rows from step t, cut at the last price step."""
         if rf:
-            # The slices stop at the panel's end, which cuts the last block short.
             block = dsl.evaluate_panel(
                 expr,
-                self.norm[:, t - rf + 1 : t + lookback],
-                self.rm.values[:, t - rf : t + lookback - 1],
+                self.norm[:, t - rf + 1 : t + steps],
+                self.rm.values[:, t - rf : t + steps - 1],
             )
             rows = block[:, rf - 1 :].T.copy()  # a view would keep the history columns alive
         else:
-            prices, returns = window_matrices(self.norm, self.rm, t, lookback)
-            rows = dsl.evaluate_cross_section(expr, prices, returns)[None, :]
+            windows = (window_matrices(self.norm, self.rm, s, self.lookback) for s in range(t, t + steps))
+            rows = np.stack([dsl.evaluate_cross_section(expr, *window) for window in windows])
         rows.flags.writeable = False
         return rows
 
@@ -532,9 +525,11 @@ def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
     for key in ("step", "pool", "performance", "quality", "state"):
         if key not in doc:
             raise ValueError(f"checkpoint record missing key {key!r}")
+    if type(doc["step"]) is not int:  # JSON true/false is no integer here
+        raise ValueError(f"step {doc['step']!r} must be an integer")
     memo = {} if memo is None else memo
     record = SearchRecord(
-        step=int(doc["step"]),
+        step=doc["step"],
         pool=tuple(_pool_entry(item, memo) for item in doc["pool"]),
         performance={k: dict(v) for k, v in json_object(doc, "performance").items()},
         quality={k: dict(v) for k, v in json_object(doc, "quality").items()},
@@ -625,10 +620,18 @@ def start_run(
     if resume_from is None:
         pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
         return RunState(scorer, pool_map, PerfTracker())
+    state, n_assets = resume_from.state, rm.values.shape[0]
+    for key in ("portfolio_value", "baseline_value"):
+        if type(state.get(key)) not in (float, int):  # JSON true/false is no number here
+            raise ValueError(f"resume state {key} {state.get(key)!r} must be a number")
+    raw = state.get("prev_weights")
+    if raw is not None and not all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and 0 <= p[0] < n_assets and type(p[1]) in (float, int)
+        for p in (raw if isinstance(raw, list) else [None])  # a non-list fails as one bad pair
+    ):
+        raise ValueError(f"resume state prev_weights {raw!r} must be null or a list of [asset index, weight] pairs")
+    prev = None if raw is None else PortfolioWeights({i: float(w) for i, w in raw})
     pool_map = resume_from.pool_map()
-    state = resume_from.state
-    raw_prev = state.get("prev_weights")
-    prev = None if raw_prev is None else PortfolioWeights({int(i): float(w) for i, w in raw_prev})
     tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
     value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])
     return RunState(scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)

@@ -80,9 +80,9 @@ class GenerationRequest:
     top_factors: tuple[TopFactor, ...]
     library_factors: tuple[FactorRecord, ...]
     m_candidates: int
+    recall_n: int  # the run's EvolutionConfig.recall_n: the prompt's recall@N columns
     pool_records: tuple[FactorRecord, ...] = ()
     rng_seed: int | None = None
-    recall_n: int = 20
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,13 @@ def load_snapshot(path: str) -> PriceTable:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("schema") != SNAPSHOT_SCHEMA:
         raise IngestError(f"{path}: not a {SNAPSHOT_SCHEMA} snapshot")
-    return PriceTable(
-        tuple(doc["asset_ids"]),
-        tuple(doc["dates"]),
-        np.asarray(doc["prices"], dtype=np.float64),
-    )
+    try:
+        return PriceTable(
+            tuple(doc["asset_ids"]),
+            tuple(doc["dates"]),
+            np.asarray(doc["prices"], dtype=np.float64),
+        )
+    except KeyError as exc:
+        raise IngestError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{path}: {exc}") from None

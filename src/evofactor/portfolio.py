@@ -210,19 +210,6 @@ def write_ledger(rows: Sequence[LedgerRow], path: str) -> None:
             )
 
 
-def ledger_to_json(rows: Sequence[LedgerRow]) -> list[dict]:
-    return [
-        {**{col: getattr(row, col) for col in LEDGER_COLUMNS[:-2]}, "weights": row.weight_map()}
-        for row in rows
-    ]
-
-
-def write_ledger_json(rows: Sequence[LedgerRow], path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(ledger_to_json(rows), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 def read_ledger(path: str) -> list[LedgerRow]:
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)

@@ -178,9 +178,10 @@ def test_backtest_outputs_and_manifest(tmp_path, capsys, snapshot, library) -> N
                  "--output", str(outdir), *_SET]) == 0
     out = capsys.readouterr().out
     assert "CW " in out and "baseline final" in out
-    for name in ("ledger.csv", "ledger.json", "pool.json", "factor_report.csv",
+    for name in ("ledger.csv", "pool.json", "factor_report.csv",
                  "factor_report.json", "metrics.json", "manifest.json"):
         assert (outdir / name).exists()
+    assert not (outdir / "ledger.json").exists()  # ledger.csv is the one ledger file
     assert not (outdir / "checkpoints.jsonl").exists()  # static run, no search
 
     # Summary metrics recompute from the ledger rows.
@@ -265,6 +266,48 @@ def test_backtest_names_a_library_without_a_factor_list(tmp_path, capsys, snapsh
     assert main(["backtest", "--snapshot", snapshot, "--library", str(bad),
                  "--output", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: doc.pop("asset_ids"), "missing key 'asset_ids'"),
+        (lambda doc: doc.pop("prices"), "missing key 'prices'"),
+        (lambda doc: doc.update(prices="x"), "could not convert string to float: 'x'"),
+        (lambda doc: doc.update(dates=5), "'int' object is not iterable"),
+        (lambda doc: doc.update(asset_ids=doc["asset_ids"][:-1]), "asset_ids length does not match price rows"),
+    ],
+    ids=["no_asset_ids", "no_prices", "text_prices", "int_dates", "short_asset_ids"],
+)
+@pytest.mark.parametrize("command", ["backtest", "evolve", "report"])
+def test_a_malformed_snapshot_fails_naming_the_file(tmp_path, capsys, snapshot, library,
+                                                    command, corrupt, message) -> None:
+    doc = json.loads(Path(snapshot).read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = {
+        "backtest": ["backtest", "--library", library],
+        "evolve": ["evolve"],
+        "report": ["report", "--mode", "factor_sweep", "--library", library],
+    }[command]
+    assert main([*args, "--snapshot", str(bad), "-o", str(tmp_path / "r"), *_SET]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+
+
+def test_score_heatmap_rejects_a_library_that_repeats_a_name(tmp_path, capsys, snapshot, library) -> None:
+    run = tmp_path / "run"
+    assert main(["backtest", "--snapshot", snapshot, "--library", library, "-o", str(run), *_SET]) == 0
+    doc = json.loads(Path(library).read_text())
+    for factors, message in ((doc["factors"] + doc["factors"][:1], "duplicate factor name"),
+                             ([], "empty factor pool")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "factors": factors}))
+        outdir = tmp_path / "rep"
+        assert main(["report", "--mode", "score_heatmap", "--snapshot", snapshot, "--library", str(bad),
+                     "--ledger", str(run / "ledger.csv"), "-o", str(outdir), *_SET]) == 2
+        assert message in capsys.readouterr().err
+        assert not (outdir / "score_heatmap.csv").exists()
 
 
 def test_config_file_set_precedence(tmp_path, snapshot, library) -> None:
@@ -386,7 +429,7 @@ def _evolve(snapshot: str, outdir, extra: list[str] | None = None) -> int:
 def test_evolve_outputs_deterministic(tmp_path, snapshot) -> None:
     assert _evolve(snapshot, tmp_path / "a") == 0
     assert _evolve(snapshot, tmp_path / "b") == 0
-    for name in ("ledger.csv", "ledger.json", "checkpoints.jsonl", "pool.json",
+    for name in ("ledger.csv", "checkpoints.jsonl", "pool.json",
                  "factor_report.csv", "factor_report.json", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     # Manifests agree except for the output directory they record.
@@ -417,6 +460,33 @@ def test_evolve_resume_missing_checkpoints(tmp_path, capsys, snapshot) -> None:
     empty.write_text("")
     assert _evolve(snapshot, tmp_path / "r", ["--resume-from", str(empty)]) == 2
     assert "no checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("portfolio_value", None, "portfolio_value None must be a number"),
+        ("portfolio_value", True, "portfolio_value True must be a number"),
+        ("baseline_value", "x", "baseline_value 'x' must be a number"),
+        *[
+            ("prev_weights", value, f"prev_weights {value!r} must be null or a list of [asset index, weight] pairs")
+            for value in ([[0]], [[0.0, 1.0]], [[10, 1.0]], [[-1, 1.0]], [[0, "1"]], {"0": 1.0})
+        ],
+    ],
+    ids=["no_value", "bool_value", "text_baseline", "short_pair", "float_index", "index_past_assets",
+         "negative_index", "text_weight", "object"],
+)
+def test_evolve_resume_names_a_malformed_state_key(tmp_path, capsys, snapshot, checkpoint_paths,
+                                                   key, value, message) -> None:
+    doc = json.loads(Path(checkpoint_paths[0]).read_text().splitlines()[-1])
+    if value is None:
+        del doc["state"][key]
+    else:
+        doc["state"][key] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(doc) + "\n")
+    assert _evolve(snapshot, tmp_path / "r", ["--resume-from", str(bad)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: resume state {message}"
 
 
 def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot) -> None:
@@ -507,6 +577,16 @@ def _drop(key: str, column: str | None):
     return corrupt
 
 
+def _step(value: object):
+    """Set the record's step to a JSON value."""
+
+    def corrupt(doc: dict) -> str:
+        doc["step"] = value
+        return ""
+
+    return corrupt
+
+
 def _set(key: str, column: str, value: object):
     """Set the first factor's column in one stats map to a JSON value."""
 
@@ -540,6 +620,11 @@ def _set(key: str, column: str, value: object):
             )
             for key, column in (("performance", "final_value"), ("quality", "mean_rankic"))
             for value in ("abc", None, True)
+        ],
+        # A step is a JSON integer, as a pool entry's created_step is.
+        *[
+            pytest.param(_step(value), f"step {value!r} must be an integer", id=f"step_{json.dumps(value)}")
+            for value in (5.7, True, "5")
         ],
     ],
 )
@@ -722,7 +807,7 @@ def test_report_rerun_is_byte_stable(tmp_path, snapshot, library) -> None:
 
 def test_output_digests_cover_every_command_output(tmp_path, capsys) -> None:
     digests = output_digests.digests(output_digests.write_outputs(tmp_path, "smoke"))
-    run_files = ("factor_report.csv", "factor_report.json", "ledger.csv", "ledger.json", "metrics.json", "pool.json")
+    run_files = ("factor_report.csv", "factor_report.json", "ledger.csv", "metrics.json", "pool.json")
     want = {f"{run}/{name}" for run in ("evolve_a", "evolve_b", "resume_a", "backtest") for name in run_files}
     want |= {f"{run}/checkpoints.jsonl" for run in ("evolve_a", "evolve_b", "resume_a")}
     want |= {

@@ -644,7 +644,8 @@ def test_composite_scores_matches_manual_blend() -> None:
 
 def _check_cache_against_windows(expr: dsl.Expr, lookback: int, data: st.DataObject) -> None:
     """Every step in order, then every step again in a drawn order, must
-    score exactly as the expression on that step's window."""
+    score exactly as the expression on that step's window; so must every row
+    of drawn multi-step reads (see _check_multi_step_reads)."""
     n_assets = data.draw(st.integers(1, 6), label="n_assets")
     n_steps = data.draw(st.integers(lookback + 2, lookback + 50), label="n_steps")
     table = random_walk_table(n_assets, n_steps, seed=data.draw(st.integers(0, 2**16)), sigma=0.05)
@@ -653,11 +654,56 @@ def _check_cache_against_windows(expr: dsl.Expr, lookback: int, data: st.DataObj
     rm = to_relative_returns(table)
     norm = to_normalized_prices(rm)
     record = make_record("cand_7_v2", expr, "mutated")
-    cache = ScoreCache(rm, lookback)
     steps = list(range(lookback, norm.shape[1]))
+    expected = {t: dsl.evaluate_cross_section(expr, *window_matrices(norm, rm, t, lookback)) for t in steps}
+    cache = ScoreCache(rm, lookback)
     for t in steps + data.draw(st.permutations(steps), label="order"):
-        expected = dsl.evaluate_cross_section(expr, *window_matrices(norm, rm, t, lookback))
-        assert np.array_equal(cache.scores(record, t), expected), (dsl.print_expr(expr), t)
+        assert np.array_equal(cache.scores(record, t), expected[t]), (dsl.print_expr(expr), t)
+    _check_multi_step_reads(ScoreCache(rm, lookback), record, expected, data)
+
+
+def _check_multi_step_reads(
+    cache: ScoreCache, record: FactorRecord, expected: dict[int, np.ndarray], data: st.DataObject
+) -> None:
+    """Reads rows(record, t, stop) with stop - t up to 2 * lookback + 1 that
+    start inside the block the previous read left, at its end, or past it.
+    Each row must equal its step's windowed score, and each read must
+    evaluate exactly what the refill rule says: nothing when the block
+    covers t..stop-1, else one new block from t (max(lookback, stop - t)
+    steps in one panel call, cut at the last step, or stop - t windows). A
+    read that ends past the last scorable step raises and keeps the block."""
+    lookback, last = cache.lookback, cache.norm.shape[1] - 1
+    panel = dsl.panel_equivalent(record.expr, lookback)
+    evaluate = dsl.evaluate_panel if panel else dsl.evaluate_cross_section
+    calls: list[int] = []
+    block = range(0)  # the steps the cached block holds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, evaluate.__name__, lambda *args: calls.append(1) or evaluate(*args))
+        for _ in range(data.draw(st.integers(1, 8), label="reads")):
+            where = data.draw(st.sampled_from(["inside", "end", "past"]), label="where") if block else "first"
+            t = {
+                "first": lambda: data.draw(st.integers(lookback, last), label="t"),
+                "inside": lambda: data.draw(st.integers(block.start, block.stop - 1), label="t"),
+                "end": lambda: block.stop,
+                "past": lambda: data.draw(st.integers(block.stop + 1, block.stop + lookback), label="t"),
+            }[where]()
+            stop = t + data.draw(st.integers(1, 2 * lookback + 1), label="length")
+            before, raises, served = len(calls), stop > last + 1, t in block and stop <= block.stop
+            event(f"{where} read " + ("raises" if raises else "served" if served else "refills"))
+            if raises:
+                with pytest.raises(ValueError):
+                    cache.rows(record, t, stop)
+                assert len(calls) == before
+                continue
+            rows = cache.rows(record, t, stop)
+            assert not rows.flags.writeable and rows.shape == (stop - t, len(expected[t]))
+            for step, row in zip(range(t, stop), rows):
+                assert np.array_equal(row, expected[step]), (dsl.print_expr(record.expr), t, stop, step)
+            if served:
+                assert len(calls) == before, (where, t, stop, block)
+            else:
+                block = range(t, min(last + 1, t + (max(lookback, stop - t) if panel else stop - t)))
+                assert len(calls) - before == (1 if panel else stop - t), (where, t, stop)
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,6 +47,7 @@ def _request(m: int = 5, seed: int | None = 0, step: int = 65, windows=(7,)) -> 
         top_factors=tops,
         library_factors=records,
         m_candidates=m,
+        recall_n=20,
         pool_records=records,
         rng_seed=seed,
     )
@@ -85,7 +86,7 @@ def test_build_prompt_lists_evolved_factors() -> None:
     req = _request()
     evolved = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", ("momentum_7",), 60)
     tops = req.top_factors + (TopFactor(evolved, {}, {}),)
-    user = build_prompt(GenerationRequest(65, tops, req.library_factors, 5, req.pool_records))["user"]
+    user = build_prompt(GenerationRequest(65, tops, req.library_factors, 5, req.recall_n, req.pool_records))["user"]
     assert "Previously Generated Factors:" in user
     assert "momentum_7_v2: ts_delta(prices, 7)" in user
 
@@ -336,6 +337,7 @@ def test_generate_offline_version_bump_skips_taken_names() -> None:
         top_factors=(),
         library_factors=(momentum,),
         m_candidates=1,
+        recall_n=20,
         pool_records=(momentum, taken),
         rng_seed=0,
     )
@@ -349,7 +351,7 @@ def test_generate_offline_version_bump_skips_taken_names() -> None:
 def test_generate_offline_single_parent_falls_back_to_mutation() -> None:
     pool = _pool()
     momentum = pool["momentum_7"]
-    req = GenerationRequest(65, (), (momentum,), 3, (momentum,), rng_seed=0)
+    req = GenerationRequest(65, (), (momentum,), 3, 20, (momentum,), rng_seed=0)
     result = generate_offline(req)
     assert result.candidates
     assert all(rec.origin == "mutated" for rec in result.candidates)
@@ -359,7 +361,7 @@ def test_generate_offline_requires_seed_and_pool() -> None:
     req = _request(seed=None)
     with pytest.raises(ValueError):
         generate_offline(req)
-    empty = GenerationRequest(65, (), (), 5, (), rng_seed=0)
+    empty = GenerationRequest(65, (), (), 5, 20, (), rng_seed=0)
     result = generate_offline(empty)
     assert result.candidates == ()
 

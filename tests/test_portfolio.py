@@ -20,7 +20,6 @@ from evofactor.portfolio import (
     temperature_weights,
     turnover,
     write_ledger,
-    write_ledger_json,
 )
 
 # ------------------------------------------------------------- weights
@@ -209,15 +208,3 @@ def test_ledger_rejects_foreign_csv(tmp_path) -> None:
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_ledger(str(path))
-
-
-def test_ledger_json_export(tmp_path) -> None:
-    import json
-
-    path = tmp_path / "ledger.json"
-    write_ledger_json(_rows(), str(path))
-    doc = json.loads(path.read_text())
-    assert len(doc) == 3
-    assert doc[1]["weights"] == {"AAA": 0.625, "BBB": 0.375}
-    assert doc[0]["phase"] == "warmup"
-    assert math.isclose(doc[1]["portfolio_value"], 1.0 / 3.0)
