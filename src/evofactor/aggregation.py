@@ -78,7 +78,6 @@ def merge_runs(
     for i in range(length):
         perf: dict[str, float] = {}
         qual: dict[str, float] = {}
-        exprs: dict[str, str] = {}
         trees: dict[str, dsl.Expr] = {}
         for run in ordered:
             record = run[i]
@@ -93,11 +92,12 @@ def merge_runs(
                 if name not in perf or fv > perf[name]:
                     perf[name] = fv
                     qual[name] = ic
-                    exprs[name], trees[name] = pool[name].expr_text, pool[name].expr
+                    trees[name] = pool[name].expr
                 elif fv == perf[name] and ic > qual[name]:
                     # literal tie rule: quality updates, expression source stays
                     qual[name] = ic
-        merged.append(MergedRecord(ordered[0][i].step, perf, qual, exprs, trees))
+        texts = {name: tree.text for name, tree in trees.items()}
+        merged.append(MergedRecord(ordered[0][i].step, perf, qual, texts, trees))
     return merged
 
 

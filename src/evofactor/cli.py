@@ -161,7 +161,7 @@ def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
         with open(path) as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{path}: config file must hold a JSON object")
         for key, value in doc.items():
             cfg[key] = _cast(key, value)
     for item in sets:
@@ -201,20 +201,16 @@ def write_manifest(outdir: Path, cfg: dict, inputs: Sequence[str]) -> None:
 
 
 def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
-    grosses = [row.step_return for row in rows]
-    path = metrics.WealthPath.from_returns(grosses, initial=1.0)
-    net = np.asarray(grosses) - 1.0
-    baseline = metrics.WealthPath.from_returns([row.baseline_return for row in rows], initial=1.0)
-    return {
-        "cumulative_wealth": metrics.cumulative_wealth(path),
-        "sharpe_ratio": metrics.sharpe_ratio(net).value,
-        "max_drawdown": metrics.max_drawdown(path),
-        "final_value": float(path.values[-1]),
-        "baseline_cumulative_wealth": metrics.cumulative_wealth(baseline),
-        "baseline_sharpe_ratio": metrics.sharpe_ratio(np.asarray([row.baseline_return for row in rows]) - 1.0).value,
-        "baseline_max_drawdown": metrics.max_drawdown(baseline),
-        "baseline_final_value": float(baseline.values[-1]),
-    }
+    summary: dict[str, float] = {}
+    for prefix, key in (("", "step_return"), ("baseline_", "baseline_return")):
+        path = metrics.WealthPath.from_returns([getattr(row, key) for row in rows], initial=1.0)
+        summary |= {
+            f"{prefix}cumulative_wealth": metrics.cumulative_wealth(path),
+            f"{prefix}sharpe_ratio": metrics.sharpe_ratio(path.step_returns - 1.0).value,
+            f"{prefix}max_drawdown": metrics.max_drawdown(path),
+            f"{prefix}final_value": float(path.values[-1]),
+        }
+    return summary
 
 
 def _factor_rows(tracker: PerfTracker, pool: Sequence[FactorRecord], ecfg: EvolutionConfig) -> list[dict]:
@@ -243,11 +239,20 @@ def write_run_outputs(
     return summary
 
 
-def _print_summary(summary: dict[str, float]) -> None:
+def _finish_run(
+    cfg: dict, result: EvolutionResult, ecfg: EvolutionConfig, inputs: Sequence[str | None], checkpoints: bool
+) -> int:
+    """Write a backtest's or search's outputs and manifest (inputs: its
+    input paths, None for an absent one), then print its summary line."""
+    outdir = Path(cfg["output_dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    summary = write_run_outputs(outdir, result, ecfg, checkpoints)
+    write_manifest(outdir, cfg, [path for path in inputs if path])
     print(
         "CW {cumulative_wealth:.4f}  SR {sharpe_ratio:.4f}  MDD {max_drawdown:.4f}  "
         "final {final_value:.4f} (baseline final {baseline_final_value:.4f})".format(**summary)
     )
+    return 0
 
 
 # ----------------------------------------------------------------- commands
@@ -282,12 +287,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     library = load_library(args.library) if args.library else None
     ecfg = build_config(EvolutionConfig, cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary = write_run_outputs(outdir, result, ecfg, checkpoints=False)
-    write_manifest(outdir, cfg, [p for p in (cfg["data"], args.library) if p])
-    _print_summary(summary)
-    return 0
+    return _finish_run(cfg, result, ecfg, (cfg["data"], args.library), checkpoints=False)
 
 
 def _make_generator(cfg: dict) -> Callable[[GenerationRequest], object]:
@@ -315,13 +315,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise ValueError(f"no checkpoints in {args.resume_from}")
         resume = tail[-1]
     result = run_evolution(table, ecfg, gen=gen, resume_from=resume)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary = write_run_outputs(outdir, result, ecfg, checkpoints=True)
-    inputs = [cfg["data"]] + ([args.resume_from] if args.resume_from else [])
-    write_manifest(outdir, cfg, inputs)
-    _print_summary(summary)
-    return 0
+    return _finish_run(cfg, result, ecfg, (cfg["data"], args.resume_from), checkpoints=True)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:

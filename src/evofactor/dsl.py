@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
@@ -111,38 +112,42 @@ class ParseError(ExprError):
     """Raised when expression text cannot be parsed."""
 
 
+class _Node:
+    text = cached_property(lambda self: print_expr(self))  # a tree's canonical text, printed once
+
+
 @dataclass(frozen=True)
-class Feature:
+class Feature(_Node):
     name: str  # "prices" or "returns"
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str
     child: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(_Node):
     op: str
     child: "Expr"
     window: int
 
 
 @dataclass(frozen=True)
-class Last:
+class Last(_Node):
     child: "Expr"
     op: ClassVar[str] = "last"
 

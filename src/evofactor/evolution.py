@@ -20,7 +20,7 @@ import json
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -36,6 +36,7 @@ from .generator import (
     scan_for_leakage,
     validate_candidate,
 )
+from .jsonfields import INTEGER, NUMBER, OBJECT, OBJECTS, WEIGHTS, check, field_error
 from .market_data import (
     PriceTable,
     ReturnMatrix,
@@ -477,6 +478,7 @@ class SearchRecord:
     performance: dict[str, dict[str, float]]
     quality: dict[str, dict[str, float]]
     state: dict
+    source: str = field(default="", compare=False)  # the path:line it was read from, if any
 
     def pool_map(self) -> dict[str, FactorRecord]:
         return {rec.name: rec for rec in self.pool}
@@ -490,14 +492,6 @@ def search_record_to_json(record: SearchRecord) -> dict:
         "quality": record.quality,
         "state": record.state,
     }
-
-
-def json_object(doc: dict, key: str) -> dict:
-    """doc[key], which must be a JSON object."""
-    value = doc[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"{key!r} must be a JSON object, not {type(value).__name__}")
-    return value
 
 
 def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
@@ -518,22 +512,22 @@ def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
     return record
 
 
-def json_to_search_record(doc: dict, memo: dict | None = None) -> SearchRecord:
-    """One checkpoint line; lines decoded with the same memo share the pool
+_CHECKPOINT_FIELDS = {"step": INTEGER, "pool": OBJECTS, "performance": OBJECT, "quality": OBJECT, "state": OBJECT}
+
+
+def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "") -> SearchRecord:
+    """One checkpoint line, read from source; lines decoded with the same memo share the pool
     records and expression trees they repeat. performance and quality must name the same pool
     factors and hold the numeric final_value and mean_rankic a merge reads."""
-    for key in ("step", "pool", "performance", "quality", "state"):
-        if key not in doc:
-            raise ValueError(f"checkpoint record missing key {key!r}")
-    if type(doc["step"]) is not int:  # JSON true/false is no integer here
-        raise ValueError(f"step {doc['step']!r} must be an integer")
+    check(doc, _CHECKPOINT_FIELDS)
     memo = {} if memo is None else memo
     record = SearchRecord(
         step=doc["step"],
         pool=tuple(_pool_entry(item, memo) for item in doc["pool"]),
-        performance={k: dict(v) for k, v in json_object(doc, "performance").items()},
-        quality={k: dict(v) for k, v in json_object(doc, "quality").items()},
-        state=dict(json_object(doc, "state")),
+        performance={k: dict(v) for k, v in doc["performance"].items()},
+        quality={k: dict(v) for k, v in doc["quality"].items()},
+        state=dict(doc["state"]),
+        source=source,
     )
     if record.performance.keys() != record.quality.keys():
         raise ValueError("'performance' and 'quality' name different factors")
@@ -571,8 +565,8 @@ def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(json_to_search_record(json.loads(line), memo))
-            except (ValueError, KeyError, TypeError) as exc:
+                records.append(json_to_search_record(json.loads(line), memo, f"{path}:{line_no}"))
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad checkpoint record: {exc}") from exc
     return records
 
@@ -605,6 +599,9 @@ class RunState:
             self.scorer.drop(name)
 
 
+_STATE_FIELDS = {"portfolio_value": NUMBER, "baseline_value": NUMBER, "prev_weights": WEIGHTS}
+
+
 def start_run(
     table: PriceTable,
     cfg: EvolutionConfig,
@@ -620,17 +617,18 @@ def start_run(
     if resume_from is None:
         pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
         return RunState(scorer, pool_map, PerfTracker())
-    state, n_assets = resume_from.state, rm.values.shape[0]
-    for key in ("portfolio_value", "baseline_value"):
-        if type(state.get(key)) not in (float, int):  # JSON true/false is no number here
-            raise ValueError(f"resume state {key} {state.get(key)!r} must be a number")
-    raw = state.get("prev_weights")
-    if raw is not None and not all(
-        type(p) is list and len(p) == 2 and type(p[0]) is int and 0 <= p[0] < n_assets and type(p[1]) in (float, int)
-        for p in (raw if isinstance(raw, list) else [None])  # a non-list fails as one bad pair
-    ):
-        raise ValueError(f"resume state prev_weights {raw!r} must be null or a list of [asset index, weight] pairs")
-    prev = None if raw is None else PortfolioWeights({i: float(w) for i, w in raw})
+    state = resume_from.state
+    where = f"{resume_from.source}: resume state" if resume_from.source else "resume state"
+    try:
+        raw = check(state, _STATE_FIELDS)["prev_weights"]
+        if raw is not None and not all(0 <= i < rm.values.shape[0] for i, _ in raw):
+            raise field_error("prev_weights", raw, WEIGHTS[0])
+        try:
+            prev = None if raw is None else PortfolioWeights({i: float(w) for i, w in raw})
+        except ValueError as exc:
+            raise field_error("prev_weights", raw, f"a portfolio: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
     pool_map = resume_from.pool_map()
     tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
     value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])

@@ -112,36 +112,17 @@ def _format_table(names: Sequence[str], rows: Sequence[Mapping[str, float]], col
 def build_prompt(req: GenerationRequest) -> dict[str, str]:
     """Render the system and user messages for one generation call."""
     parts: list[str] = []
-    if req.library_factors:
-        parts.append("Existing Library Factors:")
-        for rec in req.library_factors:
-            parts.append(f"  {rec.name}: {rec.expr_text}")
-        parts.append("")
-    evolved = [tf for tf in req.top_factors if tf.record.origin != "seed"]
-    if evolved:
-        parts.append("Previously Generated Factors:")
-        for tf in evolved:
-            parts.append(f"  {tf.record.name}: {tf.record.expr_text}")
-        parts.append("")
+    evolved = [tf.record for tf in req.top_factors if tf.record.origin != "seed"]
+    sections = (("Existing Library Factors:", req.library_factors), ("Previously Generated Factors:", evolved))
+    for title, records in sections:
+        if records:
+            parts += [title, *(f"  {rec.name}: {rec.expr_text}" for rec in records), ""]
     if req.top_factors:
         names = [tf.record.name for tf in req.top_factors]
         parts.append("Recent Performance Metrics:")
-        parts.append(
-            _format_table(
-                names,
-                [tf.performance for tf in req.top_factors],
-                metrics.PERFORMANCE_COLUMNS,
-            )
-        )
-        parts.append("")
-        parts.append(
-            _format_table(
-                names,
-                [tf.quality for tf in req.top_factors],
-                metrics.quality_columns(req.recall_n),
-            )
-        )
-        parts.append("")
+        tables = (("performance", metrics.PERFORMANCE_COLUMNS), ("quality", metrics.quality_columns(req.recall_n)))
+        for key, columns in tables:
+            parts += [_format_table(names, [getattr(tf, key) for tf in req.top_factors], columns), ""]
     parts.append(
         f"Generate {req.m_candidates} new factors by mutation or crossover of the"
         " factors above. Remember: output ONLY a JSON list of"

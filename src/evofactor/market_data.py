@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonfields import ROWS, STRINGS, check
+
 logger = logging.getLogger(__name__)
 
 SNAPSHOT_SCHEMA = "evofactor/price-table@1"
@@ -252,18 +254,15 @@ def save_snapshot(table: PriceTable, path: str) -> None:
         handle.write("\n")
 
 
+_SNAPSHOT_FIELDS = {"schema": (repr(SNAPSHOT_SCHEMA), lambda v: v == SNAPSHOT_SCHEMA),
+                    "asset_ids": STRINGS, "dates": STRINGS, "prices": ROWS}
+
+
 def load_snapshot(path: str) -> PriceTable:
     with open(path) as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("schema") != SNAPSHOT_SCHEMA:
-        raise IngestError(f"{path}: not a {SNAPSHOT_SCHEMA} snapshot")
     try:
-        return PriceTable(
-            tuple(doc["asset_ids"]),
-            tuple(doc["dates"]),
-            np.asarray(doc["prices"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise IngestError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        check(doc, _SNAPSHOT_FIELDS)
+        return PriceTable(tuple(doc["asset_ids"]), tuple(doc["dates"]), np.asarray(doc["prices"], dtype=np.float64))
+    except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None

@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 from . import dsl
 from .dsl import Expr
+from .jsonfields import INTEGER, OBJECTS, STRING, STRINGS, check, field_error
 
 LIBRARY_SCHEMA = "evofactor/factor-library@1"
 
@@ -98,9 +98,9 @@ class FactorRecord:
         if not validated:
             dsl.validate_expr(self.expr)
 
-    @cached_property
+    @property
     def expr_text(self) -> str:
-        return dsl.print_expr(self.expr)
+        return self.expr.text
 
 
 def make_record(
@@ -174,53 +174,31 @@ def seed_factors(windows: tuple[int, ...] = dsl.ALLOWED_WINDOWS) -> list[FactorR
 # ------------------------------------------------------------ serialization
 
 
+# A record's JSON document: its fields, and the kind the reader checks each one for.
+_RECORD_FIELDS = {"name": STRING, "expr": STRING, "base_name": STRING, "version": INTEGER,
+                  "origin": STRING, "parents": STRINGS, "created_step": INTEGER}
+
+
 def record_to_json(record: FactorRecord) -> dict:
-    return {
-        "name": record.name,
-        "expr": record.expr_text,
-        "base_name": record.base_name,
-        "version": record.version,
-        "origin": record.origin,
-        "parents": list(record.parents),
-        "created_step": record.created_step,
-    }
-
-
-# A record's JSON fields and the one JSON type each must have.
-_FIELD_TYPES = {"name": str, "expr": str, "base_name": str, "version": int,
-                "origin": str, "parents": list, "created_step": int}
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list of strings"}
+    doc = {key: getattr(record, key) for key in _RECORD_FIELDS}
+    return doc | {"expr": record.expr_text, "parents": list(record.parents)}
 
 
 def json_to_record(doc: dict, trees: dict | None = None) -> FactorRecord:
     """The record a record_to_json document describes. trees maps expression
     text to its tree: a text found there is not parsed again, and a text
     parsed here is added to it."""
-    for key in _FIELD_TYPES:
-        if key not in doc:
-            raise ValueError(f"factor record missing {key!r}")
-    for key, kind in _FIELD_TYPES.items():
-        if type(doc[key]) is not kind:  # JSON true/false is no integer here
-            raise ValueError(f"{key} {doc[key]!r} must be {_TYPE_NAMES[kind]}")
-    if not all(type(p) is str for p in doc["parents"]):
-        raise ValueError(f"parents {doc['parents']!r} must be {_TYPE_NAMES[list]}")
-    base, window, version = parse_name(doc["name"])
-    trees = {} if trees is None else trees
-    if doc["expr"] not in trees:
-        trees[doc["expr"]] = dsl.parse(doc["expr"])
-    record = FactorRecord(
-        name=doc["name"],
-        expr=trees[doc["expr"]],
-        base_name=doc["base_name"],
-        version=doc["version"],
-        origin=doc["origin"],
-        parents=tuple(doc["parents"]),
-        created_step=doc["created_step"],
-        window=window,
-        validated=True,
-    )
-    for key, want in (("base_name", base), ("version", version)):
-        if getattr(record, key) != want:
+    check(doc, _RECORD_FIELDS)
+    trees, text = {} if trees is None else trees, doc["expr"]
+    if text not in trees:
+        try:
+            trees[text] = dsl.parse(text)
+        except ValueError as exc:
+            raise field_error("expr", text, f"a valid expression: {exc}") from None
+    record = make_record(doc["name"], trees[text], doc["origin"], tuple(doc["parents"]), doc["created_step"],
+                         validated=True)
+    for key in ("base_name", "version"):
+        if doc[key] != getattr(record, key):
             raise ValueError(f"{key} {doc[key]!r} does not match name {doc['name']!r}")
     return record
 
@@ -235,15 +213,17 @@ def save_library(records: list[FactorRecord], path: str) -> None:
         handle.write("\n")
 
 
+_LIBRARY_FIELDS = {"schema": (repr(LIBRARY_SCHEMA), lambda v: v == LIBRARY_SCHEMA), "factors": OBJECTS}
+
+
 def load_library(path: str) -> list[FactorRecord]:
     with open(path) as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("schema") != LIBRARY_SCHEMA:
-        raise ValueError(f"{path}: not a {LIBRARY_SCHEMA} document")
-    if not isinstance(doc.get("factors"), list):
-        raise ValueError(f"{path}: 'factors' must be a list of factor records")
-    for i, item in enumerate(doc["factors"]):
-        if not isinstance(item, dict):
-            raise ValueError(f"{path}: factor {i} is {item!r}, not a JSON object")
-    return [json_to_record(item) for item in doc["factors"]]
-
+    records, where = [], f"{path}:"
+    try:
+        for i, item in enumerate(check(doc, _LIBRARY_FIELDS)["factors"]):
+            where = f"{path}: factor {i}"
+            records.append(json_to_record(item))
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    return records

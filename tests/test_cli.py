@@ -10,10 +10,13 @@ import io
 import json
 import logging
 import re
+import reprlib
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import output_digests
 from evofactor import cli, dsl
@@ -242,25 +245,31 @@ def test_backtest_rejects_a_library_field_of_the_wrong_type(tmp_path, capsys, sn
     bad.write_text(json.dumps(doc))
     assert main(["backtest", "--snapshot", snapshot, "--library", str(bad),
                  "--output", str(tmp_path / "r")]) == 2
-    assert capsys.readouterr().err.strip().endswith("error: name 7 must be a string")
+    assert capsys.readouterr().err.strip() == f"error: {bad}: factor 0 name 7 must be a string"
 
 
 @pytest.mark.parametrize(
-    "factors, message",
+    "corrupt, message",
     [
-        (None, "'factors' must be a list of factor records"),
-        ({"momentum_7": {}}, "'factors' must be a list of factor records"),
-        ([5], "factor 0 is 5, not a JSON object"),
+        (lambda doc: doc.pop("factors"), "missing key 'factors'"),
+        (
+            lambda doc: doc.update(factors={"momentum_7": {}}),
+            "factors {'momentum_7': {}} must be a list of JSON objects",
+        ),
+        (lambda doc: doc.update(factors=[5]), "factors [5] must be a list of JSON objects"),
+        (lambda doc: doc["factors"][3].update(version="1"), "factor 3 version '1' must be an integer"),
+        (
+            lambda doc: doc["factors"][3].update(expr="last(foo)"),
+            "factor 3 expr 'last(foo)' must be a valid expression: unknown operator 'foo' at position 5",
+        ),
+        (lambda doc: doc.update(schema="x"), "schema 'x' must be 'evofactor/factor-library@1'"),
     ],
-    ids=["missing", "object", "entry-not-object"],
+    ids=["missing", "object", "entry-not-object", "text_version", "unknown_operator", "schema"],
 )
 def test_backtest_names_a_library_without_a_factor_list(tmp_path, capsys, snapshot, library,
-                                                        factors, message) -> None:
+                                                        corrupt, message) -> None:
     doc = json.loads(Path(library).read_text())
-    if factors is None:
-        del doc["factors"]
-    else:
-        doc["factors"] = factors
+    corrupt(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["backtest", "--snapshot", snapshot, "--library", str(bad),
@@ -273,11 +282,20 @@ def test_backtest_names_a_library_without_a_factor_list(tmp_path, capsys, snapsh
     [
         (lambda doc: doc.pop("asset_ids"), "missing key 'asset_ids'"),
         (lambda doc: doc.pop("prices"), "missing key 'prices'"),
-        (lambda doc: doc.update(prices="x"), "could not convert string to float: 'x'"),
-        (lambda doc: doc.update(dates=5), "'int' object is not iterable"),
+        (lambda doc: doc.update(prices="x"), "prices 'x' must be a list of equal-length lists of numbers"),
+        (lambda doc: doc.update(dates=5), "dates 5 must be a list of strings"),
         (lambda doc: doc.update(asset_ids=doc["asset_ids"][:-1]), "asset_ids length does not match price rows"),
+        # A whole field or one entry of the wrong JSON kind; {key} is the
+        # corrupted field's value as the message abbreviates it.
+        (lambda doc: doc.update(dates=list(range(len(doc["dates"])))), "dates {dates} must be a list of strings"),
+        (lambda doc: doc["asset_ids"].__setitem__(2, {}), "asset_ids {asset_ids} must be a list of strings"),
+        (lambda doc: doc["prices"][4].__setitem__(7, True),
+         "prices {prices} must be a list of equal-length lists of numbers"),
+        (lambda doc: doc["prices"][4].pop(), "prices {prices} must be a list of equal-length lists of numbers"),
+        (lambda doc: doc.update(schema="x"), "schema 'x' must be 'evofactor/price-table@1'"),
     ],
-    ids=["no_asset_ids", "no_prices", "text_prices", "int_dates", "short_asset_ids"],
+    ids=["no_asset_ids", "no_prices", "text_prices", "int_dates", "short_asset_ids",
+         "int_date_list", "object_asset_id", "bool_price", "ragged_prices", "schema"],
 )
 @pytest.mark.parametrize("command", ["backtest", "evolve", "report"])
 def test_a_malformed_snapshot_fails_naming_the_file(tmp_path, capsys, snapshot, library,
@@ -292,7 +310,8 @@ def test_a_malformed_snapshot_fails_naming_the_file(tmp_path, capsys, snapshot, 
         "report": ["report", "--mode", "factor_sweep", "--library", library],
     }[command]
     assert main([*args, "--snapshot", str(bad), "-o", str(tmp_path / "r"), *_SET]) == 2
-    assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+    fields = {key: reprlib.repr(value) for key, value in doc.items()}
+    assert capsys.readouterr().err.strip() == f"error: {bad}: {message.format(**fields)}"
 
 
 def test_score_heatmap_rejects_a_library_that_repeats_a_name(tmp_path, capsys, snapshot, library) -> None:
@@ -335,9 +354,10 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, snapshot, library) -> No
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"frobnicate": 1}')
     assert main(args + ["--config", str(bad_cfg)]) == 2
+    assert "unknown config key 'frobnicate'" in capsys.readouterr().err
     bad_cfg.write_text("[1, 2]")
     assert main(args + ["--config", str(bad_cfg)]) == 2
-    assert "JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad_cfg}: config file must hold a JSON object\n"
 
 
 def test_set_value_that_does_not_cast_names_its_key(tmp_path, capsys, snapshot, library) -> None:
@@ -465,16 +485,19 @@ def test_evolve_resume_missing_checkpoints(tmp_path, capsys, snapshot) -> None:
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("portfolio_value", None, "portfolio_value None must be a number"),
+        ("portfolio_value", None, "missing key 'portfolio_value'"),
         ("portfolio_value", True, "portfolio_value True must be a number"),
         ("baseline_value", "x", "baseline_value 'x' must be a number"),
         *[
             ("prev_weights", value, f"prev_weights {value!r} must be null or a list of [asset index, weight] pairs")
             for value in ([[0]], [[0.0, 1.0]], [[10, 1.0]], [[-1, 1.0]], [[0, "1"]], {"0": 1.0})
         ],
+        # Well-formed pairs that form no portfolio.
+        ("prev_weights", [[0, 0.5]], "prev_weights [[0, 0.5]] must be a portfolio: weights sum to 0.5, not 1"),
+        ("prev_weights", [], "prev_weights [] must be a portfolio: empty weight map"),
     ],
     ids=["no_value", "bool_value", "text_baseline", "short_pair", "float_index", "index_past_assets",
-         "negative_index", "text_weight", "object"],
+         "negative_index", "text_weight", "object", "half_weight", "empty_weights"],
 )
 def test_evolve_resume_names_a_malformed_state_key(tmp_path, capsys, snapshot, checkpoint_paths,
                                                    key, value, message) -> None:
@@ -486,7 +509,7 @@ def test_evolve_resume_names_a_malformed_state_key(tmp_path, capsys, snapshot, c
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(doc) + "\n")
     assert _evolve(snapshot, tmp_path / "r", ["--resume-from", str(bad)]) == 2
-    assert capsys.readouterr().err.strip() == f"error: resume state {message}"
+    assert capsys.readouterr().err.strip() == f"error: {bad}:1: resume state {message}"
 
 
 def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot) -> None:
@@ -552,9 +575,7 @@ def test_aggregate_names_a_checkpoint_map_that_is_not_an_object(
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "agg")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bad.jsonl:2: bad checkpoint record" in err
-    assert f"'{key}' must be a JSON object" in err
+    assert capsys.readouterr().err == f"error: {bad}:2: bad checkpoint record: {key} [1.0] must be a JSON object\n"
 
 
 def _ghost_factor(doc: dict) -> str:
@@ -640,6 +661,67 @@ def test_aggregate_rejects_checkpoint_stats_a_merge_cannot_read(
     err = capsys.readouterr().err
     want = f"error: {bad.as_posix()}:2: bad checkpoint record: {message.format(repr(name))}\n"
     assert err == want
+
+
+# ------------------------------------------------- JSON field kinds, property
+
+# The JSON kinds each checked field accepts, by document kind. A path names a
+# field inside the document, with list indexes; int excludes bool.
+_RECORD_KINDS = {"name": (str,), "expr": (str,), "base_name": (str,), "version": (int,),
+                 "origin": (str,), "parents": (list,), "created_step": (int,)}
+_FIELD_KINDS = {
+    "snapshot": {"asset_ids": (list,), "dates": (list,), "prices": (list,)},
+    "library": {"factors": (list,), **{f"factors/0/{key}": kinds for key, kinds in _RECORD_KINDS.items()}},
+    "checkpoint_line": {"step": (int,), "pool": (list,), "performance": (dict,), "quality": (dict,),
+                        "state": (dict,), **{f"pool/0/{key}": kinds for key, kinds in _RECORD_KINDS.items()}},
+    "resume_state": {"state/portfolio_value": (int, float), "state/baseline_value": (int, float),
+                     "state/prev_weights": (list, type(None))},
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _set_field(doc: dict, path: str, value: object) -> None:
+    *parents, key = [int(part) if part.isdigit() else part for part in path.split("/")]
+    for part in parents:
+        doc = doc[part]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("document", sorted(_FIELD_KINDS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_field_of_a_wrong_json_kind_exits_2_naming_the_file_and_the_key(
+    tmp_path, capsys, snapshot, library, checkpoint_paths, document, data
+) -> None:
+    path = data.draw(st.sampled_from(sorted(_FIELD_KINDS[document])), label="field")
+    kinds = _FIELD_KINDS[document][path]
+    value = data.draw(_JSON_VALUES.filter(lambda v: type(v) not in kinds), label="value")
+    lines = Path(checkpoint_paths[0]).read_text().splitlines()
+    text = {"snapshot": Path(snapshot).read_text(), "library": Path(library).read_text(),
+            "checkpoint_line": lines[1], "resume_state": lines[-1]}[document]
+    doc = json.loads(text)
+    _set_field(doc, path, value)
+    bad = tmp_path / "bad.json"
+    out = ["-o", str(tmp_path / "r"), *_SET]
+    if document == "checkpoint_line":
+        bad.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+        argv, where = ["aggregate", str(bad), "-o", str(tmp_path / "r")], f"{bad}:2: bad checkpoint record: "
+    elif document == "resume_state":
+        bad.write_text(json.dumps(doc) + "\n")
+        argv, where = ["evolve", "--snapshot", snapshot, "--resume-from", str(bad), *out], f"{bad}:1: resume state "
+    else:
+        bad.write_text(json.dumps(doc))
+        lib, snap = (str(bad), snapshot) if document == "library" else (library, str(bad))
+        argv, where = ["backtest", "--snapshot", snap, "--library", lib, *out], f"{bad}: "
+    assert main(argv) == 2
+    entry = "factor 0 " if path.startswith("factors/0/") else ""
+    key = path.split("/")[-1]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}{entry}{key} {reprlib.repr(value)} must be "), err
 
 
 # ------------------------------------------------------------------- report

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,30 @@ def test_unused_imports_checker() -> None:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path: Path) -> None:
     assert unused_imports(path.read_text()) == []
+
+
+# Outside the standard library a module may import only these; scipy, for
+# one, is a test dependency and no runtime one.
+RUNTIME_PACKAGES = {"numpy", "requests"}
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level package of every absolute import in the module, those
+    inside functions included; relative imports stay in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_packages_checker() -> None:
+    source = "import os.path\nfrom . import dsl\nfrom .seeds import x\ndef f():\n    from scipy import stats\n"
+    assert imported_packages(source) == {"os", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_import_only_the_standard_library_numpy_and_requests(path: Path) -> None:
+    assert imported_packages(path.read_text()) - sys.stdlib_module_names - RUNTIME_PACKAGES == set()
