@@ -12,7 +12,6 @@ control characters, so "\\n" sorts below every character a line holds.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -21,9 +20,9 @@ from typing import Sequence
 from . import dsl
 from .evolution import (
     SearchRecord,
+    checkpoint_line,
     filter_factor_versions,
     load_checkpoints,
-    search_record_to_json,
     write_jsonl,
 )
 from .seeds import FactorRecord, make_record
@@ -52,9 +51,10 @@ def _content_order(runs: list[list[SearchRecord]]) -> list[list[SearchRecord]]:
     """Stable sort of equal-length runs in the content order above: record i
     of a run is encoded once, and only if records 0..i-1 tie another run's."""
     keys: list[list[str]] = [[] for _ in runs]
+    memo: dict = {}
     for i in range(len(runs[0])):
         for r in [r for r, key in enumerate(keys) if keys.count(key) > 1]:
-            keys[r].append(json.dumps(search_record_to_json(runs[r][i]), sort_keys=True))
+            keys[r].append(checkpoint_line(runs[r][i], memo))
     return [runs[r] for r in sorted(range(len(runs)), key=keys.__getitem__)]
 
 

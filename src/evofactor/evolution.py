@@ -21,8 +21,10 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cache
+from operator import itemgetter
 from statistics import median
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,7 +140,8 @@ class PerfTracker:
     row, and a per-name step list serves count and the cut at a step. drop
     frees the row for the next new name, so memory follows the live pool.
     stat computes every column over trailing windows of entries up to a
-    given step; column computes the one a ranking reads.
+    given step, and column the one a ranking reads, each from one gather of
+    every name's window into a block ordered by entry count.
     """
 
     def __init__(self) -> None:
@@ -185,48 +188,46 @@ class PerfTracker:
         values = self._values[:, self._rows[name], : len(steps)].tolist() if steps else ([], [], [])
         return (list(steps), *values)
 
-    def _blocks(self, names: Iterable[str], window: int, upto: int, padded: bool = False) -> Iterator[tuple]:
-        """(names, their (3, k, n) block of gross, rankic and recall) for each
-        group of names with n of their last `window` entries up to step upto,
-        leaving out names with none; padded makes one group, left-padded with 1.0."""
-        groups: dict[int, list[tuple[str, int, int, int]]] = {}
-        for name in names:
-            hi = bisect_right(self._steps.get(name, []), upto)
-            n = min(window, hi)
-            if n > 0:
-                groups.setdefault(0 if padded else n, []).append((name, self._rows[name], hi, n))
-        for group in groups.values():
-            group_names, rows, ends, counts = zip(*group)
-            cols = np.add.outer(ends, np.arange(-max(counts), 0))
-            block = self._values[:, np.array(rows)[:, None], cols]
-            block[:, cols < np.subtract(ends, counts)[:, None]] = 1.0
-            yield group_names, block
+    def _gather(self, names: Iterable[str], window: int, upto: int) -> tuple[tuple, tuple, np.ndarray]:
+        """(names, their counts n, C-contiguous (k, 3, width) block): each
+        name's last n = min(window, entries up to step upto) entries of gross,
+        rankic and recall at the end of its row, left-padded with 1.0, rows
+        in increasing count order, leaving out names with none."""
+        found = [(min(window, hi), name, self._rows[name], hi)
+                 for name in names if (hi := bisect_right(self._steps.get(name, []), upto))]
+        if not found:
+            return (), (), np.empty((0, 3, 0))
+        counts, found_names, rows, ends = zip(*sorted(found, key=itemgetter(0)))
+        cols = np.add.outer(ends, np.arange(-counts[-1], 0))
+        # Array indices on every axis give a new row-major (k, 3, width) block.
+        block = self._values[np.arange(3)[:, None], np.array(rows)[:, None, None], cols[:, None, :]]
+        np.copyto(block, 1.0, where=(cols < np.subtract(ends, counts)[:, None])[:, None, :])
+        return found_names, counts, block
 
     def stat(
         self, names: Iterable[str], window: int, upto: int, recall_n: int
     ) -> dict[str, dict[str, float]]:
         """Every metrics.window_stats column over each name's last `window`
-        entries up to step upto, leaving out names with none. Names with
-        equally many entries are reduced together as one stacked block."""
-        stats: dict[str, dict[str, float]] = {}
-        for group, block in self._blocks(names, window, upto):
-            columns = metrics.window_stats(*block, recall_n)
-            rows = zip(*(values.tolist() for values in columns.values()))
-            stats.update((name, dict(zip(columns, row))) for name, row in zip(group, rows))
-        return stats
+        entries up to step upto, leaving out names with none, from one
+        gathered block."""
+        found, counts, block = self._gather(names, window, upto)
+        columns = metrics.window_stats(block, counts, recall_n)
+        rows = zip(*(values.tolist() for values in columns.values()))
+        return {name: dict(zip(columns, row)) for name, row in zip(found, rows)}
 
     def column(self, names: Iterable[str], window: int, upto: int, metric: str) -> dict[str, float]:
-        """stat's column for a metric of QUALITY_METRICS alone, bit for bit: a
-        left-to-right product ignores leading ones, so final_value reads one
-        padded block, while padding would reorder mean_rankic's pairwise sum."""
+        """stat's column for a metric of QUALITY_METRICS alone, bit for bit,
+        from the same gathered block."""
         if metric not in QUALITY_METRICS:
             raise ValueError(f"metric {metric!r} must be one of {QUALITY_METRICS}")
-        values: dict[str, float] = {}
-        padded = metric == "final_value"
-        for group, (gross, rankic, _) in self._blocks(names, window, upto, padded):
-            column = 100.0 * np.prod(gross, axis=1) if padded else rankic.mean(axis=1)
-            values.update(zip(group, column.tolist()))
-        return values
+        found, counts, block = self._gather(names, window, upto)
+        if metric == "final_value":
+            column = 100.0 * np.prod(block[:, 0], axis=1)
+        else:
+            column = np.empty(len(found))
+            for rows, n in metrics.count_runs(counts):
+                column[rows] = block[rows, 1, block.shape[-1] - n :].mean(axis=-1)
+        return dict(zip(found, column.tolist()))
 
 
 class ScoreCache:
@@ -283,24 +284,30 @@ class ScoreCache:
     def grades(self, records: Sequence[FactorRecord], t: int, block: range, m: int, recall_n: int) -> np.ndarray:
         """(3, len(records)) gross, rankic and recall of records at step t of
         block. Records without grades staged at t are graded together through
-        the block's end, GRADE_CHUNK score elements per metrics.grade_rows call
-        by step index into self.realized, and stay staged until a step of
-        another block comes."""
+        the block's end, and stay staged until a step of another block comes."""
         if block != self._block:
             self._block, self._grades, self._graded = block, np.empty((3, 0, len(block))), {}
         staged, col = self._graded, t - block.start
         fresh = [r for r in records if (e := staged.get(r.name)) is None or e[0] is not r.expr or e[2] > t]
         if fresh:
-            steps, grades = block[col:], np.empty((3, len(fresh), len(block)))
-            per = max(1, GRADE_CHUNK // (len(steps) * self.rm.values.shape[0]))  # factors per call
-            for i in range(0, len(fresh), per):
-                group = fresh[i : i + per]
-                scores = np.concatenate([self.rows(rec, t, block.stop) for rec in group])
-                graded = metrics.grade_rows(scores, self.realized, m, recall_n, np.tile(steps, len(group)))
-                grades[:, i : i + per, col:] = np.reshape(graded, (3, len(group), -1))
+            grades = np.empty((3, len(fresh), len(block)))
+            grades[:, :, col:] = self.grade(fresh, t, block.stop, m, recall_n)
             staged.update((rec.name, (rec.expr, self._grades.shape[1] + i, t)) for i, rec in enumerate(fresh))
             self._grades = np.concatenate([self._grades, grades], axis=1)
         return self._grades[:, [staged[rec.name][1] for rec in records], col]
+
+    def grade(self, records: Sequence[FactorRecord], t: int, stop: int, m: int, recall_n: int) -> np.ndarray:
+        """(3, len(records), stop - t) gross, rankic and recall of records at
+        steps t..stop-1, reading each record's rows in order, GRADE_CHUNK score
+        elements per metrics.grade_rows call by step index into self.realized."""
+        steps, grades = np.arange(t, stop), np.empty((3, len(records), stop - t))
+        per = max(1, GRADE_CHUNK // (len(steps) * self.rm.values.shape[0]))  # factors per call
+        for i in range(0, len(records), per):
+            group = records[i : i + per]
+            scores = np.concatenate([self.rows(rec, t, stop) for rec in group])
+            graded = metrics.grade_rows(scores, self.realized, m, recall_n, np.tile(steps, len(group)))
+            grades[:, i : i + per] = np.reshape(graded, (3, len(group), -1))
+        return grades
 
     def _evaluate(self, expr: dsl.Expr, rf: int, t: int, steps: int) -> np.ndarray:
         """(steps, n_assets) read-only rows from step t, cut at the last price step."""
@@ -425,43 +432,53 @@ def clean_factor_pool(
 
 
 def benchmark_gate(
-    candidate: FactorRecord,
+    fv: float, mean_ic: float, gated_fv: float, pool_median: Callable[[], float] | None
+) -> tuple[bool, str]:
+    """Keep/drop one fresh candidate by a trailing-window standalone
+    backtest, given its final value fv and mean RankIC mean_ic.
+
+    Dropped only when both legs fail: fv below gated_fv, (1 + t_drop) times
+    the 1/N baseline over the same window, AND mean_ic below pool_median(),
+    the median of the pool factors graded through t, which is read only when
+    the value leg fails. pool_median is None when no admitted factor is
+    graded yet, and then the candidate is kept.
+    """
+    if pool_median is None:
+        return True, "no incumbents to compare against"
+    if fv >= gated_fv:
+        return True, "cleared benchmark"
+    if mean_ic < pool_median():
+        return False, (
+            f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
+            f" and mean rankic {mean_ic:.4f} < pool median {pool_median():.4f}"
+        )
+    return True, "cleared benchmark"
+
+
+def gate_batch(
+    batch: Sequence[FactorRecord],
     tracker: PerfTracker,
     scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
     pool: Mapping[str, FactorRecord],
-) -> tuple[bool, str]:
-    """Keep/drop a fresh candidate by a trailing-window standalone backtest.
-
-    Dropped only when both legs fail: final value below (1 + t_drop) times
-    the 1/N baseline over the same window AND mean RankIC below the median
-    of the pool factors graded through t; pool holds admitted factors only.
-    Costs are ignored here (comparison is c=0).
+) -> list[tuple[bool, str]]:
+    """benchmark_gate's (keep, reason) for each fresh candidate of a step's
+    batch, in batch order; pool holds admitted factors only. Costs are
+    ignored here (comparison is c=0). The candidates are graded together,
+    and the baseline, the incumbents and their median are computed once per
+    batch, the median only if a value leg fails.
     """
     start = max(cfg.lookback, t - cfg.search_interval + 1)
-    scores, steps = scorer.rows(candidate, start, t + 1), np.arange(start, t + 1)
-    grosses, ics, _ = metrics.grade_rows(scores, scorer.realized, cfg.m, cfg.recall_n, steps)
-    fv = float(100.0 * np.prod(grosses))
+    grosses, ics, _ = scorer.grade(batch, start, t + 1, cfg.m, cfg.recall_n)
     # Contiguous rows: a row mean then sums in the same order as the mean of
     # one return column, so base_fv keeps its bits.
     base_fv = float(100.0 * np.prod(scorer.realized.returns[start : t + 1].mean(axis=1)))
-    mean_ic = float(np.mean(ics))
     incumbents = [name for name in pool if tracker.count(name, t) > 0]
-    if not incumbents:
-        return True, "no incumbents to compare against"
+    pool_median = cache(lambda: median(tracker.column(incumbents, cfg.search_interval, t, "mean_rankic").values()))
     gated_fv = (1.0 + cfg.t_drop) * base_fv
-    if fv >= gated_fv:
-        return True, "cleared benchmark"
-    # The pool median is needed only when the value leg fails.
-    ics = tracker.column(incumbents, cfg.search_interval, t, "mean_rankic")
-    pool_median = median(ics.values())
-    if mean_ic < pool_median:
-        return False, (
-            f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
-            f" and mean rankic {mean_ic:.4f} < pool median {pool_median:.4f}"
-        )
-    return True, "cleared benchmark"
+    fvs, mean_ics = (100.0 * np.prod(grosses, axis=1)).tolist(), np.mean(ics, axis=1).tolist()
+    return [benchmark_gate(fv, ic, gated_fv, pool_median if incumbents else None) for fv, ic in zip(fvs, mean_ics)]
 
 
 # --------------------------------------------------------------- checkpoints
@@ -484,10 +501,11 @@ class SearchRecord:
         return {rec.name: rec for rec in self.pool}
 
 
-def search_record_to_json(record: SearchRecord) -> dict:
+def search_record_to_json(record: SearchRecord, entry: Callable = record_to_json) -> dict:
+    """A checkpoint line's document, each pool entry as entry(record) gives it."""
     return {
         "step": record.step,
-        "pool": [record_to_json(rec) for rec in record.pool],
+        "pool": [entry(rec) for rec in record.pool],
         "performance": record.performance,
         "quality": record.quality,
         "state": record.state,
@@ -521,25 +539,21 @@ def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "")
     factors and hold the numeric final_value and mean_rankic a merge reads."""
     check(doc, _CHECKPOINT_FIELDS)
     memo = {} if memo is None else memo
-    record = SearchRecord(
-        step=doc["step"],
-        pool=tuple(_pool_entry(item, memo) for item in doc["pool"]),
-        performance={k: dict(v) for k, v in doc["performance"].items()},
-        quality={k: dict(v) for k, v in doc["quality"].items()},
-        state=dict(doc["state"]),
-        source=source,
-    )
-    if record.performance.keys() != record.quality.keys():
+    pool = tuple(_pool_entry(item, memo) for item in doc["pool"])
+    if doc["performance"].keys() != doc["quality"].keys():
         raise ValueError("'performance' and 'quality' name different factors")
-    pool = record.pool_map()
+    names = {rec.name for rec in pool}
     for key, column in (("performance", "final_value"), ("quality", "mean_rankic")):
-        for name, stats in getattr(record, key).items():
-            if name not in pool:
+        for name, stats in doc[key].items():
+            if name not in names:
                 raise ValueError(f"{key} entry {name!r} is not in 'pool'")
+            if type(stats) is not dict:
+                raise field_error(f"{key} entry {name!r}", stats, OBJECT[0])
             if type(stats.get(column)) not in (float, int):  # JSON true/false is no number here
                 lack = f"has a non-numeric {column!r}: {stats[column]!r}" if column in stats else f"lacks {column!r}"
                 raise ValueError(f"{key} entry {name!r} {lack}")
-    return record
+    maps = ({k: dict(v) for k, v in doc[key].items()} for key in ("performance", "quality"))
+    return SearchRecord(doc["step"], pool, *maps, dict(doc["state"]), source)
 
 
 def write_jsonl(docs: Iterable[dict], path: str) -> None:
@@ -549,8 +563,32 @@ def write_jsonl(docs: Iterable[dict], path: str) -> None:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+# json.dumps(o, sort_keys=True), without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def checkpoint_line(record: SearchRecord, memo: dict[int, tuple[FactorRecord, str]]) -> str:
+    """json.dumps(search_record_to_json(record), sort_keys=True), byte for
+    byte: the document's values encoded one by one and joined in key order
+    with the same separators. A pool entry is encoded once per memo, which
+    keeps it by id together with the record itself, so an id is never reused."""
+
+    def entry(rec: FactorRecord) -> str:
+        if id(rec) not in memo:
+            memo[id(rec)] = rec, _encode(record_to_json(rec))
+        return memo[id(rec)][1]
+
+    # Every value is encoded here but the pool's, whose entries come encoded.
+    doc = search_record_to_json(record, entry)
+    text = {key: f"[{', '.join(value)}]" if key == "pool" else _encode(value) for key, value in doc.items()}
+    return "{" + ", ".join(f"{_encode(key)}: {text[key]}" for key in sorted(text)) + "}"
+
+
 def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
-    write_jsonl(map(search_record_to_json, records), path)
+    """One checkpoint_line per record, sharing one memo."""
+    memo: dict[int, tuple[FactorRecord, str]] = {}
+    with open(path, "w") as handle:
+        handle.writelines(checkpoint_line(record, memo) + "\n" for record in records)
 
 
 def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
@@ -746,8 +784,8 @@ def run_evolution(
 ) -> EvolutionResult:
     """Full search-and-backtest loop over the table's steps.
 
-    Validated candidates wait in a batch outside run.pool, are each gated
-    against the graded pool and join it together; pruned and gated-out
+    Validated candidates wait in a batch outside run.pool, are gated as one
+    batch against the graded pool and join it together; pruned and gated-out
     factors leave only through RunState.drop.
 
     gen=None disables generation entirely (static-pool backtest). Generator
@@ -793,8 +831,8 @@ def run_evolution(
         # A candidate's first score request is the gate's, at the start of
         # its trailing window; the block it anchors also serves step t.
         admitted: dict[str, FactorRecord] = {}
-        for name, cand in batch.items():
-            keep, why = benchmark_gate(cand, tracker, scorer, cfg, t, run.pool)
+        decisions = gate_batch(list(batch.values()), tracker, scorer, cfg, t, run.pool) if batch else []
+        for (name, cand), (keep, why) in zip(batch.items(), decisions):
             if keep:
                 admitted[name] = cand
             else:

@@ -20,7 +20,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -244,19 +245,38 @@ def report_columns(recall_n: int) -> tuple[str, ...]:
     return ("factor",) + PERFORMANCE_COLUMNS + quality_columns(recall_n)
 
 
-def window_stats(
-    gross: np.ndarray, rankic: np.ndarray, recall: np.ndarray, recall_n: int
-) -> dict[str, np.ndarray]:
-    """Every report column after `factor`, per row of three (k, n >= 1)
-    blocks of trailing gross returns, RankICs and recalls.
+def count_runs(counts: Sequence[int]) -> Iterator[tuple[slice, int]]:
+    """(rows, n) for each run of equal adjacent counts n."""
+    lo = 0
+    for n, run in groupby(counts):
+        hi = lo + sum(1 for _ in run)
+        yield slice(lo, hi), n
+        lo = hi
+
+
+def window_stats(block: np.ndarray, counts: Sequence[int], recall_n: int) -> dict[str, np.ndarray]:
+    """Every report column after `factor`, per row of a (k, 3, width) block
+    of trailing gross returns, RankICs and recalls: row i holds its
+    counts[i] >= 1 entries at its end, left-padded with 1.0, and equal
+    counts are adjacent.
 
     Performance is over the net returns gross - 1 and the wealth path that
     starts at 100; max_drawdown is negative. Each row's values equal, bit
-    for bit, those of its series reduced on its own.
+    for bit, those of its series reduced on its own: the path, drawdown and
+    final value read the whole padded block, as leading ones change no
+    product and no peak, and the means and stds come from _mean_std_rows
+    per run of equal counts.
     """
-    k = len(gross)
-    moments = _mean_std_rows(np.concatenate([gross - 1.0, rankic, recall]))
-    (mean, mean_ic, mean_rc), (std, std_ic, std_rc) = (a.reshape(3, k) for a in moments)
+    k, width = len(block), block.shape[-1]
+    series = block - np.array([[1.0], [0.0], [0.0]])  # net returns; x - 0.0 is x
+    means, stds = np.empty((k, 3)), np.empty((k, 3))
+    for rows, n in count_runs(counts):
+        # Unit-stride rows (reshape copies the slice in C order unless it
+        # already is): numpy sums a row of any other stride in another order.
+        moments = _mean_std_rows(series[rows, :, width - n :].reshape(-1, n))
+        means[rows], stds[rows] = (a.reshape(-1, 3) for a in moments)
+    (mean, mean_ic, mean_rc), (std, std_ic, std_rc) = means.T, stds.T
+    gross = block[:, 0]
     path = 100.0 * np.concatenate([np.ones((k, 1)), np.cumprod(gross, axis=1)], axis=1)
     sharpe = np.divide(mean, std, out=np.zeros(k), where=std != 0.0)
     performance = (mean, std, sharpe, -_drawdown_rows(path), 100.0 * np.prod(gross, axis=1))

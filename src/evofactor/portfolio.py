@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .jsonfields import STRINGS, check
+
 LEDGER_COLUMNS = (
     "date",
     "phase",
@@ -210,18 +212,32 @@ def write_ledger(rows: Sequence[LedgerRow], path: str) -> None:
             )
 
 
+# The ledger's JSON cells, and the kind the reader checks each one for:
+# write_ledger writes each weight as its repr.
+_JSON_CELLS = {"selected_assets": STRINGS, "weights": STRINGS}
+
+
+def _decoded(cell: str | None) -> object:
+    """A cell's JSON value, or the cell itself when it holds none."""
+    try:
+        return json.loads(cell)
+    except (TypeError, ValueError):
+        return cell
+
+
 def read_ledger(path: str) -> list[LedgerRow]:
+    """The rows write_ledger wrote; a bad row fails naming path:line, and
+    a bad JSON cell its column."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != list(LEDGER_COLUMNS):
             raise ValueError(f"{path}: unexpected ledger columns {reader.fieldnames}")
-        return [
-            LedgerRow(
-                rec["date"],
-                rec["phase"],
-                *(float(rec[col]) for col in _FLOAT_COLUMNS),
-                selected_assets=tuple(json.loads(rec["selected_assets"])),
-                weights=tuple(float(w) for w in json.loads(rec["weights"])),
-            )
-            for rec in reader
-        ]
+        rows = []
+        for rec in reader:
+            try:
+                cells = check({key: _decoded(rec[key]) for key in _JSON_CELLS}, _JSON_CELLS)
+                rows.append(LedgerRow(rec["date"], rec["phase"], *(float(rec[col]) for col in _FLOAT_COLUMNS),
+                                      tuple(cells["selected_assets"]), tuple(map(float, cells["weights"]))))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        return rows

@@ -208,9 +208,8 @@ def save_library(records: list[FactorRecord], path: str) -> None:
         "schema": LIBRARY_SCHEMA,
         "factors": [record_to_json(r) for r in records],
     }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+    with open(path, "w") as handle:  # one dumps call runs the C encoder; json.dump never does
+        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 _LIBRARY_FIELDS = {"schema": (repr(LIBRARY_SCHEMA), lambda v: v == LIBRARY_SCHEMA), "factors": OBJECTS}

@@ -1,7 +1,7 @@
 """Grading microbenchmark: metrics.grade_rows on the loop's block shapes.
 
 Each case grades a block of score rows against realized rows ranked once by
-metrics.rank_realized, as update_tracker and benchmark_gate do:
+metrics.rank_realized, as update_tracker and gate_batch do:
 
 - `backtest`: the `backtest` workload's 42 seed factors x 200 assets, one
   shared step;
@@ -12,7 +12,7 @@ metrics.rank_realized, as update_tracker and benchmark_gate do:
 - `search`: a `search` pool of 35 factors x 40 assets, one shared step;
 - `search_block`: 33 factors x 5 steps x 40 assets by step index into a
   300-step table;
-- `gate`: benchmark_gate's 5 steps x 40 assets, one realized row per step.
+- `gate`: gate_batch's 5 steps x 40 assets, one realized row per step.
 
 A block case grades as many rows as five one-step cases of its pool. Each
 shape runs with tie-free rows and with tied rows, where every seventh row is

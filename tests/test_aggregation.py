@@ -443,9 +443,9 @@ def _save_runs(tmp_path, runs) -> list[str]:
 
 def test_run_order_encodes_records_only_up_to_the_first_difference(tmp_path, monkeypatch) -> None:
     encoded = []
-    encode = aggregation.search_record_to_json
+    encode = aggregation.checkpoint_line
     monkeypatch.setattr(
-        aggregation, "search_record_to_json", lambda r: encoded.append(r.step) or encode(r)
+        aggregation, "checkpoint_line", lambda r, memo: encoded.append(r.step) or encode(r, memo)
     )
     # First records differ: only the three first records are encoded.
     runs = [

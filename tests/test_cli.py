@@ -25,7 +25,7 @@ from evofactor.cli import main
 from evofactor.evolution import EvolutionConfig, run_evolution, save_checkpoints
 from evofactor.generator import GeneratorConfig
 from evofactor.market_data import BASE_DATE, load_snapshot, save_snapshot
-from evofactor.portfolio import read_ledger, write_ledger
+from evofactor.portfolio import LedgerRow, read_ledger, write_ledger
 from evofactor.seeds import load_library, save_library, seed_factors
 from evofactor.synthetic import planted_momentum_table, random_walk_table
 
@@ -608,6 +608,17 @@ def _step(value: object):
     return corrupt
 
 
+def _entry(key: str, value: object):
+    """Set the first factor's whole entry in one stats map to a JSON value."""
+
+    def corrupt(doc: dict) -> str:
+        name = sorted(doc[key])[0]
+        doc[key][name] = value
+        return name
+
+    return corrupt
+
+
 def _set(key: str, column: str, value: object):
     """Set the first factor's column in one stats map to a JSON value."""
 
@@ -641,6 +652,14 @@ def _set(key: str, column: str, value: object):
             )
             for key, column in (("performance", "final_value"), ("quality", "mean_rankic"))
             for value in ("abc", None, True)
+        ],
+        # An entry is a JSON object: not a number, nor a list of pairs a dict() call would accept.
+        *[
+            pytest.param(
+                _entry(key, value), f"{key} entry {{}} {value!r} must be a JSON object", id=f"{key}_{kind}"
+            )
+            for key in ("performance", "quality")
+            for kind, value in (("number", 5), ("pairs", [["final_value", 1.0], ["mean_rankic", 0.1]]))
         ],
         # A step is a JSON integer, as a pool entry's created_step is.
         *[
@@ -765,6 +784,29 @@ def test_report_wealth_curve_stem_collision(tmp_path, snapshot) -> None:
     first = lines[1].split(",")
     assert first[1] == repr(rows[0].portfolio_value)
     assert main(["report", "--mode", "wealth_curve", "-o", str(outdir)]) == 2
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("selected_assets", "5", "selected_assets 5 must be a list of strings"),
+        ("selected_assets", '["A0", 1]', "selected_assets ['A0', 1] must be a list of strings"),
+        ("weights", "[1.0]", "weights [1.0] must be a list of strings"),
+        ("weights", "[0.5", "weights '[0.5' must be a list of strings"),
+        ("weights", '["x"]', "could not convert string to float: 'x'"),
+        ("turnover", "x", "could not convert string to float: 'x'"),
+    ],
+)
+def test_report_names_a_bad_ledger_cell(tmp_path, capsys, column, cell, message) -> None:
+    row = LedgerRow("2020-01-02", "live", 101.0, 100.5, 1.01, 1.005, 0.5, 0.0, ("A0",), (1.0,))
+    path = tmp_path / "ledger.csv"
+    write_ledger([row, dataclasses.replace(row, date="2020-01-03")], str(path))
+    header, first, last = list(csv.reader(path.read_text().splitlines()))
+    last[header.index(column)] = cell
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([header, first, last])
+    assert main(["report", "--mode", "wealth_curve", "--ledger", str(path), "-o", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
 
 
 def test_report_factor_sweep(tmp_path, snapshot, library) -> None:

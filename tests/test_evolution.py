@@ -7,6 +7,7 @@ import json
 import logging
 import re
 import reprlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from evofactor.evolution import (
     ScoreCache,
     SearchRecord,
     benchmark_gate,
+    gate_batch,
     clean_factor_pool,
     composite_scores,
     filter_factor_versions,
@@ -577,9 +579,9 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
 
     scorer = ScoreCache(rm, cfg.lookback)
-    keep, why = benchmark_gate(good, tracker, scorer, cfg, 70, {**pool, good.name: good})
+    [(keep, why)] = gate_batch([good], tracker, scorer, cfg, 70, {**pool, good.name: good})
     assert keep, why
-    keep, why = benchmark_gate(bad, tracker, scorer, cfg, 70, {**pool, bad.name: bad})
+    [(keep, why)] = gate_batch([bad], tracker, scorer, cfg, 70, {**pool, bad.name: bad})
     assert not keep
     assert "final_value" in why and "rankic" in why
 
@@ -588,7 +590,7 @@ def test_benchmark_gate_without_incumbents_keeps() -> None:
     _, cfg, rm, _, _ = _gate_fixture()
     cand = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
     scorer = ScoreCache(rm, cfg.lookback)
-    keep, why = benchmark_gate(cand, PerfTracker(), scorer, cfg, 70, {cand.name: cand})
+    [(keep, why)] = gate_batch([cand], PerfTracker(), scorer, cfg, 70, {cand.name: cand})
     assert keep and "no incumbents" in why
 
 
@@ -599,11 +601,53 @@ def test_benchmark_gate_t_drop_raises_the_bar() -> None:
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", (), 70)
     strict = _cfg(m=5, recall_n=5, t_drop=10.0)  # baseline x11 is unbeatable
     scorer = ScoreCache(rm, strict.lookback)
-    keep, why = benchmark_gate(good, tracker, scorer, strict, 70, {**pool, good.name: good})
+    [(keep, why)] = gate_batch([good], tracker, scorer, strict, 70, {**pool, good.name: good})
     assert keep  # saved by the RankIC leg
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    keep, _ = benchmark_gate(bad, tracker, scorer, strict, 70, {**pool, bad.name: bad})
+    [(keep, _)] = gate_batch([bad], tracker, scorer, strict, 70, {**pool, bad.name: bad})
     assert not keep
+
+
+_GATE_EXPRS = tuple(rec.expr for rec in seed_factors((3, 7, 14))) + tuple(
+    dsl.parse(text) for text in ("ts_delta(prices, 7)", "neg(ts_delta(prices, 7))", "neg(ts_mean(returns, 3))")
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(range(len(_GATE_EXPRS))), min_size=1, max_size=6),
+    st.booleans(),
+    st.sampled_from([-0.5, -0.05, 0.0, 0.02, 10.0]),
+    st.integers(62, 70),
+)
+def test_gating_a_batch_equals_gating_each_candidate_alone(picks, incumbents, t_drop, t) -> None:
+    _, base, rm, pool, tracker = _gate_fixture()
+    cfg = dataclasses.replace(base, t_drop=t_drop)
+    batch = [make_record(f"cand{i}_7_v2", _GATE_EXPRS[k], "mutated", (), t) for i, k in enumerate(picks)]
+    if not incumbents:
+        pool, tracker = {}, PerfTracker()
+    together = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, t, pool)
+    alone = [gate_batch([cand], tracker, ScoreCache(rm, cfg.lookback), cfg, t, pool)[0] for cand in batch]
+    assert together == alone
+    for keep, why in together:
+        event(why.split(" ")[0] if keep else "gated out")
+
+
+def test_gate_batch_decides_each_candidate_through_benchmark_gate(monkeypatch) -> None:
+    # One benchmark_gate call per candidate, whose result is the candidate's
+    # decision: a profiler counts gated and kept candidates at that call.
+    _, cfg, rm, pool, tracker = _gate_fixture()
+    batch = [make_record(f"cand{i}_7_v2", expr, "mutated", (), 70) for i, expr in enumerate(_GATE_EXPRS)]
+    calls: list[tuple[bool, str]] = []
+
+    def recording_gate(*args, _gate=benchmark_gate):
+        calls.append(_gate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
+    decisions = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, 70, pool)
+    assert calls == decisions and len(decisions) == len(batch)
+    assert {keep for keep, _ in decisions} == {True, False}
 
 
 # ------------------------------------------------------ composite scores
@@ -823,17 +867,17 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
         panel_calls.append((step["t"], expr))
         return _panel(expr, prices, returns)
 
-    def recording_gate(candidate, *args, _gate=benchmark_gate):
-        keep, why = _gate(candidate, *args)
-        kept[candidate.name] = keep
-        return keep, why
+    def recording_gate(batch, *args, _gate=gate_batch):
+        decisions = _gate(batch, *args)
+        kept.update((cand.name, keep) for cand, (keep, _) in zip(batch, decisions))
+        return decisions
 
     def recording_add(self, names, *args, _add=PerfTracker.add):
         tracked.update(names)
         _add(self, names, *args)
 
     monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
-    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
+    monkeypatch.setattr(evolution, "gate_batch", recording_gate)
     monkeypatch.setattr(PerfTracker, "add", recording_add)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
@@ -877,13 +921,13 @@ def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch,
             batch.append(repeat)
         return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, ())
 
-    def recording_gate(candidate, tracker, scorer, cfg, t, pool, _gate=benchmark_gate):
-        keep, why = _gate(candidate, tracker, scorer, cfg, t, pool)
-        gates.append((t, candidate, keep, dict(pool)))
-        return keep, why
+    def recording_gate(batch, tracker, scorer, cfg, t, pool, _gate=gate_batch):
+        decisions = _gate(batch, tracker, scorer, cfg, t, pool)
+        gates.extend((t, cand, keep, dict(pool)) for cand, (keep, _) in zip(batch, decisions))
+        return decisions
 
     monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
-    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
+    monkeypatch.setattr(evolution, "gate_batch", recording_gate)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
     with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
@@ -1205,6 +1249,35 @@ def test_checkpoint_serialization_round_trip(tmp_path) -> None:
     del broken["state"]
     with pytest.raises(ValueError):
         json_to_search_record(broken)
+
+
+_STAT_VALUES = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5, -3, 2**60]) | st.floats() | st.integers()
+
+
+@st.composite
+def _search_records(draw) -> list[SearchRecord]:
+    """Checkpoint records whose pools are drawn from a few shared record
+    objects, two of them under each name, with drawn stats and state values."""
+    shared = [make_record(f"f{i % 3}_7_v1", expr, "mutated", (), i) for i, expr in enumerate(_GATE_EXPRS[:6])]
+    records = []
+    for step in range(draw(st.integers(0, 4))):
+        pool = tuple(draw(st.lists(st.sampled_from(shared), max_size=5, unique_by=lambda rec: rec.name)))
+        stats = st.dictionaries(st.text(max_size=4), _STAT_VALUES, max_size=3)
+        performance = {rec.name: draw(stats) for rec in pool}
+        quality = {rec.name: draw(stats) for rec in pool}
+        state = draw(st.dictionaries(st.text(max_size=5), _STAT_VALUES | st.text(max_size=3) | st.none(), max_size=4))
+        records.append(SearchRecord(step, pool, performance, quality, state))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(_search_records())
+def test_saved_checkpoint_lines_equal_each_record_encoded_alone(records) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoints.jsonl"
+        save_checkpoints(records, str(path))
+        lines = path.read_text().splitlines()
+    assert lines == [json.dumps(search_record_to_json(record), sort_keys=True) for record in records]
 
 
 def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
