@@ -45,8 +45,7 @@ def main() -> None:
     top_held = sorted(held.items(), key=lambda kv: -kv[1])[:3]
     print("most held assets:", ", ".join(f"{a} ({c} steps)" for a, c in top_held))
 
-    last = max(step for name in (r.name for r in result.pool)
-               for step in result.tracker.series(name)[0] or (0,))
+    last = result.tracker.reached
     print(f"\nper-factor trailing stats at step {last}:")
     print(f"{'factor':>22}  {'final_value':>11}  {'mean_rankic':>11}")
     names = sorted(rec.name for rec in result.pool)[:8]

@@ -214,8 +214,7 @@ def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
 
 
 def _factor_rows(tracker: PerfTracker, pool: Sequence[FactorRecord], ecfg: EvolutionConfig) -> list[dict]:
-    last = max((tracker.series(rec.name)[0][-1] for rec in pool if tracker.count(rec.name)), default=0)
-    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, last, ecfg.recall_n)
+    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, tracker.reached, ecfg.recall_n)
     return [{"factor": name, **stats[name]} for name in sorted(stats)]
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cache
 from operator import itemgetter
@@ -53,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 WEIGHTINGS = ("equal", "positive_score", "temperature")
 QUALITY_METRICS = ("final_value", "mean_rankic")
-# Score elements per grade_rows call that stages a block. Bigger calls grade
+# Score elements per grade_rows call that grades a block. Bigger calls grade
 # no faster and hold bigger temporaries: one call for the backtest
 # workload's 42 factors x 5 steps x 200 assets raised peak RSS by 1.4 MB.
 GRADE_CHUNK = 16_000
@@ -131,70 +130,78 @@ class EvolutionConfig:
 
 
 class PerfTracker:
-    """Per-factor standalone evaluation series, appended a step at a time:
-    add writes one step's entries for every name graded at it.
+    """Per-factor standalone evaluation series on a contiguous step axis: the
+    run's one store of grades. write appends a block of steps to some names'
+    rows and marks the last step the run has reached; no read sees past it.
 
     Each entry holds the factor's own top-m equal-weight gross return, its
     RankIC against next-step returns, and recall@N, kept in one float64 block
-    of shape (3, rows, entries): a name's entries sit left-aligned in its
-    row, and a per-name step list serves count and the cut at a step. drop
-    frees the row for the next new name, so memory follows the live pool.
-    stat computes every column over trailing windows of entries up to a
-    given step, and column the one a ranking reads, each from one gather of
-    every name's window into a block ordered by entry count.
+    of shape (3, rows, entries): a name's row holds one entry per step from
+    its first step on. drop frees the row for the next new name, so memory
+    follows the live pool. stat computes every column over trailing windows
+    of entries up to a given step, and column the one a ranking reads, each
+    from one gather of every name's window into a block ordered by entry
+    count.
     """
 
     def __init__(self) -> None:
-        self._steps: dict[str, list[int]] = {}
-        self._rows: dict[str, int] = {}
+        self.reached = -1  # the last step written; every read stops there
+        self._rows: dict[str, tuple[int, int, int]] = {}  # name -> (row, first step, step after its last entry)
         self._free: list[int] = []
         self._values = np.empty((3, 0, 0))
 
-    def add(self, names: Sequence[str], step: int, gross, rankic, recall) -> None:
-        """Append step's entry to each of names in one indexed write, the one
-        write path: gross[i], rankic[i] and recall[i] go to names[i]."""
-        if len(set(names)) < len(names) or any(step <= self._steps[n][-1] for n in names if n in self._steps):
-            raise ValueError("tracker names must be distinct and their steps must increase")
-        rows, cols = [], []
-        for name in names:
-            if name not in self._rows:  # with no free row, every allocated row is live
-                self._rows[name], self._steps[name] = self._free.pop() if self._free else len(self._rows), []
-            rows.append(self._rows[name])
-            cols.append(len(self._steps[name]))
-            self._steps[name].append(step)
-        _, have, entries = self._values.shape
-        top, n = max(rows, default=-1), max(cols, default=-1)
-        if top >= have or n >= entries:
-            grown = np.empty((3, max(have, top + 1), max(entries, 2 * n + 16)))
-            grown[:, :have, :entries] = self._values
-            self._values = grown
-        self._values[:, rows, cols] = (gross, rankic, recall)
+    def write(self, names: Sequence[str], t: int, grades: np.ndarray) -> None:
+        """Append grades[:, i], the gross, rankic and recall of names[i] at
+        steps t, t+1, ..., to its row in one indexed write, the one write
+        path, then mark t reached. Each name is new, and its row starts at t,
+        or has entries through t - 1 exactly; t never falls behind the
+        reached step. A rejected write changes nothing."""
+        rows = self._rows
+        if t < self.reached or len(set(names)) < len(names) or any(rows[n][2] != t for n in names if n in rows):
+            raise ValueError(
+                f"a write at step {t} must not fall behind step {self.reached},"
+                " must name each factor once and must continue each row at its next step"
+            )
+        if names:
+            for name in names:  # with no free row, every allocated row is live
+                row, first, _ = rows.get(name) or (self._free.pop() if self._free else len(rows), t, t)
+                rows[name] = (row, first, t + grades.shape[2])
+            index = np.array([rows[n][:2] for n in names])
+            cols = t - index[:, 1:] + np.arange(grades.shape[2])
+            _, have, entries = self._values.shape
+            top, n = index[:, 0].max(), cols[:, -1].max()
+            if top >= have or n >= entries:
+                grown = np.empty((3, max(have, top + 1), max(entries, 2 * n + 16)))
+                grown[:, :have, :entries] = self._values
+                self._values = grown
+            self._values[:, index[:, :1], cols] = grades
+        self.reached = t
 
     def names(self) -> list[str]:
-        return sorted(self._steps)
+        return sorted(self._rows)
 
     def count(self, name: str, upto: int | None = None) -> int:
-        steps = self._steps.get(name, [])
-        if upto is None:
-            return len(steps)
-        return bisect_right(steps, upto)
+        """name's entries through step upto, or through the reached step."""
+        _, first, stop = self._rows.get(name, (0, 0, 0))
+        last = self.reached if upto is None else min(upto, self.reached)
+        return max(0, min(stop, last + 1) - first)
 
     def drop(self, name: str) -> None:
-        if self._steps.pop(name, None) is not None:
-            self._free.append(self._rows.pop(name))
+        if (entry := self._rows.pop(name, None)) is not None:
+            self._free.append(entry[0])
 
     def series(self, name: str) -> tuple[list[int], list[float], list[float], list[float]]:
-        steps = self._steps.get(name, [])
-        values = self._values[:, self._rows[name], : len(steps)].tolist() if steps else ([], [], [])
-        return (list(steps), *values)
+        n = self.count(name)
+        row, first, _ = self._rows.get(name, (0, 0, 0))
+        values = self._values[:, row, :n].tolist() if n else ([], [], [])
+        return (list(range(first, first + n)), *values)
 
     def _gather(self, names: Iterable[str], window: int, upto: int) -> tuple[tuple, tuple, np.ndarray]:
         """(names, their counts n, C-contiguous (k, 3, width) block): each
         name's last n = min(window, entries up to step upto) entries of gross,
         rankic and recall at the end of its row, left-padded with 1.0, rows
         in increasing count order, leaving out names with none."""
-        found = [(min(window, hi), name, self._rows[name], hi)
-                 for name in names if (hi := bisect_right(self._steps.get(name, []), upto))]
+        found = [(min(window, hi), name, self._rows[name][0], hi) for name in names if (hi := self.count(name, upto))]
         if not found:
             return (), (), np.empty((0, 3, 0))
         counts, found_names, rows, ends = zip(*sorted(found, key=itemgetter(0)))
@@ -233,7 +240,8 @@ class PerfTracker:
 class ScoreCache:
     """Raw factor scores by step over one return matrix: the run's one scorer.
     It derives the normalized prices from rm, ranks every step's realized
-    returns once, and stages the grades update_tracker writes.
+    returns once, and grades factors over a run of steps; it keeps scores
+    only, and the tracker keeps the grades.
 
     Each factor keeps one block of rows. A read of steps t..stop-1 is served
     from it when the block came from the record's expression object and
@@ -252,15 +260,12 @@ class ScoreCache:
         # name -> (expr, receptive field or 0 off the panel path, first step, (steps, n_assets) rows)
         self._blocks: dict[str, tuple[dsl.Expr, int, int, np.ndarray]] = {}
         self.realized = metrics.rank_realized(rm.values.T)  # every step, ranked once
-        # grades(): its block's steps, (3, staged rows, those steps), name -> (expr, row, first step staged)
-        self._block, self._grades, self._graded = range(0), np.empty((3, 0, 0)), {}
 
     def names(self) -> list[str]:
         return sorted(self._blocks)
 
     def drop(self, name: str) -> None:
         self._blocks.pop(name, None)
-        self._graded.pop(name, None)
 
     def scores(self, record: FactorRecord, t: int) -> np.ndarray:
         """(n_assets,) raw scores of record at price step t; read-only."""
@@ -280,21 +285,6 @@ class ScoreCache:
             start, rows = t, self._evaluate(expr, rf, t, max(self.lookback, stop - t) if rf else stop - t)
             self._blocks[record.name] = (expr, rf, start, rows)
         return rows[t - start : stop - start]
-
-    def grades(self, records: Sequence[FactorRecord], t: int, block: range, m: int, recall_n: int) -> np.ndarray:
-        """(3, len(records)) gross, rankic and recall of records at step t of
-        block. Records without grades staged at t are graded together through
-        the block's end, and stay staged until a step of another block comes."""
-        if block != self._block:
-            self._block, self._grades, self._graded = block, np.empty((3, 0, len(block))), {}
-        staged, col = self._graded, t - block.start
-        fresh = [r for r in records if (e := staged.get(r.name)) is None or e[0] is not r.expr or e[2] > t]
-        if fresh:
-            grades = np.empty((3, len(fresh), len(block)))
-            grades[:, :, col:] = self.grade(fresh, t, block.stop, m, recall_n)
-            staged.update((rec.name, (rec.expr, self._grades.shape[1] + i, t)) for i, rec in enumerate(fresh))
-            self._grades = np.concatenate([self._grades, grades], axis=1)
-        return self._grades[:, [staged[rec.name][1] for rec in records], col]
 
     def grade(self, records: Sequence[FactorRecord], t: int, stop: int, m: int, recall_n: int) -> np.ndarray:
         """(3, len(records), stop - t) gross, rankic and recall of records at
@@ -354,17 +344,17 @@ def update_tracker(
     t: int,
     cfg: EvolutionConfig,
 ) -> None:
-    """Grade at step t the pool factors with created_step <= t, in one
-    tracker write: a factor's series starts at max(lookback, created_step)
-    in every run and replay. scorer.grades stages the grades of t's block
-    [k*I, (k+1)*I) of the search grid (I = search_interval, cut to lookback
-    and the run's end), where the pool changes only at the first step."""
-    names = sorted(name for name, rec in pool.items() if rec.created_step <= t)
-    if not names:
-        return
+    """Grade the pool factors with created_step <= t and no entry at t yet
+    through the end of t's block [k*I, (k+1)*I) of the search grid (I =
+    search_interval, cut to lookback and the run's end), in one scorer.grade
+    call and one tracker write that marks t reached. The pool changes only at
+    a block's first step, where every factor is graded; at a later step only
+    a factor the tracker lacks is, so each is graded once per block and its
+    series starts at max(lookback, created_step) in every run and replay."""
     first = t - t % cfg.search_interval
-    block = range(max(cfg.lookback, first), min(first + cfg.search_interval, scorer.rm.values.shape[1]))
-    tracker.add(names, t, *scorer.grades([pool[name] for name in names], t, block, cfg.m, cfg.recall_n))
+    start, stop = max(cfg.lookback, first), min(first + cfg.search_interval, scorer.rm.values.shape[1])
+    names = sorted(n for n, rec in pool.items() if rec.created_step <= t and (t == start or not tracker.count(n)))
+    tracker.write(names, t, scorer.grade([pool[n] for n in names], t, stop, cfg.m, cfg.recall_n))
 
 
 def pool_by_name(records: Iterable[FactorRecord]) -> dict[str, FactorRecord]:

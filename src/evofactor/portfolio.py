@@ -49,12 +49,6 @@ class PortfolioWeights:
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be nonnegative")
 
-    def as_vector(self, n: int) -> np.ndarray:
-        vec = np.zeros(n)
-        for i, w in self.weights.items():
-            vec[i] = w
-        return vec
-
     @property
     def cardinality(self) -> int:
         return sum(1 for w in self.weights.values() if w > 0)
@@ -194,9 +188,6 @@ class LedgerRow:
     cost: float
     selected_assets: tuple[str, ...]
     weights: tuple[float, ...]
-
-    def weight_map(self) -> dict[str, float]:
-        return dict(zip(self.selected_assets, self.weights))
 
 
 def write_ledger(rows: Sequence[LedgerRow], path: str) -> None:

@@ -7,7 +7,7 @@ metrics.rank_realized, as update_tracker and gate_batch do:
   shared step;
 - `backtest_block`: those 42 factors over a 5-step search block, each score
   row graded by step index into the run's 90-step realized table, in one
-  call (ScoreCache.grades splits this block into calls of at most
+  call (ScoreCache.grade splits this block into calls of at most
   evolution.GRADE_CHUNK score elements);
 - `search`: a `search` pool of 35 factors x 40 assets, one shared step;
 - `search_block`: 33 factors x 5 steps x 40 assets by step index into a

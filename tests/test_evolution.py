@@ -105,16 +105,30 @@ def test_config_validation() -> None:
 # -------------------------------------------------------------- tracker
 
 
+def _write(tr: PerfTracker, names, step: int, gross, rankic, recall) -> None:
+    """One step's entries for names, one column each: gross[i] goes to names[i]."""
+    tr.write(names, step, np.array([gross, rankic, recall], dtype=float)[:, :, None])
+
+
 def test_tracker_mechanics() -> None:
     tr = PerfTracker()
-    tr.add(["a"], 30, [1.01], [0.1], [0.5])
-    tr.add(["a", "b"], 31, [0.99, 1.02], [-0.2, 0.3], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        tr.add(["a"], 31, [1.0], [0.0], [0.0])  # steps must increase
-    with pytest.raises(ValueError):
-        tr.add(["c", "b", "c"], 32, [1.0] * 3, [0.0] * 3, [0.0] * 3)  # names must be distinct
-    with pytest.raises(ValueError):
-        tr.add(["c", "a"], 31, [1.0] * 2, [0.0] * 2, [0.0] * 2)  # a rejected write changes nothing
+    assert tr.reached == -1
+    tr.write(["a"], 30, np.array([[[1.01, 0.99]], [[0.1, -0.2]], [[0.5, 0.0]]]))  # a at steps 30 and 31
+    assert tr.reached == 30 and tr.series("a") == ([30], [1.01], [0.1], [0.5])  # 31 is not reached
+    assert tr.count("a", upto=31) == 1 and tr.stat(["a"], 5, 31, 4) == tr.stat(["a"], 5, 30, 4)
+    _write(tr, ["b"], 31, [1.02], [0.3], [1.0])
+    state = (tr.reached, tr.names(), tr.series("a"), tr.series("b"))
+    for names, step in (
+        (["a"], 33),  # a skips step 32
+        (["b"], 31),  # b repeats step 31
+        (["c", "b", "c"], 32),  # c is named twice
+        (["c", "a"], 33),  # a rejected write changes nothing, new c included
+        (["c"], 30),  # step 30 falls behind the reached step 31
+    ):
+        with pytest.raises(ValueError):
+            tr.write(names, step, np.ones((3, len(names), 1)))
+        assert (tr.reached, tr.names(), tr.series("a"), tr.series("b")) == state
+    _write(tr, [], 31, [], [], [])  # marks step 31 only
     assert tr.names() == ["a", "b"]
     assert tr.count("a") == 2
     assert tr.count("a", upto=30) == 1
@@ -124,13 +138,15 @@ def test_tracker_mechanics() -> None:
     assert rankic == [0.1, -0.2] and recall == [0.5, 0.0]
     tr.drop("a")
     assert tr.names() == ["b"] and tr.count("a") == 0
+    _write(tr, ["a"], 33, [1.0], [0.0], [0.0])  # a dropped name starts a new row
+    assert tr.series("a") == ([33], [1.0], [0.0], [0.0]) and tr.count("b") == 1
 
 
 def test_tracker_stat_performance_columns() -> None:
     tr = PerfTracker()
     grosses = [1.02, 0.97, 1.01, 1.03]
     for i, g in enumerate(grosses):
-        tr.add(["f"], 30 + i, [g], [0.1 * i], [0.5])
+        _write(tr, ["f"], 30 + i, [g], [0.1 * i], [0.5])
     stats = tr.stat(["f"], window=10, upto=40, recall_n=4)["f"]
     net = [g - 1.0 for g in grosses]
     assert stats["mean_return"] == pytest.approx(oracles.mean(net))
@@ -156,7 +172,7 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     ics = [0.2, -0.1, 0.4]
     recalls = [0.5, 0.25, 0.75]
     for i, (ic, rc) in enumerate(zip(ics, recalls)):
-        tr.add(["f"], 30 + i, [1.0], [ic], [rc])
+        _write(tr, ["f"], 30 + i, [1.0], [ic], [rc])
     stats = tr.stat(["f", "ghost"], window=5, upto=40, recall_n=4)
     # A name with no entries up to upto is left out, not given neutral stats.
     assert list(stats) == ["f"]
@@ -172,46 +188,69 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     assert tr.stat(["f"], window=5, upto=29, recall_n=4) == {}
 
 
+_Entry = tuple[int, float, float, float]  # step, gross, rankic, recall
+
+
 @st.composite
 def _tracker_ops(
-    draw, max_names: int = 6, max_start: int = -1, max_ops: int = 120
-) -> list[tuple[str, tuple[int, float, float, float] | None]]:
-    """Interleaved adds and drops over a few names, as (name, entry) with
-    entry None for a drop. Each add steps past the name's last step since it
-    was last dropped; a re-added name, or a new one, reuses a freed row.
-    Each name's first add comes after a drawn step up to max_start. Some
-    names always add the same gross and rankic."""
+    draw, max_names: int = 6, max_start: int = 0, max_entries: int = 120
+) -> list[tuple[int | None, int, dict[str, list[_Entry]]]]:
+    """Interleaved writes and drops over a few names, as a run makes them:
+    (step, k, {name: its k entries from step on}) for a write, which marks
+    step reached, and (None, 0, {name: []}) for a drop. Each write's step is
+    the reached step or a later one, from a drawn first step up to
+    max_start, and it continues the rows it extends at the step after their
+    last entry; a re-written name, or a new one, starts a row at the step
+    and reuses a freed row. Some names always write the same gross and
+    rankic. At most max_entries entries and drops are drawn."""
     names = [f"f{i}" for i in range(draw(st.integers(1, max_names)))]
     fixed = {
         name: (draw(st.floats(0.5, 1.5)), draw(st.floats(-1.0, 1.0)))
         for name in names
         if draw(st.booleans())
     }
-    last = {name: draw(st.integers(-1, max_start)) for name in names}
-    ops: list[tuple[str, tuple[int, float, float, float] | None]] = []
-    for _ in range(draw(st.integers(0, max_ops))):
-        name = draw(st.sampled_from(names))
+    reached, stops = draw(st.integers(0, max_start)), {}  # name -> step after its last entry
+    ops: list[tuple[int | None, int, dict[str, list[_Entry]]]] = []
+    budget = draw(st.integers(0, max_entries))
+    while budget > 0:
         if draw(st.integers(0, 11)) == 0:
-            ops.append((name, None))
-            last[name] = -1
+            name = draw(st.sampled_from(names))
+            ops.append((None, 0, {name: []}))
+            stops.pop(name, None)
+            budget -= 1
             continue
-        last[name] += draw(st.integers(1, 4))
-        gross, rankic = fixed.get(name) or (draw(st.floats(0.5, 1.5)), draw(st.floats(-1.0, 1.0)))
-        ops.append((name, (last[name], gross, rankic, draw(st.integers(0, 4)) / 4)))
+        steps = {reached, reached + 1, reached + 2, *(stop for stop in stops.values() if stop >= reached)}
+        step = draw(st.sampled_from(sorted(steps)))
+        open_rows = [name for name in names if stops.get(name, step) == step]
+        k = draw(st.integers(1, 4))
+        written = {}
+        for name in draw(st.lists(st.sampled_from(open_rows), unique=True, max_size=3)) if open_rows else []:
+            entries = []
+            for s in range(step, step + k):
+                gross, rankic = fixed.get(name) or (draw(st.floats(0.5, 1.5)), draw(st.floats(-1.0, 1.0)))
+                entries.append((s, gross, rankic, draw(st.integers(0, 4)) / 4))
+            written[name], stops[name] = entries, step + k
+        ops.append((step, k, written))
+        reached, budget = step, budget - max(1, k * len(written))
     return ops
 
 
-def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[tuple[int, float, float, float]]]]:
-    """The tracker after ops, and the entries each live name holds."""
+def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[_Entry]]]:
+    """The tracker after ops, and every entry each live name was written,
+    the reached step's and those past it alike."""
     tr = PerfTracker()
-    entries: dict[str, list[tuple[int, float, float, float]]] = {}
-    for name, entry in ops:
-        if entry is None:
+    entries: dict[str, list[_Entry]] = {}
+    for step, k, written in ops:
+        if step is None:
+            (name,) = written
             tr.drop(name)
             entries.pop(name, None)
         else:
-            tr.add([name], entry[0], *([v] for v in entry[1:]))
-            entries.setdefault(name, []).append(entry)
+            columns = [[[entry[c] for entry in rows] for rows in written.values()] for c in (1, 2, 3)]
+            tr.write(list(written), step, np.reshape(columns, (3, len(written), k)))
+            for name, rows in written.items():
+                entries.setdefault(name, []).extend(rows)
+    assert tr.reached == max((step for step, _, _ in ops if step is not None), default=-1)
     return tr, entries
 
 
@@ -220,11 +259,15 @@ def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[tuple[int, float, floa
 def test_tracker_stat_matches_per_name_reference(ops, window, upto) -> None:
     tr, entries = _replay_ops(ops)
     assert tr.names() == sorted(entries)
-    names = sorted({name for name, _ in ops} | {"ghost"})
+    names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
     got = tr.stat(names, window, upto, recall_n=4)
     for name in names:
-        # The oracle reads the drawn entries, never the tracker's storage.
-        series = [list(column) for column in zip(*entries.get(name, []))] or [[], [], [], []]
+        # The oracle reads the drawn entries, never the tracker's storage,
+        # and sees none past the reached step, whatever upto asks for.
+        visible = [entry for entry in entries.get(name, []) if entry[0] <= tr.reached]
+        if len(visible) < len(entries.get(name, [])) and upto > tr.reached:
+            event("entries past the reached step stay hidden from a read past it")
+        series = [list(column) for column in zip(*visible)] or [[], [], [], []]
         assert tr.series(name) == tuple(series)
         want = oracles.tracker_window_stats(*series, window, upto, recall_n=4)
         if want is None:
@@ -240,13 +283,13 @@ def test_tracker_stat_matches_per_name_reference(ops, window, upto) -> None:
 @given(
     # Many names created at many different steps give final_value's padded
     # block rows of many different lengths.
-    _tracker_ops() | _tracker_ops(max_names=24, max_start=90, max_ops=300),
+    _tracker_ops() | _tracker_ops(max_names=24, max_start=90, max_entries=300),
     st.integers(1, 30),
     st.integers(-1, 200),
 )
 def test_tracker_column_matches_stat(ops, window, upto) -> None:
     tr, _ = _replay_ops(ops)
-    names = sorted({name for name, _ in ops} | {"ghost"})
+    names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
     stats = tr.stat(names, window, upto, recall_n=4)
     for metric in evolution.QUALITY_METRICS:
         got = tr.column(names, window, upto, metric)
@@ -411,11 +454,15 @@ def test_update_tracker_grades_each_name_once_per_search_block(monkeypatch) -> N
     scorer = _scorer(table, cfg)
     tracker = PerfTracker()
     assert scorer.rm.values.shape[1] == 80
+    dropped = next(iter(pool))
     for t in range(cfg.lookback, 80):
-        if t == 37:  # a name whose staged rows are freed mid-block is graded again from there
-            scorer.drop(next(iter(pool)))
+        if t == 37:  # a name dropped mid-block, as RunState.drop does, is graded again from there
+            tracker.drop(dropped)
+            scorer.drop(dropped)
         update_tracker(tracker, {**pool, late.name: late}, scorer, t, cfg)
+        assert tracker.reached == t
         assert max(tracker.series(name)[0][-1] for name in tracker.names()) == t
+    assert tracker.series(dropped)[0] == list(range(37, 80))
     # One call per block over its pool, rows = names x steps left in the block.
     late_blocks = [(t, 16) for t in range(44, 80, 4)]
     assert calls == [(30, 6), (32, 12), (36, 12), (37, 3), (40, 12), (41, 3), *late_blocks]
@@ -472,6 +519,14 @@ def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
             got = tracker.series(name)
             assert repr(got) == repr(ref.series(name)), (t, name)
             assert got[0][-1] <= t
+        # The block is written through its end, yet no read sees past t.
+        names, ahead = ref.names(), t + cfg.search_interval
+        assert [tracker.count(name, ahead) for name in names] == [tracker.count(name, t) for name in names]
+        stats = [tracker.stat(names, cfg.stats_window, upto, cfg.recall_n) for upto in (ahead, t)]
+        assert repr(stats[0]) == repr(stats[1])
+        for metric in evolution.QUALITY_METRICS:
+            columns = [tracker.column(names, cfg.search_interval, upto, metric) for upto in (ahead, t)]
+            assert repr(columns[0]) == repr(columns[1])
         block_start = max(cfg.lookback, t - t % cfg.search_interval)
         if any(block_start < rec.created_step <= t for rec in pool.values()):
             event("a factor joins mid-block")
@@ -520,7 +575,7 @@ def _tracked_pool(n_extra: int, windows=(3, 7), good: int = 4):
     names = list(pool)
     gross = [1.02 if name in extras[:good] else (0.99 if name in extras else 1.0) for name in names]
     for step in range(30, 75):
-        tracker.add(names, step, gross, [0.0] * len(names), [0.5] * len(names))
+        _write(tracker, names, step, gross, [0.0] * len(names), [0.5] * len(names))
     return pool, tracker, extras
 
 
@@ -872,13 +927,13 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
         kept.update((cand.name, keep) for cand, (keep, _) in zip(batch, decisions))
         return decisions
 
-    def recording_add(self, names, *args, _add=PerfTracker.add):
+    def recording_write(self, names, *args, _write=PerfTracker.write):
         tracked.update(names)
-        _add(self, names, *args)
+        _write(self, names, *args)
 
     monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
     monkeypatch.setattr(evolution, "gate_batch", recording_gate)
-    monkeypatch.setattr(PerfTracker, "add", recording_add)
+    monkeypatch.setattr(PerfTracker, "write", recording_write)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
     res = run_evolution(table, cfg, gen=generator)
@@ -1104,12 +1159,12 @@ def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:
     rows: list[int] = []
     tracked: set[str] = set()
 
-    def recording_add(self, names, *args, _add=PerfTracker.add):
-        _add(self, names, *args)
+    def recording_write(self, names, *args, _write=PerfTracker.write):
+        _write(self, names, *args)
         tracked.update(names)
         rows.append(self._values.shape[1])  # rows allocated so far
 
-    monkeypatch.setattr(PerfTracker, "add", recording_add)
+    monkeypatch.setattr(PerfTracker, "write", recording_write)
     res = run_evolution(table, cfg, gen=generate_offline)
     bound = max(len(rec.pool) for rec in res.records) + cfg.m_candidates
     # More names than the bound passed through, so only reused rows keep to it.
@@ -1222,7 +1277,7 @@ def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> N
         if row.phase != "live":
             assert state["prev_weights"] is None and state["prev_t"] == -1
             continue
-        held = portfolio.PortfolioWeights({index[a]: w for a, w in row.weight_map().items()})
+        held = portfolio.PortfolioWeights({index[a]: w for a, w in zip(row.selected_assets, row.weights)})
         drifted = portfolio.drift_weights(held, rm.values[:, record.step])
         assert state["prev_weights"] == [[i, w] for i, w in sorted(drifted.weights.items())]
         assert state["prev_t"] == record.step

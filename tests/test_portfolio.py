@@ -28,7 +28,7 @@ from evofactor.portfolio import (
 def test_portfolio_weights_invariants() -> None:
     w = PortfolioWeights({0: 0.5, 3: 0.5})
     assert w.cardinality == 2
-    assert w.as_vector(5).tolist() == [0.5, 0.0, 0.0, 0.5, 0.0]
+    assert [w.weights.get(i, 0.0) for i in range(5)] == [0.5, 0.0, 0.0, 0.5, 0.0]
     with pytest.raises(ValueError):
         PortfolioWeights({})
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_temperature_weights_softmax() -> None:
     w = temperature_weights([0, 1, 2], scores, tau=1.0)
     expw = np.exp(scores - scores.max())
     expw /= expw.sum()
-    assert w.as_vector(3) == pytest.approx(expw)
+    assert [w.weights[i] for i in range(3)] == pytest.approx(expw)
     with pytest.raises(ValueError):
         temperature_weights([0, 1], scores, tau=0.0)
     with pytest.raises(ValueError):
@@ -96,9 +96,9 @@ def test_temperature_limits() -> None:
     for _ in range(50):
         scores = rng.normal(size=9)
         sel = list(range(9))
-        hot = temperature_weights(sel, scores, tau=1e6).as_vector(9)
-        assert np.max(np.abs(hot - 1.0 / 9.0)) < 1e-4
-        cold = temperature_weights(sel, scores, tau=1e-6).as_vector(9)
+        hot = temperature_weights(sel, scores, tau=1e6).weights
+        assert max(abs(hot[i] - 1.0 / 9.0) for i in sel) < 1e-4
+        cold = temperature_weights(sel, scores, tau=1e-6).weights
         assert cold[int(np.argmax(scores))] >= 1.0 - 1e-6
 
 
@@ -198,7 +198,7 @@ def test_ledger_round_trip(tmp_path) -> None:
     write_ledger(rows, path)
     loaded = read_ledger(path)
     assert loaded == rows  # repr precision makes the round trip exact
-    assert loaded[1].weight_map() == {"AAA": 0.625, "BBB": 0.375}
+    assert dict(zip(loaded[1].selected_assets, loaded[1].weights)) == {"AAA": 0.625, "BBB": 0.375}
     write_ledger(loaded, str(tmp_path / "ledger2.csv"))
     assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "ledger2.csv").read_bytes()
 
