@@ -12,6 +12,7 @@ control characters, so "\\n" sorts below every character a line holds.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from .evolution import (
     checkpoint_line,
     filter_factor_versions,
     load_checkpoints,
-    write_jsonl,
 )
 from .seeds import FactorRecord, make_record
 
@@ -146,5 +146,6 @@ def merged_to_json(record: MergedRecord) -> dict:
 
 
 def save_merged(records: Sequence[MergedRecord], path: str) -> None:
-    write_jsonl(map(merged_to_json, records), path)
+    with open(path, "w") as handle:
+        handle.writelines(json.dumps(merged_to_json(rec), sort_keys=True) + "\n" for rec in records)
 

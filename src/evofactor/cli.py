@@ -28,14 +28,13 @@ from .evolution import (
     EvolutionResult,
     PerfTracker,
     ScoreCache,
-    composite_scores,
     load_checkpoints,
     pool_by_name,
     run_evolution,
     save_checkpoints,
     start_run,
+    step,
     trade,
-    update_tracker,
 )
 from .generator import (
     GenerationRequest,
@@ -367,12 +366,11 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
     prev: dict[int, portfolio.PortfolioWeights | None] = dict.fromkeys(ks)
     ics: dict[int, list[float]] = {k: [] for k in ks}
     returns = run.scorer.rm.values
-    for t in range(ecfg.lookback, returns.shape[1]):
-        update_tracker(run.tracker, run.pool, run.scorer, t, ecfg)
-        if t <= ecfg.warmup_steps:
+    for t in range(returns.shape[1]):
+        rows = step(run, widest, t)
+        if rows is None:  # warm-up
             continue
         realized = returns[:, t]
-        rows = composite_scores(run.pool, run.tracker, run.scorer, widest, t)
         if rows:  # every k's composite graded against step t in one call
             composites = np.stack([portfolio.aggregate_scores(rows[:k]) for k in ks])
             at_t = np.full(len(ks), t)

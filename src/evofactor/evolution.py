@@ -7,6 +7,11 @@ realizes the gross return landing on date t+1, rm.values[:, t]. Steps
 accumulate history; live trading starts at warmup_steps+1. Generation fires
 at live steps divisible by search_interval.
 
+`step` makes step t's decisions for evolve, backtest and the factor sweep, in
+order: at a search step, prune, prompt, scan for leaks, generate, validate;
+from lookback on, grade the pool; gate the batch, admit and grade the kept
+candidates; after warm-up, rank the top k_top factors into composite rows.
+
 What each decision at step t reads, as the loop runs today:
 - step t's grade of a factor scores it against rm.values[:, t];
 - the composite's factor ranking and the benchmark gate read grades through
@@ -546,13 +551,6 @@ def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "")
     return SearchRecord(doc["step"], pool, *maps, dict(doc["state"]), source)
 
 
-def write_jsonl(docs: Iterable[dict], path: str) -> None:
-    """Write one sorted-key JSON object per line."""
-    with open(path, "w") as handle:
-        for doc in docs:
-            handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
 # json.dumps(o, sort_keys=True), without building an encoder per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -614,6 +612,7 @@ class RunState:
     scorer: ScoreCache
     pool: dict[str, FactorRecord]
     tracker: PerfTracker
+    forbidden: ForbiddenTokens  # the table's asset ids and dates, which no prompt may name
     value: float = 100.0
     baseline: float = 100.0
     prev: PortfolioWeights | None = None
@@ -642,12 +641,15 @@ def start_run(
     rm = to_relative_returns(table)
     check_table(rm, cfg)
     scorer = ScoreCache(rm, cfg.lookback)
+    forbidden = ForbiddenTokens((*table.asset_ids, *table.dates))
     if resume_from is None:
         pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
-        return RunState(scorer, pool_map, PerfTracker())
-    state = resume_from.state
+        return RunState(scorer, pool_map, PerfTracker(), forbidden)
+    state, last = resume_from.state, rm.values.shape[1] - 1
     where = f"{resume_from.source}: resume state" if resume_from.source else "resume state"
     try:
+        if not 0 <= resume_from.step <= last:
+            raise field_error("step", resume_from.step, f"a step of the table, 0..{last}")
         raw = check(state, _STATE_FIELDS)["prev_weights"]
         if raw is not None and not all(0 <= i < rm.values.shape[0] for i, _ in raw):
             raise field_error("prev_weights", raw, WEIGHTS[0])
@@ -660,7 +662,7 @@ def start_run(
     pool_map = resume_from.pool_map()
     tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
     value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])
-    return RunState(scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)
+    return RunState(scorer, pool_map, tracker, forbidden, value, baseline, prev, resume_from.step + 1)
 
 
 def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str) -> SearchRecord:
@@ -765,6 +767,48 @@ def trade(
         return None, portfolio.fallback_market_return(realized), 0.0, 0.0, None
 
 
+def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = None) -> list[np.ndarray] | None:
+    """Step t's decisions in the module notes' order: the composite rows step t
+    trades, or None in warm-up. gen, passed at search steps only, proposes a
+    batch that stays out of run.pool until the gate admits it."""
+    batch: dict[str, FactorRecord] = {}  # validated, not yet gated
+    if gen is not None:
+        run.drop(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg, t).keys())
+        req = _build_request(run.pool, run.tracker, cfg, t)
+        prompt = build_prompt(req)
+        leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], run.forbidden)
+        if leaks:
+            raise RuntimeError(f"prompt leaks dataset tokens: {leaks[:5]}")
+        try:
+            result = gen(req)
+        except Exception as exc:  # noqa: BLE001 - generator failure is non-fatal
+            logger.warning("generator failed at step %d: %s", t, exc)
+            result = GenerationResult((), 0, ({"error": str(exc)},))
+        for cand in result.candidates[: cfg.m_candidates]:
+            ok, reason = validate_candidate(cand, {**run.pool, **batch})
+            if not ok:
+                logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
+                continue
+            if cand.created_step != t:
+                cand = replace(cand, created_step=t, validated=True)
+            batch[cand.name] = cand
+    if t >= cfg.lookback:
+        update_tracker(run.tracker, run.pool, run.scorer, t, cfg)
+    if batch:
+        # A candidate's first score request is the gate's, at the start of
+        # its trailing window; the block it anchors also serves step t.
+        decisions = gate_batch(list(batch.values()), run.tracker, run.scorer, cfg, t, run.pool)
+        admitted = {name: cand for (name, cand), (keep, _) in zip(batch.items(), decisions) if keep}
+        for name, (keep, why) in zip(batch, decisions):
+            if not keep:
+                logger.info("step %d: gated out %s (%s)", t, name, why)
+        run.drop(batch.keys() - admitted.keys())
+        run.pool.update(admitted)
+        if admitted:
+            update_tracker(run.tracker, admitted, run.scorer, t, cfg)
+    return composite_scores(run.pool, run.tracker, run.scorer, cfg, t) if t > cfg.warmup_steps else None
+
+
 def run_evolution(
     table: PriceTable,
     cfg: EvolutionConfig,
@@ -772,68 +816,26 @@ def run_evolution(
     pool: Iterable[FactorRecord] | None = None,
     resume_from: SearchRecord | None = None,
 ) -> EvolutionResult:
-    """Full search-and-backtest loop over the table's steps.
+    """Full search-and-backtest loop over the table's steps: per step, step's
+    decisions, the trade, the ledger row and, after a search, a checkpoint.
 
-    Validated candidates wait in a batch outside run.pool, are gated as one
-    batch against the graded pool and join it together; pruned and gated-out
-    factors leave only through RunState.drop.
-
-    gen=None disables generation entirely (static-pool backtest). Generator
-    failures are logged and skipped; a failed live step falls back to the
-    market inside trade. resume_from restarts after the given checkpoint and
-    returns only the remaining ledger rows (see start_run).
+    gen=None disables generation (static-pool backtest); a failed generator
+    call is logged and skipped, a failed live step falls back to the market
+    in trade. resume_from restarts after the given checkpoint and returns
+    only the remaining ledger rows (see start_run).
     """
     run = start_run(table, cfg, pool, resume_from)
-    rm, scorer, tracker = run.scorer.rm, run.scorer, run.tracker
-    forbidden = ForbiddenTokens((*table.asset_ids, *table.dates))
+    rm = run.scorer.rm
     rows: list[LedgerRow] = []
     checkpoints: list[SearchRecord] = []
 
     for t in range(run.t, rm.values.shape[1]):
         realized = rm.values[:, t]
         rbar = portfolio.fallback_market_return(realized)
-        searching = (
-            gen is not None and t > cfg.warmup_steps and t % cfg.search_interval == 0
-        )
-        batch: dict[str, FactorRecord] = {}  # validated, not yet gated
-        if searching:
-            run.drop(run.pool.keys() - clean_factor_pool(run.pool, tracker, cfg, t).keys())
-            req = _build_request(run.pool, tracker, cfg, t)
-            prompt = build_prompt(req)
-            leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], forbidden)
-            if leaks:
-                raise RuntimeError(f"prompt leaks dataset tokens: {leaks[:5]}")
-            try:
-                result = gen(req)
-            except Exception as exc:  # noqa: BLE001 - generator failure is non-fatal
-                logger.warning("generator failed at step %d: %s", t, exc)
-                result = GenerationResult((), 0, ({"error": str(exc)},))
-            for cand in result.candidates[: cfg.m_candidates]:
-                ok, reason = validate_candidate(cand, {**run.pool, **batch})
-                if not ok:
-                    logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
-                    continue
-                if cand.created_step != t:
-                    cand = replace(cand, created_step=t, validated=True)
-                batch[cand.name] = cand
-        if t >= cfg.lookback:
-            update_tracker(tracker, run.pool, scorer, t, cfg)
-        # A candidate's first score request is the gate's, at the start of
-        # its trailing window; the block it anchors also serves step t.
-        admitted: dict[str, FactorRecord] = {}
-        decisions = gate_batch(list(batch.values()), tracker, scorer, cfg, t, run.pool) if batch else []
-        for (name, cand), (keep, why) in zip(batch.items(), decisions):
-            if keep:
-                admitted[name] = cand
-            else:
-                logger.info("step %d: gated out %s (%s)", t, name, why)
-        run.drop(batch.keys() - admitted.keys())
-        run.pool.update(admitted)
-        update_tracker(tracker, admitted, scorer, t, cfg)
-
+        searching = gen is not None and t > cfg.warmup_steps and t % cfg.search_interval == 0
+        top = step(run, cfg, t, gen if searching else None)
         weights, r_t, turn, fee, phase = None, rbar, 0.0, 0.0, "warmup"
-        if t > cfg.warmup_steps:
-            top = composite_scores(run.pool, tracker, scorer, cfg, t)
+        if top is not None:
             weights, r_t, turn, fee, run.prev = trade(top, realized, run.prev, cfg, t)
             phase = "fallback" if weights is None else "live"
         held = {} if weights is None else weights.weights
@@ -858,4 +860,4 @@ def run_evolution(
             checkpoints.append(_make_search_record(run, cfg, t, phase))
 
     final_pool = tuple(run.pool[name] for name in sorted(run.pool))
-    return EvolutionResult(final_pool, tuple(rows), tuple(checkpoints), tracker)
+    return EvolutionResult(final_pool, tuple(rows), tuple(checkpoints), run.tracker)

@@ -133,6 +133,7 @@ def build_prompt(req: GenerationRequest) -> dict[str, str]:
 
 # A whole number: an ASCII digit run with no digit or "." on either side.
 _WHOLE_NUMBER = re.compile(r"(?<![0-9.])[0-9]+(?![0-9.])")
+MIN_LEAK_LEN = 3  # shorter forbidden tokens are too common in any text to flag
 
 
 class ForbiddenTokens:
@@ -157,7 +158,7 @@ class ForbiddenTokens:
                 self.substrings.append(token)
 
 
-def scan_for_leakage(text: str, forbidden: Iterable[str], min_len: int = 3) -> list[str]:
+def scan_for_leakage(text: str, forbidden: Iterable[str]) -> list[str]:
     """Return forbidden tokens (asset ids, dates) appearing in the text.
 
     Pure-digit tokens only count when not embedded in a longer number, so
@@ -169,7 +170,7 @@ def scan_for_leakage(text: str, forbidden: Iterable[str], min_len: int = 3) -> l
     found = tokens.numbers.intersection(_WHOLE_NUMBER.findall(text))
     found.update(tok for tok, pattern in tokens.patterns if pattern.search(text))
     found.update(tok for tok in tokens.substrings if tok in text)
-    return sorted(tok for tok in found if len(tok) >= min_len)
+    return sorted(tok for tok in found if len(tok) >= MIN_LEAK_LEN)
 
 
 # ------------------------------------------------------- response handling

@@ -49,10 +49,6 @@ class PortfolioWeights:
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be nonnegative")
 
-    @property
-    def cardinality(self) -> int:
-        return sum(1 for w in self.weights.values() if w > 0)
-
 
 def aggregate_scores(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Composite score: arithmetic mean of the k normalized factor rows."""

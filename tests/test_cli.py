@@ -512,6 +512,23 @@ def test_evolve_resume_names_a_malformed_state_key(tmp_path, capsys, snapshot, c
     assert capsys.readouterr().err.strip() == f"error: {bad}:1: resume state {message}"
 
 
+@pytest.mark.parametrize("step", [150, 90, -5], ids=["past_the_end", "step_count", "negative"])
+def test_evolve_resume_names_a_step_off_the_table(tmp_path, capsys, snapshot, checkpoint_paths, step) -> None:
+    # The snapshot's 90 return steps are 0..89.
+    doc = json.loads(Path(checkpoint_paths[0]).read_text().splitlines()[-1])
+    doc["step"] = step
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(doc) + "\n")
+    assert _evolve(snapshot, tmp_path / "r", ["--resume-from", str(bad)]) == 2
+    message = f"resume state step {step} must be a step of the table, 0..89"
+    assert capsys.readouterr().err.strip() == f"error: {bad}:1: {message}"
+    # The last step resumes to an empty remainder.
+    doc["step"] = 89
+    bad.write_text(json.dumps(doc) + "\n")
+    assert _evolve(snapshot, tmp_path / "last", ["--resume-from", str(bad)]) == 0
+    assert read_ledger(str(tmp_path / "last" / "ledger.csv")) == []
+
+
 def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot) -> None:
     monkeypatch.delenv("EVOFACTOR_API_KEY", raising=False)
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=remote"]) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from evofactor import dsl
 from evofactor.generator import (
+    MIN_LEAK_LEN,
     ForbiddenTokens,
     GenerationRequest,
     GeneratorConfig,
@@ -106,7 +107,7 @@ def test_scan_for_leakage_substrings() -> None:
     assert scan_for_leakage(text, ["AAPL", "MSFT", "GOOG"]) == ["AAPL"]
     assert scan_for_leakage("aapl embedded: xAAPLx", ["AAPL"]) == ["AAPL"]
     assert scan_for_leakage("nothing here", ["AAPL"]) == []
-    # Tokens shorter than min_len are ignored entirely.
+    # Tokens shorter than MIN_LEAK_LEN are ignored entirely.
     assert scan_for_leakage("A5 B7", ["A5", "B7"]) == []
 
 
@@ -132,7 +133,7 @@ def _text_and_tokens(draw) -> tuple[str, list[str]]:
         st.text("0123456789", min_size=1, max_size=6),  # dates
         st.text("0123456789\u00b2", min_size=1, max_size=4),
         st.text("abAB0123", min_size=1, max_size=4),  # asset ids
-        st.text(_TEXT_CHARS, max_size=2),  # shorter than min_len
+        st.text(_TEXT_CHARS, max_size=2),  # shorter than MIN_LEAK_LEN
     )
     tokens = draw(st.lists(drawn, max_size=8))
     # Slices of the text itself, so that some tokens do occur in it.
@@ -143,12 +144,12 @@ def _text_and_tokens(draw) -> tuple[str, list[str]]:
 
 
 @settings(max_examples=500, deadline=None)
-@given(_text_and_tokens(), st.integers(0, 4))
-def test_scan_for_leakage_matches_per_token_regex(case, min_len) -> None:
+@given(_text_and_tokens())
+def test_scan_for_leakage_matches_per_token_regex(case) -> None:
     text, tokens = case
-    expected = oracles.scan_for_leakage(text, tokens, min_len)
-    assert scan_for_leakage(text, tokens, min_len) == expected
-    assert scan_for_leakage(text, ForbiddenTokens(tokens), min_len) == expected
+    expected = oracles.scan_for_leakage(text, tokens, MIN_LEAK_LEN)
+    assert scan_for_leakage(text, tokens) == expected
+    assert scan_for_leakage(text, ForbiddenTokens(tokens)) == expected
 
 
 # ------------------------------------------------------ response parsing

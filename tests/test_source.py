@@ -33,6 +33,35 @@ def test_no_unused_top_level_imports(path: Path) -> None:
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names (a `_name` function, class or assignment,
+    dunders excepted) that nothing in the module reads."""
+    tree = ast.parse(source)
+    bound: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = [name for name in bound if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    return [name for name in private if name not in read]
+
+
+def test_unread_private_names_checker() -> None:
+    source = (
+        "__all__ = ['f']\n_A, _B = 1, 2\n_C: int = 3\nclass _K: ...\n"
+        "def _g(): return _A\ndef _h(): pass\ndef f(): _C = 4; return _h()\n"
+    )
+    assert unread_private_names(source) == ["_B", "_C", "_K", "_g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path: Path) -> None:
+    assert unread_private_names(path.read_text()) == []
+
+
 # Outside the standard library a module may import only these; scipy, for
 # one, is a test dependency and no runtime one.
 RUNTIME_PACKAGES = {"numpy", "requests"}
