@@ -45,11 +45,10 @@ def main() -> None:
     top_held = sorted(held.items(), key=lambda kv: -kv[1])[:3]
     print("most held assets:", ", ".join(f"{a} ({c} steps)" for a, c in top_held))
 
-    last = result.tracker.reached
-    print(f"\nper-factor trailing stats at step {last}:")
+    print(f"\nper-factor trailing stats at step {result.tracker.reached}:")
     print(f"{'factor':>22}  {'final_value':>11}  {'mean_rankic':>11}")
     names = sorted(rec.name for rec in result.pool)[:8]
-    stats = result.tracker.stat(names, cfg.stats_window, last, cfg.recall_n)
+    stats = result.tracker.stat(names, cfg.stats_window, cfg.recall_n)
     for name in names:
         print(f"{name:>22}  {stats[name]['final_value']:>11.3f}  {stats[name]['mean_rankic']:>11.4f}")
 

@@ -213,7 +213,7 @@ def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
 
 
 def _factor_rows(tracker: PerfTracker, pool: Sequence[FactorRecord], ecfg: EvolutionConfig) -> list[dict]:
-    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, tracker.reached, ecfg.recall_n)
+    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, ecfg.recall_n)
     return [{"factor": name, **stats[name]} for name in sorted(stats)]
 
 

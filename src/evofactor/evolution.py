@@ -12,11 +12,12 @@ order: at a search step, prune, prompt, scan for leaks, generate, validate;
 from lookback on, grade the pool; gate the batch, admit and grade the kept
 candidates; after warm-up, rank the top k_top factors into composite rows.
 
-What each decision at step t reads, as the loop runs today:
-- step t's grade of a factor scores it against rm.values[:, t];
-- the composite's factor ranking and the benchmark gate read grades through
-  t, so they see the return being traded (a look-ahead);
-- pruning and the generation prompt read grades through t-1.
+Every tracker read stops at PerfTracker.reached, so where step calls
+update_tracker decides what each decision at step t reads. Step t's grade of
+a factor scores it against rm.values[:, t]. step prunes and prompts before
+grading step t, so both read grades through t-1, and gates and ranks the
+composite after it, so both read grades through t and see the return being
+traded (a look-ahead).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class EvolutionConfig:
         window for prompt reports, factor selection, and the benchmark gate.
     m: portfolio cardinality. k_top: factors blended into the composite
     score. m_candidates: candidates requested per search step.
-    stats_window: cap on the trailing window used for checkpoint stats.
+    stats_window: cap on the trailing window used for checkpoint stats;
+        also the window pruning ranks over.
     """
 
     lookback: int = 30
@@ -144,9 +146,9 @@ class PerfTracker:
     of shape (3, rows, entries): a name's row holds one entry per step from
     its first step on. drop frees the row for the next new name, so memory
     follows the live pool. stat computes every column over trailing windows
-    of entries up to a given step, and column the one a ranking reads, each
-    from one gather of every name's window into a block ordered by entry
-    count.
+    of entries through the reached step, and column the one a ranking reads,
+    each from one gather of every name's window into a block ordered by
+    entry count.
     """
 
     def __init__(self) -> None:
@@ -185,11 +187,10 @@ class PerfTracker:
     def names(self) -> list[str]:
         return sorted(self._rows)
 
-    def count(self, name: str, upto: int | None = None) -> int:
-        """name's entries through step upto, or through the reached step."""
+    def count(self, name: str) -> int:
+        """name's entries through the reached step."""
         _, first, stop = self._rows.get(name, (0, 0, 0))
-        last = self.reached if upto is None else min(upto, self.reached)
-        return max(0, min(stop, last + 1) - first)
+        return max(0, min(stop, self.reached + 1) - first)
 
     def drop(self, name: str) -> None:
         if (entry := self._rows.pop(name, None)) is not None:
@@ -201,12 +202,12 @@ class PerfTracker:
         values = self._values[:, row, :n].tolist() if n else ([], [], [])
         return (list(range(first, first + n)), *values)
 
-    def _gather(self, names: Iterable[str], window: int, upto: int) -> tuple[tuple, tuple, np.ndarray]:
+    def _gather(self, names: Iterable[str], window: int) -> tuple[tuple, tuple, np.ndarray]:
         """(names, their counts n, C-contiguous (k, 3, width) block): each
-        name's last n = min(window, entries up to step upto) entries of gross,
-        rankic and recall at the end of its row, left-padded with 1.0, rows
-        in increasing count order, leaving out names with none."""
-        found = [(min(window, hi), name, self._rows[name][0], hi) for name in names if (hi := self.count(name, upto))]
+        name's last n = min(window, count) entries of gross, rankic and
+        recall at the end of its row, left-padded with 1.0, rows in
+        increasing count order, leaving out names with none."""
+        found = [(min(window, hi), name, self._rows[name][0], hi) for name in names if (hi := self.count(name))]
         if not found:
             return (), (), np.empty((0, 3, 0))
         counts, found_names, rows, ends = zip(*sorted(found, key=itemgetter(0)))
@@ -216,23 +217,20 @@ class PerfTracker:
         np.copyto(block, 1.0, where=(cols < np.subtract(ends, counts)[:, None])[:, None, :])
         return found_names, counts, block
 
-    def stat(
-        self, names: Iterable[str], window: int, upto: int, recall_n: int
-    ) -> dict[str, dict[str, float]]:
+    def stat(self, names: Iterable[str], window: int, recall_n: int) -> dict[str, dict[str, float]]:
         """Every metrics.window_stats column over each name's last `window`
-        entries up to step upto, leaving out names with none, from one
-        gathered block."""
-        found, counts, block = self._gather(names, window, upto)
+        entries, leaving out names with none, from one gathered block."""
+        found, counts, block = self._gather(names, window)
         columns = metrics.window_stats(block, counts, recall_n)
         rows = zip(*(values.tolist() for values in columns.values()))
         return {name: dict(zip(columns, row)) for name, row in zip(found, rows)}
 
-    def column(self, names: Iterable[str], window: int, upto: int, metric: str) -> dict[str, float]:
+    def column(self, names: Iterable[str], window: int, metric: str) -> dict[str, float]:
         """stat's column for a metric of QUALITY_METRICS alone, bit for bit,
         from the same gathered block."""
         if metric not in QUALITY_METRICS:
             raise ValueError(f"metric {metric!r} must be one of {QUALITY_METRICS}")
-        found, counts, block = self._gather(names, window, upto)
+        found, counts, block = self._gather(names, window)
         if metric == "final_value":
             column = 100.0 * np.prod(block[:, 0], axis=1)
         else:
@@ -338,10 +336,6 @@ def filter_factor_versions(values: Mapping[str, float], pool: Mapping[str, Facto
     return sorted(kept)
 
 
-def _report_window(t: int, cfg: EvolutionConfig) -> int:
-    return max(1, min(t - cfg.lookback, cfg.stats_window))
-
-
 def update_tracker(
     tracker: PerfTracker,
     pool: Mapping[str, FactorRecord],
@@ -387,38 +381,36 @@ def check_table(rm: ReturnMatrix, cfg: EvolutionConfig) -> None:
 
 
 def replay_tracker(
-    pool: Mapping[str, FactorRecord], scorer: ScoreCache, cfg: EvolutionConfig, upto: int
+    pool: Mapping[str, FactorRecord], scorer: ScoreCache, cfg: EvolutionConfig, last: int
 ) -> PerfTracker:
-    """The tracker a run holds after step upto, rebuilt by grading each factor
-    from max(lookback, created_step) through upto."""
+    """The tracker a run holds after step last, rebuilt by grading each factor
+    from max(lookback, created_step) through last."""
     tracker = PerfTracker()
-    for t in range(cfg.lookback, upto + 1):
+    for t in range(cfg.lookback, last + 1):
         update_tracker(tracker, pool, scorer, t, cfg)
     return tracker
 
 
 def rank_by_quality(
-    pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, window: int, upto: int
+    pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, window: int
 ) -> list[str]:
-    """The pool names with tracker history up to upto, version-filtered and
-    ordered best first by quality_metric over their trailing window entries."""
-    values = tracker.column(pool, window, upto, cfg.quality_metric)
+    """The pool names with tracker history, version-filtered and ordered best
+    first by quality_metric over their trailing window entries."""
+    values = tracker.column(pool, window, cfg.quality_metric)
     return sorted(filter_factor_versions(values, pool), key=lambda n: (-values[n], n))
 
 
 def clean_factor_pool(
-    pool: Mapping[str, FactorRecord],
-    tracker: PerfTracker,
-    cfg: EvolutionConfig,
-    t: int,
+    pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig
 ) -> dict[str, FactorRecord]:
     """The survivors of pruning an oversized pool to its first
     max(max_pool_size, seed count) names in the order: seeds, the non-seed
-    keep_top_n picks by quality after version filtering (best first), the
-    rest newest first. Reads pool and tracker and changes neither."""
+    keep_top_n picks by quality over stats_window after version filtering
+    (best first), the rest newest first. Reads pool and tracker and changes
+    neither."""
     if len(pool) <= cfg.max_pool_size:
         return dict(pool)
-    ranked = rank_by_quality(pool, tracker, cfg, _report_window(t, cfg), t - 1)
+    ranked = rank_by_quality(pool, tracker, cfg, cfg.stats_window)
     seeds = [name for name in sorted(pool) if pool[name].origin == "seed"]
     picks = [name for name in ranked[: cfg.keep_top_n] if pool[name].origin != "seed"]
     rest = sorted(pool.keys() - {*seeds, *picks}, key=lambda n: (-pool[n].created_step, n))
@@ -434,9 +426,9 @@ def benchmark_gate(
 
     Dropped only when both legs fail: fv below gated_fv, (1 + t_drop) times
     the 1/N baseline over the same window, AND mean_ic below pool_median(),
-    the median of the pool factors graded through t, which is read only when
-    the value leg fails. pool_median is None when no admitted factor is
-    graded yet, and then the candidate is kept.
+    the median of the pool factors graded through the reached step, which is
+    read only when the value leg fails. pool_median is None when no admitted
+    factor is graded yet, and then the candidate is kept.
     """
     if pool_median is None:
         return True, "no incumbents to compare against"
@@ -455,22 +447,23 @@ def gate_batch(
     tracker: PerfTracker,
     scorer: ScoreCache,
     cfg: EvolutionConfig,
-    t: int,
     pool: Mapping[str, FactorRecord],
 ) -> list[tuple[bool, str]]:
     """benchmark_gate's (keep, reason) for each fresh candidate of a step's
-    batch, in batch order; pool holds admitted factors only. Costs are
-    ignored here (comparison is c=0). The candidates are graded together,
-    and the baseline, the incumbents and their median are computed once per
-    batch, the median only if a value leg fails.
+    batch, in batch order, over the last search_interval steps through
+    tracker.reached; pool holds admitted factors only. Costs are ignored
+    here (comparison is c=0). The candidates are graded together, and the
+    baseline, the incumbents and their median are computed once per batch,
+    the median only if a value leg fails.
     """
-    start = max(cfg.lookback, t - cfg.search_interval + 1)
-    grosses, ics, _ = scorer.grade(batch, start, t + 1, cfg.m, cfg.recall_n)
+    stop = tracker.reached + 1
+    start = max(cfg.lookback, stop - cfg.search_interval)
+    grosses, ics, _ = scorer.grade(batch, start, stop, cfg.m, cfg.recall_n)
     # Contiguous rows: a row mean then sums in the same order as the mean of
     # one return column, so base_fv keeps its bits.
-    base_fv = float(100.0 * np.prod(scorer.realized.returns[start : t + 1].mean(axis=1)))
-    incumbents = [name for name in pool if tracker.count(name, t) > 0]
-    pool_median = cache(lambda: median(tracker.column(incumbents, cfg.search_interval, t, "mean_rankic").values()))
+    base_fv = float(100.0 * np.prod(scorer.realized.returns[start:stop].mean(axis=1)))
+    incumbents = [name for name in pool if tracker.count(name) > 0]
+    pool_median = cache(lambda: median(tracker.column(incumbents, cfg.search_interval, "mean_rankic").values()))
     gated_fv = (1.0 + cfg.t_drop) * base_fv
     fvs, mean_ics = (100.0 * np.prod(grosses, axis=1)).tolist(), np.mean(ics, axis=1).tolist()
     return [benchmark_gate(fv, ic, gated_fv, pool_median if incumbents else None) for fv, ic in zip(fvs, mean_ics)]
@@ -494,17 +487,6 @@ class SearchRecord:
 
     def pool_map(self) -> dict[str, FactorRecord]:
         return {rec.name: rec for rec in self.pool}
-
-
-def search_record_to_json(record: SearchRecord, entry: Callable = record_to_json) -> dict:
-    """A checkpoint line's document, each pool entry as entry(record) gives it."""
-    return {
-        "step": record.step,
-        "pool": [entry(rec) for rec in record.pool],
-        "performance": record.performance,
-        "quality": record.quality,
-        "state": record.state,
-    }
 
 
 def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
@@ -556,19 +538,21 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def checkpoint_line(record: SearchRecord, memo: dict[int, tuple[FactorRecord, str]]) -> str:
-    """json.dumps(search_record_to_json(record), sort_keys=True), byte for
-    byte: the document's values encoded one by one and joined in key order
-    with the same separators. A pool entry is encoded once per memo, which
-    keeps it by id together with the record itself, so an id is never reused."""
-
-    def entry(rec: FactorRecord) -> str:
+    """json.dumps of the document {step, pool: [record_to_json of each pool
+    entry], performance, quality, state} with sort_keys=True, byte for byte:
+    the values encoded one by one and joined in key order with the same
+    separators. A pool entry is encoded once per memo, which keeps it by id
+    together with the record itself, so an id is never reused."""
+    for rec in record.pool:
         if id(rec) not in memo:
             memo[id(rec)] = rec, _encode(record_to_json(rec))
-        return memo[id(rec)][1]
-
-    # Every value is encoded here but the pool's, whose entries come encoded.
-    doc = search_record_to_json(record, entry)
-    text = {key: f"[{', '.join(value)}]" if key == "pool" else _encode(value) for key, value in doc.items()}
+    text = {
+        "step": _encode(record.step),
+        "pool": f"[{', '.join(memo[id(rec)][1] for rec in record.pool)}]",
+        "performance": _encode(record.performance),
+        "quality": _encode(record.quality),
+        "state": _encode(record.state),
+    }
     return "{" + ", ".join(f"{_encode(key)}: {text[key]}" for key in sorted(text)) + "}"
 
 
@@ -605,9 +589,10 @@ def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, flo
 
 @dataclass
 class RunState:
-    """A run between steps: what a checkpoint stores or replays, and the next
-    step t to run. The returns are scorer.rm; prev is None or the weights
-    formed at t - 1, drifted. drop is the one way a factor leaves the pool."""
+    """A run before its first step t: what a checkpoint stores or replays,
+    and t, the first step to run. The returns are scorer.rm; prev is None or
+    the weights formed at t - 1, drifted. drop is the one way a factor leaves
+    the pool."""
 
     scorer: ScoreCache
     pool: dict[str, FactorRecord]
@@ -669,7 +654,7 @@ def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str)
     """The checkpoint after step t; stats cover the pool factors graded so far.
     run.prev, when set, holds the weights formed at t, so prev_t is t."""
     names = sorted(run.pool)
-    stats = run.tracker.stat(names, _report_window(t, cfg), t, cfg.recall_n)
+    stats = run.tracker.stat(names, max(1, min(t - cfg.lookback, cfg.stats_window)), cfg.recall_n)
     parts = {n: _split_stats(stats[n]) for n in names if n in stats}
     prev = run.prev
     return SearchRecord(
@@ -703,8 +688,8 @@ class EvolutionResult:
 def _build_request(
     pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, t: int
 ) -> GenerationRequest:
-    top = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t - 1)[: cfg.k_top]
-    stats = tracker.stat(top, cfg.search_interval, t - 1, cfg.recall_n)
+    top = rank_by_quality(pool, tracker, cfg, cfg.search_interval)[: cfg.k_top]
+    stats = tracker.stat(top, cfg.search_interval, cfg.recall_n)
     tops = tuple(TopFactor(pool[n], *_split_stats(stats[n])) for n in top)
     library = tuple(pool[n] for n in sorted(pool) if pool[n].origin == "seed")
     return GenerationRequest(
@@ -728,7 +713,7 @@ def composite_scores(
     """Normalized score rows at step t of the top k_top factors, best first
     by rank_by_quality over the trailing search_interval entries, normalized
     as one block; empty when no factor has been graded yet."""
-    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval, t)[: cfg.k_top]
+    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval)[: cfg.k_top]
     return list(dsl.normalize_scores(np.stack([scorer.scores(pool[n], t) for n in used]))) if used else []
 
 
@@ -773,7 +758,7 @@ def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = No
     batch that stays out of run.pool until the gate admits it."""
     batch: dict[str, FactorRecord] = {}  # validated, not yet gated
     if gen is not None:
-        run.drop(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg, t).keys())
+        run.drop(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg).keys())
         req = _build_request(run.pool, run.tracker, cfg, t)
         prompt = build_prompt(req)
         leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], run.forbidden)
@@ -797,7 +782,7 @@ def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = No
     if batch:
         # A candidate's first score request is the gate's, at the start of
         # its trailing window; the block it anchors also serves step t.
-        decisions = gate_batch(list(batch.values()), run.tracker, run.scorer, cfg, t, run.pool)
+        decisions = gate_batch(list(batch.values()), run.tracker, run.scorer, cfg, run.pool)
         admitted = {name: cand for (name, cand), (keep, _) in zip(batch.items(), decisions) if keep}
         for name, (keep, why) in zip(batch, decisions):
             if not keep:
@@ -841,7 +826,6 @@ def run_evolution(
         held = {} if weights is None else weights.weights
         run.value *= r_t
         run.baseline *= rbar
-        run.t = t + 1
         rows.append(
             LedgerRow(
                 date=rm.dates[t + 1],

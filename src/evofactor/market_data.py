@@ -133,23 +133,26 @@ def _read_long(path: str) -> tuple[list[str], list[str], dict[str, dict[str, flo
     dates: list[str] = []
     seen_dates: set[str] = set()
     cells: dict[str, dict[str, float | None]] = {}
-    seen_pairs: set[tuple[str, str]] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 3:
             raise IngestError(f"{path}:{lineno}: expected date,asset_id,value")
         date, asset = row[0].strip(), row[1].strip()
-        if (date, asset) in seen_pairs:
-            raise IngestError(f"{path}:{lineno}: duplicated date {date!r} for asset {asset!r}")
-        seen_pairs.add((date, asset))
         if asset not in cells:
             cells[asset] = {}
             assets.append(asset)
+        held = cells[asset]
+        # Each asset's dates must sort in file order, so that the calendar,
+        # sorted as text, keeps the order of every asset's rows.
+        if held and date <= (prev := next(reversed(held))):
+            if date in held:
+                raise IngestError(f"{path}:{lineno}: duplicated date {date!r} for asset {asset!r}")
+            raise IngestError(f"{path}:{lineno}: date {date!r} for asset {asset!r} does not sort after {prev!r}")
         if date not in seen_dates:
             seen_dates.add(date)
             dates.append(date)
-        cells[asset][date] = _parse_cell(row[2])
+        held[date] = _parse_cell(row[2])
     dates.sort()
     return assets, dates, cells
 
@@ -158,7 +161,7 @@ def load_price_table(path: str, layout: str = "wide", values: str = "prices") ->
     """Load a CSV of close prices (or return relatives) into a PriceTable.
 
     layout: "wide" (date column + one column per asset) or "long"
-        (date, asset_id, value rows).
+        (date, asset_id, value rows, each asset's in increasing date order).
     values: "prices" for close prices, "relatives" for gross per-step
         returns r_t = p_t / p_{t-1}. Relatives are rebuilt into prices from
         a base of 100 under a synthetic leading date, so every input row

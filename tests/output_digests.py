@@ -4,7 +4,8 @@ can be shown to write the same bytes.
 In a temporary directory the script writes a planted snapshot, then runs:
 
 - offline `evolve` twice: run `a` with `positive_score` weighting and a
-  `cost_rate`, run `b` with another `rng_seed`, `mean_rankic` and a `t_drop`;
+  `cost_rate`, run `b` with another `rng_seed`, `mean_rankic`, a `t_drop`
+  and a `max_pool_size` small enough that its searches prune;
 - `evolve --resume-from` run `a`'s first five checkpoints;
 - `backtest` of the seed library over the size's seed windows;
 - `aggregate` of both runs' checkpoints;
@@ -44,7 +45,7 @@ SIZES = {
 }
 RUNS = {
     "a": ["rng_seed=0", "weighting=positive_score", "cost_rate=0.002"],
-    "b": ["rng_seed=1", "quality_metric=mean_rankic", "t_drop=0.01"],
+    "b": ["rng_seed=1", "quality_metric=mean_rankic", "t_drop=0.01", "max_pool_size=16", "keep_top_n=4"],
 }
 
 

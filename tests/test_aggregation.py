@@ -22,7 +22,7 @@ from evofactor.aggregation import (
     save_merged,
 )
 from evofactor.cli import main
-from evofactor.evolution import SearchRecord, save_checkpoints, search_record_to_json
+from evofactor.evolution import SearchRecord, checkpoint_line, save_checkpoints
 from evofactor.seeds import make_record, record_to_json
 
 
@@ -44,12 +44,7 @@ def _rec(step: int, factors: dict[str, tuple[float, float, str]]) -> SearchRecor
 def _canonical_order(runs):
     """Reimplement the documented content ordering with public pieces: the
     records' sorted-key JSON lines joined by newlines, sorted stably."""
-    return sorted(
-        runs,
-        key=lambda run: "\n".join(
-            json.dumps(search_record_to_json(r), sort_keys=True) for r in run
-        ),
-    )
+    return sorted(runs, key=lambda run: "\n".join(checkpoint_line(r, {}) for r in run))
 
 
 def _canonical_first(*runs):
@@ -333,7 +328,7 @@ def test_differently_spelled_expressions_merge_and_pool_as_one(tmp_path, monkeyp
         paths.append(tmp_path / f"run{i}.jsonl")
         lines = []
         for k in range(3):
-            doc = search_record_to_json(_rec(60 + 5 * k, factors))
+            doc = json.loads(checkpoint_line(_rec(60 + 5 * k, factors), {}))
             for entry in doc["pool"]:
                 entry["expr"] = spellings[entry["name"]]
             lines.append(json.dumps(doc) + "\n")

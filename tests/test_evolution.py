@@ -35,7 +35,6 @@ from evofactor.evolution import (
     replay_tracker,
     run_evolution,
     save_checkpoints,
-    search_record_to_json,
     update_tracker,
 )
 from evofactor.generator import GenerationResult, generate_offline
@@ -53,6 +52,7 @@ from evofactor.seeds import (
     make_name,
     make_record,
     parse_name,
+    record_to_json,
     save_library,
     seed_factors,
 )
@@ -115,7 +115,10 @@ def test_tracker_mechanics() -> None:
     assert tr.reached == -1
     tr.write(["a"], 30, np.array([[[1.01, 0.99]], [[0.1, -0.2]], [[0.5, 0.0]]]))  # a at steps 30 and 31
     assert tr.reached == 30 and tr.series("a") == ([30], [1.01], [0.1], [0.5])  # 31 is not reached
-    assert tr.count("a", upto=31) == 1 and tr.stat(["a"], 5, 31, 4) == tr.stat(["a"], 5, 30, 4)
+    alone = PerfTracker()
+    _write(alone, ["a"], 30, [1.01], [0.1], [0.5])
+    # Through step 30 alone: reads stop at the reached step, not a row's end.
+    assert tr.count("a") == 1 and tr.stat(["a"], 5, 4) == alone.stat(["a"], 5, 4)
     _write(tr, ["b"], 31, [1.02], [0.3], [1.0])
     state = (tr.reached, tr.names(), tr.series("a"), tr.series("b"))
     for names, step in (
@@ -131,7 +134,6 @@ def test_tracker_mechanics() -> None:
     _write(tr, [], 31, [], [], [])  # marks step 31 only
     assert tr.names() == ["a", "b"]
     assert tr.count("a") == 2
-    assert tr.count("a", upto=30) == 1
     assert tr.count("missing") == 0
     steps, gross, rankic, recall = tr.series("a")
     assert steps == [30, 31] and gross == [1.01, 0.99]
@@ -147,7 +149,12 @@ def test_tracker_stat_performance_columns() -> None:
     grosses = [1.02, 0.97, 1.01, 1.03]
     for i, g in enumerate(grosses):
         _write(tr, ["f"], 30 + i, [g], [0.1 * i], [0.5])
-    stats = tr.stat(["f"], window=10, upto=40, recall_n=4)["f"]
+        if 30 + i == 31:
+            stats3 = tr.stat(["f"], window=10, recall_n=4)["f"]
+        if 30 + i == 33:
+            # Trailing window: only the last two entries through step 33.
+            stats2 = tr.stat(["f"], window=2, recall_n=4)["f"]
+    stats = tr.stat(["f"], window=10, recall_n=4)["f"]
     net = [g - 1.0 for g in grosses]
     assert stats["mean_return"] == pytest.approx(oracles.mean(net))
     assert stats["std_return"] == pytest.approx(oracles.sstd(net))
@@ -159,11 +166,8 @@ def test_tracker_stat_performance_columns() -> None:
     assert stats["max_drawdown"] == pytest.approx(-oracles.mdd_bruteforce(path))
     assert stats["max_drawdown"] <= 0.0  # tracker reports drawdown as negative
 
-    # Trailing window: only the last two entries up to step 33.
-    stats2 = tr.stat(["f"], window=2, upto=33, recall_n=4)["f"]
     assert stats2["final_value"] == pytest.approx(100.0 * 1.01 * 1.03)
-    # upto cuts by step, not position.
-    stats3 = tr.stat(["f"], window=10, upto=31, recall_n=4)["f"]
+    # The reached step cuts by step, not position.
     assert stats3["final_value"] == pytest.approx(100.0 * 1.02 * 0.97)
 
 
@@ -171,10 +175,11 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     tr = PerfTracker()
     ics = [0.2, -0.1, 0.4]
     recalls = [0.5, 0.25, 0.75]
+    assert tr.stat(["f"], window=5, recall_n=4) == {}  # no step reached yet
     for i, (ic, rc) in enumerate(zip(ics, recalls)):
         _write(tr, ["f"], 30 + i, [1.0], [ic], [rc])
-    stats = tr.stat(["f", "ghost"], window=5, upto=40, recall_n=4)
-    # A name with no entries up to upto is left out, not given neutral stats.
+    stats = tr.stat(["f", "ghost"], window=5, recall_n=4)
+    # A name with no entries is left out, not given neutral stats.
     assert list(stats) == ["f"]
     q = stats["f"]
     assert list(q) == [
@@ -185,7 +190,6 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     assert q["std_rankic"] == pytest.approx(oracles.sstd(ics))
     assert q["mean_recall@4"] == pytest.approx(oracles.mean(recalls))
     assert q["final_value"] == pytest.approx(100.0)
-    assert tr.stat(["f"], window=5, upto=29, recall_n=4) == {}
 
 
 _Entry = tuple[int, float, float, float]  # step, gross, rankic, recall
@@ -255,21 +259,21 @@ def _replay_ops(ops) -> tuple[PerfTracker, dict[str, list[_Entry]]]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tracker_ops(), st.integers(1, 30), st.integers(-1, 120))
-def test_tracker_stat_matches_per_name_reference(ops, window, upto) -> None:
+@given(_tracker_ops(), st.integers(1, 30))
+def test_tracker_stat_matches_per_name_reference(ops, window) -> None:
     tr, entries = _replay_ops(ops)
     assert tr.names() == sorted(entries)
     names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
-    got = tr.stat(names, window, upto, recall_n=4)
+    got = tr.stat(names, window, recall_n=4)
     for name in names:
         # The oracle reads the drawn entries, never the tracker's storage,
-        # and sees none past the reached step, whatever upto asks for.
+        # and sees none past the reached step.
         visible = [entry for entry in entries.get(name, []) if entry[0] <= tr.reached]
-        if len(visible) < len(entries.get(name, [])) and upto > tr.reached:
-            event("entries past the reached step stay hidden from a read past it")
+        if len(visible) < len(entries.get(name, [])):
+            event("entries past the reached step stay hidden")
         series = [list(column) for column in zip(*visible)] or [[], [], [], []]
         assert tr.series(name) == tuple(series)
-        want = oracles.tracker_window_stats(*series, window, upto, recall_n=4)
+        want = oracles.tracker_window_stats(*series, window, tr.reached, recall_n=4)
         if want is None:
             assert name not in got
         else:
@@ -285,19 +289,18 @@ def test_tracker_stat_matches_per_name_reference(ops, window, upto) -> None:
     # block rows of many different lengths.
     _tracker_ops() | _tracker_ops(max_names=24, max_start=90, max_entries=300),
     st.integers(1, 30),
-    st.integers(-1, 200),
 )
-def test_tracker_column_matches_stat(ops, window, upto) -> None:
+def test_tracker_column_matches_stat(ops, window) -> None:
     tr, _ = _replay_ops(ops)
     names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
-    stats = tr.stat(names, window, upto, recall_n=4)
+    stats = tr.stat(names, window, recall_n=4)
     for metric in evolution.QUALITY_METRICS:
-        got = tr.column(names, window, upto, metric)
+        got = tr.column(names, window, metric)
         assert {k: repr(v) for k, v in got.items()} == {
             k: repr(row[metric]) for k, row in stats.items()
         }
     with pytest.raises(ValueError, match="metric"):
-        tr.column(names, window, upto, "sharpe_ratio")
+        tr.column(names, window, "sharpe_ratio")
 
 
 # ----------------------------------------------------- version filtering
@@ -519,14 +522,17 @@ def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
             got = tracker.series(name)
             assert repr(got) == repr(ref.series(name)), (t, name)
             assert got[0][-1] <= t
-        # The block is written through its end, yet no read sees past t.
-        names, ahead = ref.names(), t + cfg.search_interval
-        assert [tracker.count(name, ahead) for name in names] == [tracker.count(name, t) for name in names]
-        stats = [tracker.stat(names, cfg.stats_window, upto, cfg.recall_n) for upto in (ahead, t)]
-        assert repr(stats[0]) == repr(stats[1])
-        for metric in evolution.QUALITY_METRICS:
-            columns = [tracker.column(names, cfg.search_interval, upto, metric) for upto in (ahead, t)]
-            assert repr(columns[0]) == repr(columns[1])
+        # The block is written through its end, yet no read sees past t:
+        # every read equals, by repr, the oracle's over the entries through t.
+        names = ref.names()
+        for window in (cfg.stats_window, cfg.search_interval):
+            want = {n: oracles.tracker_window_stats(*ref.series(n), window, t, cfg.recall_n) for n in names}
+            want = {n: {k: repr(v) for k, v in row.items()} for n, row in want.items() if row}
+            got = tracker.stat(names, window, cfg.recall_n)
+            assert {n: {k: repr(v) for k, v in row.items()} for n, row in got.items()} == want
+            for metric in evolution.QUALITY_METRICS:
+                column = tracker.column(names, window, metric)
+                assert {n: repr(v) for n, v in column.items()} == {n: row[metric] for n, row in want.items()}
         block_start = max(cfg.lookback, t - t % cfg.search_interval)
         if any(block_start < rec.created_step <= t for rec in pool.values()):
             event("a factor joins mid-block")
@@ -551,6 +557,48 @@ def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
             assert resumed.ledger == full.ledger[rec.step + 1 :]
     for tracker, ref in references.values():
         assert tracker.names() == ref.names()
+
+
+def test_the_step_order_is_the_timeline(monkeypatch) -> None:
+    # Every tracker read stops at PerfTracker.reached, so the order of calls
+    # in step alone decides which grades a decision at step t reads. Pruning
+    # and the prompt run before step t is graded; the gate and the composite
+    # run after it, and so read the grade of the return step t trades.
+    at: dict[str, object] = {"t": None, "decision": None}
+    reads: set[tuple[str, int]] = set()  # (decision, t - reached) of each tracker read
+
+    def timed_step(run, cfg, t, gen=None, _step=evolution.step):
+        at["t"] = t
+        return _step(run, cfg, t, gen)
+
+    def labelled(name, fn):
+        def decide(*args):
+            at["decision"] = name
+            try:
+                return fn(*args)
+            finally:
+                at["decision"] = None
+
+        return decide
+
+    def seen(read):
+        def traced(self, *args):
+            if at["decision"] is not None:
+                reads.add((at["decision"], at["t"] - self.reached))
+            return read(self, *args)
+
+        return traced
+
+    monkeypatch.setattr(evolution, "step", timed_step)
+    for name in ("clean_factor_pool", "_build_request", "gate_batch", "composite_scores"):
+        monkeypatch.setattr(evolution, name, labelled(name, getattr(evolution, name)))
+    for name in ("count", "_gather"):  # every read of stat, column and count
+        monkeypatch.setattr(PerfTracker, name, seen(getattr(PerfTracker, name)))
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    res = run_evolution(table, _cfg(recall_n=3, max_pool_size=14, keep_top_n=4), gen=generate_offline)
+    pools = [set(rec.pool_map()) for rec in res.records]
+    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    assert reads == {("clean_factor_pool", 1), ("_build_request", 1), ("gate_batch", 0), ("composite_scores", 0)}
 
 
 # ---------------------------------------------------------- pool hygiene
@@ -582,7 +630,7 @@ def _tracked_pool(n_extra: int, windows=(3, 7), good: int = 4):
 def test_clean_factor_pool_identity_when_small() -> None:
     pool, tracker, _ = _tracked_pool(2)
     cfg = _cfg(seed_windows=(3, 7), max_pool_size=50, keep_top_n=5)
-    out = clean_factor_pool(pool, tracker, cfg, t=75)
+    out = clean_factor_pool(pool, tracker, cfg)
     assert out == dict(pool)
 
 
@@ -590,7 +638,7 @@ def test_clean_factor_pool_prunes_to_cap() -> None:
     pool, tracker, extras = _tracked_pool(12)  # 22 seeds + 12 extras = 34
     cfg = _cfg(seed_windows=(3, 7), max_pool_size=30, keep_top_n=4)
     series = {name: tracker.series(name) for name in tracker.names()}
-    out = clean_factor_pool(pool, tracker, cfg, t=75)
+    out = clean_factor_pool(pool, tracker, cfg)
     assert len(out) == 30
     assert list(out) == sorted(out)
     seeds = {n for n, r in pool.items() if r.origin == "seed"}
@@ -609,7 +657,7 @@ def test_clean_factor_pool_seeds_win_over_quality_picks() -> None:
     # so the weakest non-seed picks are shed while seeds stay.
     pool, tracker, extras = _tracked_pool(20, windows=(3, 7, 14, 21), good=20)
     cfg = _cfg(seed_windows=(3, 7, 14, 21), max_pool_size=45, keep_top_n=10)
-    out = clean_factor_pool(pool, tracker, cfg, t=75)
+    out = clean_factor_pool(pool, tracker, cfg)
     assert len(out) == 45
     seeds = {n for n, r in pool.items() if r.origin == "seed"}
     assert seeds <= set(out)
@@ -619,12 +667,12 @@ def test_clean_factor_pool_seeds_win_over_quality_picks() -> None:
 # ---------------------------------------------------------------- gate
 
 
-def _gate_fixture():
+def _gate_fixture(t: int = 70):
     table = planted_momentum_table(n_assets=20, n_steps=120, seed=3, signal=0.9)
     cfg = _cfg(m=5, recall_n=5)
     rm = to_relative_returns(table)
     pool = {r.name: r for r in seed_factors((7,))}
-    tracker = replay_tracker(pool, ScoreCache(rm, cfg.lookback), cfg, 70)
+    tracker = replay_tracker(pool, ScoreCache(rm, cfg.lookback), cfg, t)
     return table, cfg, rm, pool, tracker
 
 
@@ -634,18 +682,18 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
 
     scorer = ScoreCache(rm, cfg.lookback)
-    [(keep, why)] = gate_batch([good], tracker, scorer, cfg, 70, {**pool, good.name: good})
+    [(keep, why)] = gate_batch([good], tracker, scorer, cfg, {**pool, good.name: good})
     assert keep, why
-    [(keep, why)] = gate_batch([bad], tracker, scorer, cfg, 70, {**pool, bad.name: bad})
+    [(keep, why)] = gate_batch([bad], tracker, scorer, cfg, {**pool, bad.name: bad})
     assert not keep
     assert "final_value" in why and "rankic" in why
 
 
 def test_benchmark_gate_without_incumbents_keeps() -> None:
-    _, cfg, rm, _, _ = _gate_fixture()
+    _, cfg, rm, _, tracker = _gate_fixture()
     cand = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
     scorer = ScoreCache(rm, cfg.lookback)
-    [(keep, why)] = gate_batch([cand], PerfTracker(), scorer, cfg, 70, {cand.name: cand})
+    [(keep, why)] = gate_batch([cand], tracker, scorer, cfg, {cand.name: cand})
     assert keep and "no incumbents" in why
 
 
@@ -656,10 +704,10 @@ def test_benchmark_gate_t_drop_raises_the_bar() -> None:
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", (), 70)
     strict = _cfg(m=5, recall_n=5, t_drop=10.0)  # baseline x11 is unbeatable
     scorer = ScoreCache(rm, strict.lookback)
-    [(keep, why)] = gate_batch([good], tracker, scorer, strict, 70, {**pool, good.name: good})
+    [(keep, why)] = gate_batch([good], tracker, scorer, strict, {**pool, good.name: good})
     assert keep  # saved by the RankIC leg
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    [(keep, _)] = gate_batch([bad], tracker, scorer, strict, 70, {**pool, bad.name: bad})
+    [(keep, _)] = gate_batch([bad], tracker, scorer, strict, {**pool, bad.name: bad})
     assert not keep
 
 
@@ -676,13 +724,13 @@ _GATE_EXPRS = tuple(rec.expr for rec in seed_factors((3, 7, 14))) + tuple(
     st.integers(62, 70),
 )
 def test_gating_a_batch_equals_gating_each_candidate_alone(picks, incumbents, t_drop, t) -> None:
-    _, base, rm, pool, tracker = _gate_fixture()
+    _, base, rm, pool, tracker = _gate_fixture(t)
     cfg = dataclasses.replace(base, t_drop=t_drop)
     batch = [make_record(f"cand{i}_7_v2", _GATE_EXPRS[k], "mutated", (), t) for i, k in enumerate(picks)]
     if not incumbents:
-        pool, tracker = {}, PerfTracker()
-    together = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, t, pool)
-    alone = [gate_batch([cand], tracker, ScoreCache(rm, cfg.lookback), cfg, t, pool)[0] for cand in batch]
+        pool = {}
+    together = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, pool)
+    alone = [gate_batch([cand], tracker, ScoreCache(rm, cfg.lookback), cfg, pool)[0] for cand in batch]
     assert together == alone
     for keep, why in together:
         event(why.split(" ")[0] if keep else "gated out")
@@ -700,7 +748,7 @@ def test_gate_batch_decides_each_candidate_through_benchmark_gate(monkeypatch) -
         return calls[-1]
 
     monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
-    decisions = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, 70, pool)
+    decisions = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, pool)
     assert calls == decisions and len(decisions) == len(batch)
     assert {keep for keep, _ in decisions} == {True, False}
 
@@ -721,7 +769,7 @@ def test_composite_scores_matches_manual_blend() -> None:
         update_tracker(tracker, pool, scorer, t, cfg)
     rows = composite_scores(pool, tracker, scorer, cfg, 70)
     # Both factors are used, best first by trailing final value.
-    stats = tracker.stat(pool, cfg.search_interval, 70, cfg.recall_n)
+    stats = tracker.stat(pool, cfg.search_interval, cfg.recall_n)
     best_first = sorted(pool, key=lambda n: (-stats[n]["final_value"], n))
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
     manual = [
@@ -976,9 +1024,9 @@ def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch,
             batch.append(repeat)
         return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, ())
 
-    def recording_gate(batch, tracker, scorer, cfg, t, pool, _gate=gate_batch):
-        decisions = _gate(batch, tracker, scorer, cfg, t, pool)
-        gates.extend((t, cand, keep, dict(pool)) for cand, (keep, _) in zip(batch, decisions))
+    def recording_gate(batch, tracker, scorer, cfg, pool, _gate=gate_batch):
+        decisions = _gate(batch, tracker, scorer, cfg, pool)
+        gates.extend((tracker.reached, cand, keep, dict(pool)) for cand, (keep, _) in zip(batch, decisions))
         return decisions
 
     monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
@@ -1286,6 +1334,17 @@ def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> N
 # ------------------------------------------------------------ checkpoints
 
 
+def _checkpoint_doc(record: SearchRecord) -> dict:
+    """The JSON document of a checkpoint line, built field by field."""
+    return {
+        "step": record.step,
+        "pool": [record_to_json(rec) for rec in record.pool],
+        "performance": record.performance,
+        "quality": record.quality,
+        "state": record.state,
+    }
+
+
 def test_checkpoint_serialization_round_trip(tmp_path) -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
@@ -1298,7 +1357,7 @@ def test_checkpoint_serialization_round_trip(tmp_path) -> None:
     assert (tmp_path / "checkpoints.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
 
     rec = res.records[0]
-    doc = search_record_to_json(rec)
+    doc = _checkpoint_doc(rec)
     assert json_to_search_record(doc) == rec
     broken = dict(doc)
     del broken["state"]
@@ -1332,13 +1391,13 @@ def test_saved_checkpoint_lines_equal_each_record_encoded_alone(records) -> None
         path = Path(tmp) / "checkpoints.jsonl"
         save_checkpoints(records, str(path))
         lines = path.read_text().splitlines()
-    assert lines == [json.dumps(search_record_to_json(record), sort_keys=True) for record in records]
+    assert lines == [json.dumps(_checkpoint_doc(record), sort_keys=True) for record in records]
 
 
 def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
     path = tmp_path / "ck.jsonl"
     rec = SearchRecord(step=65, pool=(), performance={}, quality={}, state={})
-    good = search_record_to_json(rec)
+    good = _checkpoint_doc(rec)
     import json as _json
 
     path.write_text(_json.dumps(good) + "\n" + '{"step": 70}' + "\n")
@@ -1376,7 +1435,7 @@ def test_loading_validates_each_decoded_expression_once(tmp_path, monkeypatch) -
 )
 def test_an_invalid_expression_still_fails_naming_its_line(tmp_path, expr, message) -> None:
     rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated")
-    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    good = _checkpoint_doc(SearchRecord(65, (rec,), {}, {}, {}))
     bad = json.loads(json.dumps(good))
     bad["pool"][0]["expr"] = expr
     path = tmp_path / "ck.jsonl"
@@ -1407,7 +1466,7 @@ def test_an_invalid_expression_still_fails_naming_its_line(tmp_path, expr, messa
 )
 def test_a_field_of_the_wrong_json_type_fails_naming_its_key(tmp_path, key, value, message) -> None:
     rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated", ("alpha_7_v0",), 3)
-    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    good = _checkpoint_doc(SearchRecord(65, (rec,), {}, {}, {}))
     bad = json.loads(json.dumps(good))
     bad["pool"][0][key] = value
     path = tmp_path / "ck.jsonl"
@@ -1499,7 +1558,7 @@ def test_malformed_entry_after_a_valid_one_of_the_same_name_fails_at_its_line(
     tmp_path, key, value
 ) -> None:
     rec = make_record("alpha_7_v1", dsl.parse("ts_delta(prices, 7)"), "mutated")
-    good = search_record_to_json(SearchRecord(65, (rec,), {}, {}, {}))
+    good = _checkpoint_doc(SearchRecord(65, (rec,), {}, {}, {}))
     bad = json.loads(json.dumps(good))
     bad["step"] = 70
     bad["pool"][0][key] = value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,39 @@ def test_long_load_matches_wide(tmp_path):
     assert long_table.asset_ids == wide.asset_ids
     assert long_table.dates == wide.dates
     np.testing.assert_array_equal(long_table.prices, wide.prices)
+
+
+def test_long_dates_out_of_text_order_are_rejected_naming_the_line(tmp_path):
+    # As text, 1/10/2024 sorts before 1/8/2024, so sorting the calendar
+    # would scramble these rows; the wide layout rejects the same cells.
+    dates = ["1/8/2024", "1/9/2024", "1/10/2024", "1/11/2024"]
+    lines = ["date,asset_id,close"]
+    for t, date in enumerate(dates):
+        lines += [f"{date},AAA,{100 + t}", f"{date},BBB,{50 + t}"]
+    path = _write(tmp_path / "long.csv", "\n".join(lines) + "\n")
+    message = r"long\.csv:6: date '1/10/2024' for asset 'AAA' does not sort after '1/9/2024'"
+    with pytest.raises(IngestError, match=message):
+        load_price_table(path, layout="long")
+    wide = ["date,AAA,BBB"] + [f"{date},{100 + t},{50 + t}" for t, date in enumerate(dates)]
+    with pytest.raises(ValueError, match="dates must be strictly increasing"):
+        load_price_table(_write(tmp_path / "wide.csv", "\n".join(wide) + "\n"))
+
+
+def test_long_rows_by_asset_load_and_shuffled_rows_fail(tmp_path):
+    wide = load_price_table(_wide_csv(tmp_path))
+    rows = [
+        f"{date},{asset},{wide.prices[i, t]}"
+        for i, asset in enumerate(wide.asset_ids)
+        for t, date in enumerate(wide.dates)
+    ]
+    path = _write(tmp_path / "by_asset.csv", "\n".join(["date,asset_id,close", *rows]))
+    by_asset = load_price_table(path, layout="long")
+    assert (by_asset.asset_ids, by_asset.dates) == (wide.asset_ids, wide.dates)
+    np.testing.assert_array_equal(by_asset.prices, wide.prices)
+    random.Random(0).shuffle(rows)
+    path = _write(tmp_path / "shuffled.csv", "\n".join(["date,asset_id,close", *rows]))
+    with pytest.raises(IngestError, match=r"shuffled\.csv:\d+: date .* does not sort after"):
+        load_price_table(path, layout="long")
 
 
 def test_gappy_asset_dropped_and_logged(tmp_path, caplog):
