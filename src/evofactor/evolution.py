@@ -26,7 +26,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 from operator import itemgetter
 from statistics import median
 from typing import Callable, Iterable, Mapping, Sequence
@@ -76,8 +75,8 @@ class EvolutionConfig:
         window for prompt reports, factor selection, and the benchmark gate.
     m: portfolio cardinality. k_top: factors blended into the composite
     score. m_candidates: candidates requested per search step.
-    stats_window: cap on the trailing window used for checkpoint stats;
-        also the window pruning ranks over.
+    stats_window: cap on the trailing window used for checkpoint stats and
+        the factor report; also the window pruning ranks over.
     """
 
     lookback: int = 30
@@ -418,26 +417,22 @@ def clean_factor_pool(
     return {name: pool[name] for name in sorted(survivors)}
 
 
-def benchmark_gate(
-    fv: float, mean_ic: float, gated_fv: float, pool_median: Callable[[], float] | None
-) -> tuple[bool, str]:
+def benchmark_gate(fv: float, mean_ic: float, gated_fv: float, pool_median: float | None) -> tuple[bool, str]:
     """Keep/drop one fresh candidate by a trailing-window standalone
     backtest, given its final value fv and mean RankIC mean_ic.
 
     Dropped only when both legs fail: fv below gated_fv, (1 + t_drop) times
-    the 1/N baseline over the same window, AND mean_ic below pool_median(),
-    the median of the pool factors graded through the reached step, which is
-    read only when the value leg fails. pool_median is None when no admitted
-    factor is graded yet, and then the candidate is kept.
+    the 1/N baseline over the same window, AND mean_ic below pool_median,
+    the median mean RankIC of the pool factors graded through the reached
+    step. pool_median is None when no admitted factor is graded yet, and
+    then the candidate is kept.
     """
     if pool_median is None:
         return True, "no incumbents to compare against"
-    if fv >= gated_fv:
-        return True, "cleared benchmark"
-    if mean_ic < pool_median():
+    if fv < gated_fv and mean_ic < pool_median:
         return False, (
             f"final_value {fv:.4f} < gated baseline {gated_fv:.4f}"
-            f" and mean rankic {mean_ic:.4f} < pool median {pool_median():.4f}"
+            f" and mean rankic {mean_ic:.4f} < pool median {pool_median:.4f}"
         )
     return True, "cleared benchmark"
 
@@ -453,8 +448,8 @@ def gate_batch(
     batch, in batch order, over the last search_interval steps through
     tracker.reached; pool holds admitted factors only. Costs are ignored
     here (comparison is c=0). The candidates are graded together, and the
-    baseline, the incumbents and their median are computed once per batch,
-    the median only if a value leg fails.
+    baseline and the incumbents' median, over the pool factors the tracker
+    has graded, are computed once per batch.
     """
     stop = tracker.reached + 1
     start = max(cfg.lookback, stop - cfg.search_interval)
@@ -462,11 +457,11 @@ def gate_batch(
     # Contiguous rows: a row mean then sums in the same order as the mean of
     # one return column, so base_fv keeps its bits.
     base_fv = float(100.0 * np.prod(scorer.realized.returns[start:stop].mean(axis=1)))
-    incumbents = [name for name in pool if tracker.count(name) > 0]
-    pool_median = cache(lambda: median(tracker.column(incumbents, cfg.search_interval, "mean_rankic").values()))
+    incumbents = tracker.column(pool, cfg.search_interval, "mean_rankic")
+    pool_median = median(incumbents.values()) if incumbents else None
     gated_fv = (1.0 + cfg.t_drop) * base_fv
     fvs, mean_ics = (100.0 * np.prod(grosses, axis=1)).tolist(), np.mean(ics, axis=1).tolist()
-    return [benchmark_gate(fv, ic, gated_fv, pool_median if incumbents else None) for fv, ic in zip(fvs, mean_ics)]
+    return [benchmark_gate(fv, ic, gated_fv, pool_median) for fv, ic in zip(fvs, mean_ics)]
 
 
 # --------------------------------------------------------------- checkpoints
@@ -651,10 +646,11 @@ def start_run(
 
 
 def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str) -> SearchRecord:
-    """The checkpoint after step t; stats cover the pool factors graded so far.
+    """The checkpoint after step t; stats cover each pool factor's last
+    stats_window grades through t, leaving out factors not graded yet.
     run.prev, when set, holds the weights formed at t, so prev_t is t."""
     names = sorted(run.pool)
-    stats = run.tracker.stat(names, max(1, min(t - cfg.lookback, cfg.stats_window)), cfg.recall_n)
+    stats = run.tracker.stat(names, cfg.stats_window, cfg.recall_n)
     parts = {n: _split_stats(stats[n]) for n in names if n in stats}
     prev = run.prev
     return SearchRecord(
@@ -765,11 +761,11 @@ def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = No
         if leaks:
             raise RuntimeError(f"prompt leaks dataset tokens: {leaks[:5]}")
         try:
-            result = gen(req)
+            candidates = gen(req).candidates
         except Exception as exc:  # noqa: BLE001 - generator failure is non-fatal
             logger.warning("generator failed at step %d: %s", t, exc)
-            result = GenerationResult((), 0, ({"error": str(exc)},))
-        for cand in result.candidates[: cfg.m_candidates]:
+            candidates = ()
+        for cand in candidates[: cfg.m_candidates]:
             ok, reason = validate_candidate(cand, {**run.pool, **batch})
             if not ok:
                 logger.info("step %d: rejected %s (%s)", t, cand.name, reason)

@@ -262,8 +262,9 @@ def candidate_record(
 
 
 def _smoke_battery() -> tuple[np.ndarray, np.ndarray]:
+    """16 assets x 30 steps: the first rows of one fixed 50 x 30 draw."""
     rng = np.random.default_rng(90210)
-    relatives = np.exp(rng.normal(0.0005, 0.02, size=(50, 30)))
+    relatives = np.exp(rng.normal(0.0005, 0.02, size=(50, 30)))[:16]
     prices = 100.0 * np.cumprod(relatives, axis=1)
     return prices, relatives
 
@@ -277,7 +278,7 @@ def validate_candidate(
     """Accept or reject a structurally parsed candidate against the pool.
 
     Rejection is a value: (False, reason). Checks name convention, name and
-    expression collisions, and non-constant scores on a 50-window smoke
+    expression collisions, and non-constant scores on a 16-asset smoke
     battery. A FactorRecord validates its expression and the evaluator
     scrubs scores to finite values, so an evaluator error is a bug.
     """
@@ -290,7 +291,7 @@ def validate_candidate(
         if other.expr_text == text:
             return False, f"duplicate expression of {other.name!r}"
     scores = dsl.evaluate_cross_section(record.expr, _SMOKE_PRICES, _SMOKE_RETURNS)
-    if np.unique(scores[:16]).size < 2:
+    if np.unique(scores).size < 2:
         return False, "degenerate cross-section (constant scores)"
     return True, "ok"
 
@@ -397,7 +398,6 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
         expr: dsl.Expr | None = None
         origin = "mutated"
         parents: tuple[str, ...] = (parent.name,)
-        name = ""
         if action == "crossover" and len(ordered) >= 2:
             mate = _pick(rng, [r for r in ordered if r.name != parent.name])
             expr = _crossover(rng, parent, mate)
@@ -412,8 +412,6 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
                 expr = _parameter_mutation(rng, parent)
             if expr is None:
                 expr = _operator_mutation(rng, parent)
-            origin = "mutated"
-            parents = (parent.name,)
             name = _next_version(
                 parent.base_name, _name_window(parent, expr), parent.version + 1, taken
             )

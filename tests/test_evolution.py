@@ -753,6 +753,24 @@ def test_gate_batch_decides_each_candidate_through_benchmark_gate(monkeypatch) -
     assert {keep for keep, _ in decisions} == {True, False}
 
 
+@pytest.mark.parametrize(
+    ("fv", "mean_ic", "pool_median", "decision"),
+    [
+        (50.0, -1.0, None, (True, "no incumbents to compare against")),
+        (100.0, -1.0, 0.2, (True, "cleared benchmark")),  # the value leg clears at gated_fv
+        (99.0, 0.2, 0.2, (True, "cleared benchmark")),  # the RankIC leg clears at the median
+        (
+            99.0,
+            0.1,
+            0.2,
+            (False, "final_value 99.0000 < gated baseline 100.0000 and mean rankic 0.1000 < pool median 0.2000"),
+        ),
+    ],
+)
+def test_benchmark_gate_decides_on_the_numbers_it_is_given(fv, mean_ic, pool_median, decision) -> None:
+    assert benchmark_gate(fv, mean_ic, 100.0, pool_median) == decision
+
+
 # ------------------------------------------------------ composite scores
 
 
@@ -1199,6 +1217,20 @@ def test_evolution_with_offline_generator() -> None:
         if state["prev_weights"] is not None:
             total = sum(w for _, w in state["prev_weights"])
             assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("stats_window", [120, 20])
+def test_checkpoint_stats_cover_each_factors_last_stats_window_grades(stats_window) -> None:
+    # Checkpoints, pruning and the factor report read one window.
+    table = planted_momentum_table(n_assets=10, n_steps=120, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, stats_window=stats_window)
+    res = run_evolution(table, cfg, gen=generate_offline)
+    scorer = ScoreCache(to_relative_returns(table), cfg.lookback)
+    assert len(res.records) == 11
+    for rec in res.records:
+        pool = rec.pool_map()
+        want = replay_tracker(pool, scorer, cfg, rec.step).stat(pool, cfg.stats_window, cfg.recall_n)
+        assert {n: {**perf, **rec.quality[n]} for n, perf in rec.performance.items()} == want, rec.step
 
 
 def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:

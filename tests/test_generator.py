@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -58,12 +59,14 @@ def _request(m: int = 5, seed: int | None = 0, step: int = 65, windows=(7,)) -> 
 
 
 def test_prompt_offers_the_grammar_the_parser_accepts() -> None:
-    for op in (*dsl.UNARY_OPS, *dsl.BINARY_OPS, *dsl.TS_OPS, "last"):
-        assert f" {op}(" in SYSTEM_PROMPT, op
+    # The GRAMMAR section calls exactly the DSL's ops and lists its features and windows.
+    section = SYSTEM_PROMPT[SYSTEM_PROMPT.index("GRAMMAR") : SYSTEM_PROMPT.index("FACTOR NAME RULES")]
+    assert set(re.findall(r"([a-z_0-9]+)\(", section)) == set(dsl.OP_CLASSES)
     assert set(dsl.OP_CLASSES) == {*dsl.UNARY_OPS, *dsl.BINARY_OPS, *dsl.TS_OPS, "last"}
     for feature in dsl.FEATURES:
-        assert feature in SYSTEM_PROMPT, feature
-    assert ", ".join(map(str, dsl.ALLOWED_WINDOWS)) in SYSTEM_PROMPT
+        assert feature in section, feature
+    [window_line] = [line for line in section.splitlines() if "window_size" in line]
+    assert ", ".join(map(str, dsl.ALLOWED_WINDOWS)) in window_line
 
 
 def test_build_prompt_sections() -> None:
