@@ -61,7 +61,8 @@ def _content_order(runs: list[list[SearchRecord]]) -> list[list[SearchRecord]]:
 def merge_runs(
     runs: Sequence[Sequence[SearchRecord]], n_limit: int = 0, ratio: float = 1.0
 ) -> list[MergedRecord]:
-    """Align, truncate, and max-merge already-loaded checkpoint streams."""
+    """Align, truncate, and max-merge already-loaded checkpoint streams. The
+    truncated runs' i-th records must share one step."""
     if not runs:
         raise ValueError("need at least one run")
     if not 0.0 < ratio <= 1.0:
@@ -73,7 +74,12 @@ def merge_runs(
         length = min(length, math.floor(length * ratio))
     if length < 1:
         raise ValueError("no aligned records remain after truncation")
-    ordered = _content_order([list(run[:length]) for run in runs])
+    truncated = [list(run[:length]) for run in runs]
+    for i, records in enumerate(zip(*truncated)):
+        if len({rec.step for rec in records}) > 1:
+            found = ", ".join(f"{rec.source or 'a record'} at step {rec.step}" for rec in records)
+            raise ValueError(f"record {i} of each run must share one step: {found}")
+    ordered = _content_order(truncated)
     merged: list[MergedRecord] = []
     for i in range(length):
         perf: dict[str, float] = {}

@@ -26,6 +26,7 @@ from .aggregation import aggregate_records, pooled_library, save_merged
 from .evolution import (
     EvolutionConfig,
     EvolutionResult,
+    Generator,
     PerfTracker,
     ScoreCache,
     load_checkpoints,
@@ -37,13 +38,13 @@ from .evolution import (
     trade,
 )
 from .generator import (
-    GenerationRequest,
     GeneratorConfig,
     generate_offline,
     generate_remote,
     http_transport,
 )
 from .market_data import (
+    PriceTable,
     load_price_table,
     load_snapshot,
     save_snapshot,
@@ -118,9 +119,9 @@ CONFIG_SCHEMA: dict[str, str] = {
     "quality_metric": "factor ranking basis: final_value | mean_rankic",
     "max_pool_size": "pool size triggering pruning",
     "keep_top_n": "best factors guaranteed to survive pruning",
-    "t_drop": "margin a candidate must clear over the market baseline",
+    "t_drop": "baseline margin a candidate's final value must clear, unless its mean RankIC reaches the pool median",
     "recall_n": "top-N overlap size for recall quality stats",
-    "stats_window": "cap on the trailing window behind checkpoint stats",
+    "stats_window": "trailing window behind checkpoint stats, pruning and factor_report.csv",
     "seed_windows": "window grid instantiating the seed library",
     "generator": "candidate source: offline (deterministic) | remote (HTTP endpoint)",
     "endpoint": "remote chat endpoint URL",
@@ -288,23 +289,25 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     return _finish_run(cfg, result, ecfg, (cfg["data"], args.library), checkpoints=False)
 
 
-def _make_generator(cfg: dict) -> Callable[[GenerationRequest], object]:
-    """The run's generator. A remote one is checked and its transport built
-    here, before the snapshot loads, so a bad remote setting writes nothing."""
+def _make_generator(cfg: dict) -> Callable[[PriceTable], Generator]:
+    """The run's generator, given the table. A remote one is checked and its
+    transport built here, before the snapshot loads, so a bad remote setting
+    writes nothing; it scans its prompts for the table's asset ids and dates."""
     if cfg["generator"] not in GENERATORS:
         raise ValueError(f"config key generator={cfg['generator']!r} must be one of {GENERATORS}")
     if cfg["generator"] == "offline":
-        return generate_offline
+        return lambda table: generate_offline
     gcfg = build_config(GeneratorConfig, cfg)
     gcfg.min_valid_for(cfg["m_candidates"])
     transport = http_transport(gcfg)
-    return lambda req: generate_remote(req, gcfg, transport)
+    return lambda table: lambda req: generate_remote(req, gcfg, transport, (*table.asset_ids, *table.dates))
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    gen = _make_generator(cfg)
+    bind = _make_generator(cfg)
     table = load_snapshot(cfg["data"])
+    gen = bind(table)
     ecfg = build_config(EvolutionConfig, cfg)
     resume = None
     if args.resume_from:

@@ -8,15 +8,16 @@ accumulate history; live trading starts at warmup_steps+1. Generation fires
 at live steps divisible by search_interval.
 
 `step` makes step t's decisions for evolve, backtest and the factor sweep, in
-order: at a search step, prune, prompt, scan for leaks, generate, validate;
-from lookback on, grade the pool; gate the batch, admit and grade the kept
-candidates; after warm-up, rank the top k_top factors into composite rows.
+order: at a search step, prune, build the generator's request (only a remote
+generator renders it as a prompt), generate, validate; from lookback on, grade
+the pool; gate the batch, admit and grade the kept candidates; after warm-up,
+rank the top k_top factors into composite rows.
 
 Every tracker read stops at PerfTracker.reached, so where step calls
 update_tracker decides what each decision at step t reads. Step t's grade of
-a factor scores it against rm.values[:, t]. step prunes and prompts before
-grading step t, so both read grades through t-1, and gates and ranks the
-composite after it, so both read grades through t and see the return being
+a factor scores it against rm.values[:, t]. step prunes and builds the request
+before grading step t, so both read grades through t-1, and gates and ranks
+the composite after it, so both read grades through t and see the return being
 traded (a look-ahead).
 """
 
@@ -33,15 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import dsl, metrics, portfolio
-from .generator import (
-    ForbiddenTokens,
-    GenerationRequest,
-    GenerationResult,
-    TopFactor,
-    build_prompt,
-    scan_for_leakage,
-    validate_candidate,
-)
+from .generator import GenerationRequest, GenerationResult, PromptLeakError, TopFactor, validate_candidate
 from .jsonfields import INTEGER, NUMBER, OBJECT, OBJECTS, WEIGHTS, check, field_error
 from .market_data import (
     PriceTable,
@@ -587,12 +580,11 @@ class RunState:
     """A run before its first step t: what a checkpoint stores or replays,
     and t, the first step to run. The returns are scorer.rm; prev is None or
     the weights formed at t - 1, drifted. drop is the one way a factor leaves
-    the pool."""
+    the pool. The table's asset ids and dates stay out: see generate_remote."""
 
     scorer: ScoreCache
     pool: dict[str, FactorRecord]
     tracker: PerfTracker
-    forbidden: ForbiddenTokens  # the table's asset ids and dates, which no prompt may name
     value: float = 100.0
     baseline: float = 100.0
     prev: PortfolioWeights | None = None
@@ -621,10 +613,9 @@ def start_run(
     rm = to_relative_returns(table)
     check_table(rm, cfg)
     scorer = ScoreCache(rm, cfg.lookback)
-    forbidden = ForbiddenTokens((*table.asset_ids, *table.dates))
     if resume_from is None:
         pool_map = pool_by_name(seed_factors(cfg.seed_windows) if pool is None else pool)
-        return RunState(scorer, pool_map, PerfTracker(), forbidden)
+        return RunState(scorer, pool_map, PerfTracker())
     state, last = resume_from.state, rm.values.shape[1] - 1
     where = f"{resume_from.source}: resume state" if resume_from.source else "resume state"
     try:
@@ -642,7 +633,7 @@ def start_run(
     pool_map = resume_from.pool_map()
     tracker = replay_tracker(pool_map, scorer, cfg, resume_from.step)
     value, baseline = float(state["portfolio_value"]), float(state["baseline_value"])
-    return RunState(scorer, pool_map, tracker, forbidden, value, baseline, prev, resume_from.step + 1)
+    return RunState(scorer, pool_map, tracker, value, baseline, prev, resume_from.step + 1)
 
 
 def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str) -> SearchRecord:
@@ -751,18 +742,17 @@ def trade(
 def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = None) -> list[np.ndarray] | None:
     """Step t's decisions in the module notes' order: the composite rows step t
     trades, or None in warm-up. gen, passed at search steps only, proposes a
-    batch that stays out of run.pool until the gate admits it."""
+    batch that stays out of run.pool until the gate admits it; of its errors,
+    only a PromptLeakError stops the run."""
     batch: dict[str, FactorRecord] = {}  # validated, not yet gated
     if gen is not None:
         run.drop(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg).keys())
         req = _build_request(run.pool, run.tracker, cfg, t)
-        prompt = build_prompt(req)
-        leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], run.forbidden)
-        if leaks:
-            raise RuntimeError(f"prompt leaks dataset tokens: {leaks[:5]}")
         try:
             candidates = gen(req).candidates
-        except Exception as exc:  # noqa: BLE001 - generator failure is non-fatal
+        except PromptLeakError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - any other generator failure is non-fatal
             logger.warning("generator failed at step %d: %s", t, exc)
             candidates = ()
         for cand in candidates[: cfg.m_candidates]:

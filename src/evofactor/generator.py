@@ -96,6 +96,10 @@ class TransportError(RuntimeError):
     """Remote endpoint unreachable or returned garbage."""
 
 
+class PromptLeakError(RuntimeError):
+    """A prompt about to be sent names a dataset token; the run stops."""
+
+
 # ------------------------------------------------------------------ prompts
 
 
@@ -136,41 +140,23 @@ _WHOLE_NUMBER = re.compile(r"(?<![0-9.])[0-9]+(?![0-9.])")
 MIN_LEAK_LEN = 3  # shorter forbidden tokens are too common in any text to flag
 
 
-class ForbiddenTokens:
-    """Forbidden tokens split once by how `scan_for_leakage` matches them.
-
-    ASCII digit tokens are looked up among the text's whole numbers, other
-    digit tokens (superscripts, non-Latin digits) keep a bounded pattern, and
-    the rest are plain substrings. Build it once to scan many texts.
-    """
-
-    def __init__(self, tokens: Iterable[str]) -> None:
-        self.numbers: set[str] = set()
-        self.patterns: list[tuple[str, re.Pattern[str]]] = []
-        self.substrings: list[str] = []
-        for token in set(tokens):
-            if token.isascii() and token.isdigit():
-                self.numbers.add(token)
-            elif token.isdigit():
-                bounded = r"(?<![0-9.])" + re.escape(token) + r"(?![0-9.])"
-                self.patterns.append((token, re.compile(bounded)))
-            else:
-                self.substrings.append(token)
-
-
 def scan_for_leakage(text: str, forbidden: Iterable[str]) -> list[str]:
     """Return forbidden tokens (asset ids, dates) appearing in the text.
 
-    Pure-digit tokens only count when not embedded in a longer number, so
-    metric digits like 0.00050 do not flag the date string 00050. Pass a
-    ForbiddenTokens to skip re-splitting the tokens; the text is read once
-    for all ASCII digit tokens.
-    """
-    tokens = forbidden if isinstance(forbidden, ForbiddenTokens) else ForbiddenTokens(forbidden)
-    found = tokens.numbers.intersection(_WHOLE_NUMBER.findall(text))
-    found.update(tok for tok, pattern in tokens.patterns if pattern.search(text))
-    found.update(tok for tok in tokens.substrings if tok in text)
-    return sorted(tok for tok in found if len(tok) >= MIN_LEAK_LEN)
+    ASCII digit tokens count only as a whole number of the text, so metric
+    digits like 0.00050 do not flag the date string 00050; other digit tokens
+    (superscripts, non-Latin digits) keep the same bounds by pattern, and the
+    rest count as plain substrings."""
+    numbers = set(_WHOLE_NUMBER.findall(text))
+
+    def found(token: str) -> bool:
+        if token.isascii() and token.isdigit():
+            return token in numbers
+        if token.isdigit():
+            return re.search(r"(?<![0-9.])" + re.escape(token) + r"(?![0-9.])", text) is not None
+        return token in text
+
+    return sorted(tok for tok in set(forbidden) if len(tok) >= MIN_LEAK_LEN and found(tok))
 
 
 # ------------------------------------------------------- response handling
@@ -513,17 +499,23 @@ def generate_remote(
     req: GenerationRequest,
     cfg: GeneratorConfig,
     transport: Transport,
+    forbidden: Iterable[str],
 ) -> GenerationResult:
     """Query the endpoint through transport, retrying until enough candidates parse.
 
-    A batch is accepted when at least min_valid (default ceil(M/2)) of its
-    items parse into convention-respecting records; malformed items are
-    dropped individually. Total failure returns an empty result so the
+    The prompt is rendered once. If it names a forbidden token (the table's
+    asset ids and dates), PromptLeakError is raised before transport is
+    called. A batch is accepted when at least min_valid (default ceil(M/2))
+    of its items parse into convention-respecting records; malformed items
+    are dropped individually. Total failure returns an empty result so the
     evolution loop can log and proceed.
     """
     min_valid = cfg.min_valid_for(req.m_candidates)
     pool = {rec.name: rec for rec in req.pool_records}
     prompt = build_prompt(req)
+    leaks = scan_for_leakage(prompt["system"] + "\n" + prompt["user"], forbidden)
+    if leaks:
+        raise PromptLeakError(f"prompt leaks dataset tokens: {leaks[:5]}")
     log: list[dict] = []
     for attempt in range(1, cfg.max_retries + 1):
         entry: dict = {"step": req.step, "attempt": attempt}

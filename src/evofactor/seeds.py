@@ -216,13 +216,19 @@ _LIBRARY_FIELDS = {"schema": (repr(LIBRARY_SCHEMA), lambda v: v == LIBRARY_SCHEM
 
 
 def load_library(path: str) -> list[FactorRecord]:
+    """The library's factors in file order. A bad field or a repeated name
+    fails naming the path and the factor's index; no factors, the path."""
     with open(path) as handle:
         doc = json.load(handle)
-    records, where = [], f"{path}:"
+    records, where = {}, f"{path}:"
     try:
         for i, item in enumerate(check(doc, _LIBRARY_FIELDS)["factors"]):
             where = f"{path}: factor {i}"
-            records.append(json_to_record(item))
+            record = json_to_record(item)
+            if records.setdefault(record.name, record) is not record:
+                raise ValueError(f"duplicate factor name {record.name!r}")
     except ValueError as exc:
         raise ValueError(f"{where} {exc}") from None
-    return records
+    if not records:
+        raise ValueError(f"{path}: empty factor pool")
+    return list(records.values())

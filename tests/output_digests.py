@@ -6,6 +6,10 @@ In a temporary directory the script writes a planted snapshot, then runs:
 - offline `evolve` twice: run `a` with `positive_score` weighting and a
   `cost_rate`, run `b` with another `rng_seed`, `mean_rankic`, a `t_drop`
   and a `max_pool_size` small enough that its searches prune;
+- remote `evolve` on a scripted transport in place of `http_transport`,
+  with an `audit_log` in its run directory: the log holds every prompt the
+  run sent and every response it got, among them one retry and malformed
+  items;
 - `evolve --resume-from` run `a`'s first five checkpoints;
 - `backtest` of the seed library over the size's seed windows;
 - `aggregate` of both runs' checkpoints;
@@ -28,11 +32,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from evofactor.cli import main as cli_main
+from evofactor import cli
+from evofactor.generator import GeneratorConfig, Transport
 from evofactor.market_data import save_snapshot
 from evofactor.synthetic import planted_momentum_table
 
@@ -51,9 +58,31 @@ RUNS = {
 
 def _cli(*args: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(list(args))
+        code = cli.main(list(args))
     if code != 0:
         raise RuntimeError(f"evofactor {' '.join(args)} exited {code}")
+
+
+def scripted_transport(gcfg: GeneratorConfig) -> Transport:
+    """A stand-in for `cli.http_transport`: its first answer holds no list,
+    so that step retries; every later answer holds three items that parse,
+    then one whose operator does not exist. Call k names its factors after
+    k, so the answers depend only on the order of the calls."""
+    calls = itertools.count()
+
+    def call(system: str, user: str) -> str:
+        k = next(calls)
+        if k == 0:
+            return "No factors this time."
+        w = (3, 7, 14, 21)[k % 4]
+        return (
+            f'["scripted{k}_{w}_v1 = ts_delta(prices, {w})",'
+            f' "scripted{k}_mix_7_v1 = sub(ts_mean(returns, 7), ts_mean(returns, {w}))",'
+            f' "scripted{k}_rank_{w}_v1 = mul(ts_rank_pos(prices, {w}), {k}.5)",'
+            f' "scripted{k}_bad_7_v1 = no_such_op(prices)"]'
+        )
+
+    return call
 
 
 def _sets(keys: list[str]) -> list[str]:
@@ -70,6 +99,10 @@ def write_outputs(root: Path, size: str) -> Path:
     common = ["--snapshot", snapshot, *_sets(keys)]
     for run, run_keys in RUNS.items():
         _cli("evolve", *common, *_sets(run_keys), "-o", str(out / f"evolve_{run}"))
+    remote = out / "evolve_remote"
+    remote.mkdir()  # the audit log opens before the run writes its outputs
+    with mock.patch.object(cli, "http_transport", scripted_transport):
+        _cli("evolve", *common, *_sets(["generator=remote", f"audit_log={remote / 'audit.jsonl'}"]), "-o", str(remote))
     head = inputs / "checkpoints_a_first5.jsonl"
     lines = (out / "evolve_a" / "checkpoints.jsonl").read_text().splitlines(keepends=True)
     head.write_text("".join(lines[:5]))

@@ -490,3 +490,27 @@ def test_aggregate_records_from_files(tmp_path) -> None:
         dsl.validate_expr(rec.expr)
     with pytest.raises(ValueError):
         aggregate_records([])
+
+
+def test_aggregate_rejects_runs_whose_records_differ_in_step(tmp_path, capsys) -> None:
+    # Warm-ups of 20 and 40 steps put the runs' searches at 25, 30, ... and
+    # 45, 50, ...: the i-th records of the two runs never describe one step.
+    from evofactor.market_data import save_snapshot
+    from evofactor.synthetic import planted_momentum_table
+
+    snapshot = str(tmp_path / "snapshot.json")
+    save_snapshot(planted_momentum_table(n_assets=10, n_steps=90, seed=5, signal=0.6), snapshot)
+    paths = []
+    for warmup in (20, 40):
+        out = tmp_path / f"warmup{warmup}"
+        keys = ["lookback=14", f"warmup_steps={warmup}", "m=3", "k_top=3", "m_candidates=4", "recall_n=3",
+                "seed_windows=7"]
+        assert main(["evolve", "--snapshot", snapshot, *(a for k in keys for a in ("--set", k)), "-o", str(out)]) == 0
+        paths.append(str(out / "checkpoints.jsonl"))
+    capsys.readouterr()
+    for order in (paths, paths[::-1]):
+        assert main(["aggregate", *order, "-o", str(tmp_path / "merged")]) == 2
+        steps = {paths[0]: 25, paths[1]: 45}
+        found = ", ".join(f"{path}:1 at step {steps[path]}" for path in order)
+        assert capsys.readouterr().err == f"error: record 0 of each run must share one step: {found}\n"
+        assert not (tmp_path / "merged").exists()

@@ -91,7 +91,7 @@ def _hooked_calls(tmp_path: Path) -> dict[str, tuple[str, float, list[tuple[tupl
             "generator.proposed",
             3,
             [call(generator.generate_remote, dataclasses.replace(req, m_candidates=4), GeneratorConfig(),
-                  lambda system, user: scripted)],
+                  lambda system, user: scripted, ())],
         ),
         "generator.validate_candidate": (
             "generator.valid",

@@ -314,19 +314,23 @@ def test_a_malformed_snapshot_fails_naming_the_file(tmp_path, capsys, snapshot, 
     assert capsys.readouterr().err.strip() == f"error: {bad}: {message.format(**fields)}"
 
 
-def test_score_heatmap_rejects_a_library_that_repeats_a_name(tmp_path, capsys, snapshot, library) -> None:
-    run = tmp_path / "run"
-    assert main(["backtest", "--snapshot", snapshot, "--library", library, "-o", str(run), *_SET]) == 0
+@pytest.mark.parametrize("mode", ["backtest", "factor_sweep", "score_heatmap"])
+def test_a_library_that_repeats_a_name_or_holds_none_fails_naming_the_file(tmp_path, capsys, snapshot, library,
+                                                                           mode) -> None:
     doc = json.loads(Path(library).read_text())
-    for factors, message in ((doc["factors"] + doc["factors"][:1], "duplicate factor name"),
-                             ([], "empty factor pool")):
+    repeat = f"factor {len(doc['factors'])} duplicate factor name {doc['factors'][0]['name']!r}"
+    args = {
+        "backtest": ["backtest"],
+        "factor_sweep": ["report", "--mode", "factor_sweep"],
+        "score_heatmap": ["report", "--mode", "score_heatmap", "--ledger", str(tmp_path / "unread.csv")],
+    }[mode]
+    for factors, message in ((doc["factors"] + doc["factors"][:1], repeat), ([], "empty factor pool")):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**doc, "factors": factors}))
-        outdir = tmp_path / "rep"
-        assert main(["report", "--mode", "score_heatmap", "--snapshot", snapshot, "--library", str(bad),
-                     "--ledger", str(run / "ledger.csv"), "-o", str(outdir), *_SET]) == 2
-        assert message in capsys.readouterr().err
-        assert not (outdir / "score_heatmap.csv").exists()
+        outdir = tmp_path / "out"
+        assert main([*args, "--snapshot", snapshot, "--library", str(bad), "-o", str(outdir), *_SET]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not any(outdir.glob("*.csv"))
 
 
 def test_config_file_set_precedence(tmp_path, snapshot, library) -> None:
@@ -534,6 +538,28 @@ def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot)
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=remote"]) == 2
     assert "EVOFACTOR_API_KEY" in capsys.readouterr().err
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=psychic"]) == 2
+
+
+@pytest.mark.parametrize("asset, last_date", [("prices", None), ("mean_return_7", None), (None, "mean_return_7")],
+                         ids=["asset_in_the_system_prompt", "asset_as_a_factor_name", "date_as_a_factor_name"])
+def test_a_remote_prompt_that_names_the_table_exits_2_before_sending(tmp_path, capsys, monkeypatch,
+                                                                     asset, last_date) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=90, seed=5, signal=0.6)
+    assets, dates = list(table.asset_ids), list(table.dates)
+    if asset:
+        assets[0] = asset
+    if last_date:  # "m0000" < ... < "m0088" < "mean_return_7"
+        dates = [f"m{i:04d}" for i in range(len(dates) - 1)] + [last_date]
+    path = str(tmp_path / "poisoned.json")
+    save_snapshot(dataclasses.replace(table, asset_ids=tuple(assets), dates=tuple(dates)), path)
+    sent = []
+    monkeypatch.setattr(cli, "http_transport", lambda gcfg: lambda system, user: sent.append(user) or "[]")
+    assert _evolve(path, tmp_path / "remote", ["--set", "generator=remote"]) == 2
+    leaked = asset or last_date
+    assert capsys.readouterr().err == f"error: prompt leaks dataset tokens: [{leaked!r}]\n"
+    assert sent == []
+    # The offline generator sends nothing, so the same table runs through.
+    assert _evolve(path, tmp_path / "offline") == 0
 
 
 # ---------------------------------------------------------------- aggregate
@@ -949,9 +975,11 @@ def test_report_rerun_is_byte_stable(tmp_path, snapshot, library) -> None:
 def test_output_digests_cover_every_command_output(tmp_path, capsys) -> None:
     digests = output_digests.digests(output_digests.write_outputs(tmp_path, "smoke"))
     run_files = ("factor_report.csv", "factor_report.json", "ledger.csv", "metrics.json", "pool.json")
-    want = {f"{run}/{name}" for run in ("evolve_a", "evolve_b", "resume_a", "backtest") for name in run_files}
-    want |= {f"{run}/checkpoints.jsonl" for run in ("evolve_a", "evolve_b", "resume_a")}
+    searches = ("evolve_a", "evolve_b", "evolve_remote", "resume_a")
+    want = {f"{run}/{name}" for run in (*searches, "backtest") for name in run_files}
+    want |= {f"{run}/checkpoints.jsonl" for run in searches}
     want |= {
+        "evolve_remote/audit.jsonl",
         "aggregate/merged.jsonl",
         "aggregate/pooled_library.json",
         "report_sweep/factor_sweep.csv",

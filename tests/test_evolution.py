@@ -37,7 +37,7 @@ from evofactor.evolution import (
     save_checkpoints,
     update_tracker,
 )
-from evofactor.generator import GenerationResult, generate_offline
+from evofactor.generator import GenerationResult, GeneratorConfig, PromptLeakError, generate_offline, generate_remote
 from evofactor.market_data import (
     PriceTable,
     to_normalized_prices,
@@ -1286,17 +1286,46 @@ def test_failing_generator_matches_static_ledger() -> None:
 
 
 def test_prompt_leakage_tripwire() -> None:
-    # An asset id that appears verbatim in prompts (here: a DSL feature
-    # name) must abort the run rather than leak into the generator.
+    # Only the remote generator sends a prompt. An asset id that the prompt
+    # names, through the system prompt's feature names or through a pool
+    # factor's name, stops the run before the transport is called. Offline,
+    # nothing is sent and the same table runs through. momentum_7 is also the
+    # system prompt's naming example; mean_return_7 occurs in the user
+    # prompt alone.
     table = random_walk_table(4, 100, seed=0)
-    poisoned = type(table)(
-        asset_ids=("prices", "B", "C", "D"),
-        dates=table.dates,
-        prices=table.prices,
-        dropped=(),
-    )
-    with pytest.raises(RuntimeError, match="leak"):
-        run_evolution(poisoned, _cfg(recall_n=2), gen=generate_offline)
+    for asset in ("prices", "momentum_7", "mean_return_7"):
+        poisoned = dataclasses.replace(table, asset_ids=(asset, "B", "C", "D"))
+        sent = []
+
+        def transport(system: str, user: str) -> str:
+            sent.append(user)
+            return "[]"
+
+        def remote(req):
+            return generate_remote(req, GeneratorConfig(), transport, (*poisoned.asset_ids, *poisoned.dates))
+
+        with pytest.raises(PromptLeakError, match=rf"^prompt leaks dataset tokens: \['{asset}'\]$"):
+            run_evolution(poisoned, _cfg(recall_n=2), gen=remote)
+        assert sent == [], asset
+        assert run_evolution(poisoned, _cfg(recall_n=2), gen=generate_offline).records, asset
+
+
+def test_an_offline_run_renders_and_scans_no_prompt(tmp_path, monkeypatch) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3)
+    portfolio.write_ledger(run_evolution(table, cfg, gen=generate_offline).ledger, str(tmp_path / "want.csv"))
+
+    def boom(*args):
+        raise AssertionError("an offline run must not touch a prompt")
+
+    # The loop module too, in case it imports either name for itself.
+    for where in ("evofactor.generator", "evofactor.evolution"):
+        for name in ("build_prompt", "scan_for_leakage"):
+            monkeypatch.setattr(f"{where}.{name}", boom, raising=False)
+    got = run_evolution(table, cfg, gen=generate_offline)
+    assert got.records
+    portfolio.write_ledger(got.ledger, str(tmp_path / "got.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_resume_from_every_checkpoint() -> None:

@@ -14,9 +14,9 @@ import oracles
 from evofactor import dsl
 from evofactor.generator import (
     MIN_LEAK_LEN,
-    ForbiddenTokens,
     GenerationRequest,
     GeneratorConfig,
+    PromptLeakError,
     SYSTEM_PROMPT,
     TopFactor,
     TransportError,
@@ -152,7 +152,6 @@ def test_scan_for_leakage_matches_per_token_regex(case) -> None:
     text, tokens = case
     expected = oracles.scan_for_leakage(text, tokens, MIN_LEAK_LEN)
     assert scan_for_leakage(text, tokens) == expected
-    assert scan_for_leakage(text, ForbiddenTokens(tokens)) == expected
 
 
 # ------------------------------------------------------ response parsing
@@ -389,7 +388,7 @@ def test_generate_remote_success_first_attempt() -> None:
         calls.append((system, user))
         return json.dumps(_good_items(4))
 
-    result = generate_remote(req, GeneratorConfig(), transport)
+    result = generate_remote(req, GeneratorConfig(), transport, ())
     assert result.attempts == 1
     assert len(result.candidates) == 4
     assert len(calls) == 1
@@ -410,7 +409,7 @@ def test_generate_remote_retries_until_min_valid() -> None:
     def transport(system: str, user: str) -> str:
         return next(responses)
 
-    result = generate_remote(req, GeneratorConfig(max_retries=3), transport)
+    result = generate_remote(req, GeneratorConfig(max_retries=3), transport, ())
     assert result.attempts == 3
     assert len(result.candidates) == 3
     assert [e["accepted"] for e in result.transport_log] == [False, False, True]
@@ -422,7 +421,7 @@ def test_generate_remote_total_failure_is_nonfatal() -> None:
     def transport(system: str, user: str) -> str:
         raise TransportError("connection refused")
 
-    result = generate_remote(req, GeneratorConfig(max_retries=3), transport)
+    result = generate_remote(req, GeneratorConfig(max_retries=3), transport, ())
     assert result.candidates == ()
     assert result.attempts == 3
     assert all("error" in e for e in result.transport_log)
@@ -435,7 +434,7 @@ def test_generate_remote_drops_malformed_items_individually() -> None:
     def transport(system: str, user: str) -> str:
         return json.dumps(items)
 
-    result = generate_remote(req, GeneratorConfig(min_valid=3), transport)
+    result = generate_remote(req, GeneratorConfig(min_valid=3), transport, ())
     assert len(result.candidates) == 3
     assert result.transport_log[0]["rejects"] == 2
 
@@ -443,9 +442,9 @@ def test_generate_remote_drops_malformed_items_individually() -> None:
 def test_generate_remote_min_valid_bounds() -> None:
     req = _request(m=2)
     with pytest.raises(ValueError):
-        generate_remote(req, GeneratorConfig(min_valid=3), lambda s, u: "[]")
+        generate_remote(req, GeneratorConfig(min_valid=3), lambda s, u: "[]", ())
     result = generate_remote(
-        req, GeneratorConfig(min_valid=1), lambda s, u: json.dumps(_good_items(1))
+        req, GeneratorConfig(min_valid=1), lambda s, u: json.dumps(_good_items(1)), ()
     )
     assert len(result.candidates) == 1
 
@@ -456,7 +455,7 @@ def test_generate_remote_default_min_valid_is_half() -> None:
     def transport(system: str, user: str) -> str:
         return json.dumps(_good_items(math.ceil(5 / 2)))
 
-    result = generate_remote(req, GeneratorConfig(), transport)
+    result = generate_remote(req, GeneratorConfig(), transport, ())
     assert len(result.candidates) == 3
 
 
@@ -465,7 +464,7 @@ def test_generate_remote_audit_log(tmp_path) -> None:
     audit = tmp_path / "audit.jsonl"
     responses = iter(["garbage", json.dumps(_good_items(4))])
     cfg = GeneratorConfig(min_valid=4, max_retries=3, audit_log=str(audit))
-    result = generate_remote(req, cfg, lambda s, u: next(responses))
+    result = generate_remote(req, cfg, lambda s, u: next(responses), ())
     assert len(result.candidates) == 4 and result.attempts == 2
     lines = audit.read_text().strip().split("\n")
     assert len(lines) == 2
@@ -474,6 +473,17 @@ def test_generate_remote_audit_log(tmp_path) -> None:
     for entry in entries:
         assert {"step", "attempt", "system", "user", "response"} <= set(entry)
         assert not any("time" in key for key in entry)  # replay-stable
+
+
+def test_generate_remote_scans_both_messages_before_sending() -> None:
+    # GRAMMAR occurs in the system prompt alone, mean_return_7 in the user
+    # prompt alone (a pool factor's name); the leaked tokens are sorted.
+    sent = []
+    cases = ((["GRAMMAR"], ["GRAMMAR"]), (["mean_return_7", "x", "GRAMMAR"], ["GRAMMAR", "mean_return_7"]))
+    for forbidden, leaks in cases:
+        with pytest.raises(PromptLeakError, match=re.escape(f"prompt leaks dataset tokens: {leaks}")):
+            generate_remote(_request(m=4), GeneratorConfig(), lambda s, u: sent.append(u) or "[]", forbidden)
+    assert sent == []
 
 
 def test_http_transport_requires_api_key(monkeypatch) -> None:
