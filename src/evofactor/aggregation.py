@@ -25,7 +25,7 @@ from .evolution import (
     filter_factor_versions,
     load_checkpoints,
 )
-from .seeds import FactorRecord, make_record
+from .seeds import FactorRecord
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ def pooled_library(merged: Sequence[MergedRecord]) -> list[FactorRecord]:
             logger.info("pooled alias %s duplicates %s", name, seen[canon])
             continue
         seen[canon] = name
-        records.append(make_record(name, final.trees[name], "pooled", validated=True))
+        records.append(FactorRecord(name, final.trees[name], "pooled"))
     return records
 
 

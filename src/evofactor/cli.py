@@ -159,7 +159,10 @@ def load_run_config(path: str | None, sets: Sequence[str]) -> dict:
     cfg = dict(_DEFAULTS)
     if path:
         with open(path) as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config file must hold a JSON object")
         for key, value in doc.items():
@@ -290,9 +293,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def _make_generator(cfg: dict) -> Callable[[PriceTable], Generator]:
-    """The run's generator, given the table. A remote one is checked and its
-    transport built here, before the snapshot loads, so a bad remote setting
-    writes nothing; it scans its prompts for the table's asset ids and dates."""
+    """The run's generator, given the table. A remote one is checked, and its
+    transport built and audit log opened, before the snapshot loads; it scans
+    its prompts for the table's asset ids and dates."""
     if cfg["generator"] not in GENERATORS:
         raise ValueError(f"config key generator={cfg['generator']!r} must be one of {GENERATORS}")
     if cfg["generator"] == "offline":
@@ -300,6 +303,12 @@ def _make_generator(cfg: dict) -> Callable[[PriceTable], Generator]:
     gcfg = build_config(GeneratorConfig, cfg)
     gcfg.min_valid_for(cfg["m_candidates"])
     transport = http_transport(gcfg)
+    if gcfg.audit_log:
+        try:
+            Path(gcfg.audit_log).parent.mkdir(parents=True, exist_ok=True)
+            open(gcfg.audit_log, "a").close()
+        except OSError as exc:
+            raise ValueError(f"config key audit_log={gcfg.audit_log!r} cannot be opened: {exc}") from None
     return lambda table: lambda req: generate_remote(req, gcfg, transport, (*table.asset_ids, *table.dates))
 
 

@@ -114,6 +114,7 @@ class ParseError(ExprError):
 
 class _Node:
     text = cached_property(lambda self: print_expr(self))  # a tree's canonical text, printed once
+    valid = cached_property(lambda self: _validate(self))  # set once the tree passes; a failure sets nothing
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,18 @@ def replace_at(expr: Expr, pos: int, replacement: Expr) -> Expr:
 
 def validate_expr(expr: Expr) -> None:
     """Check structural invariants; raises ExprError on violation. One
-    preorder walk checks every node, then the node count and the depth."""
+    preorder walk checks every node, then the node count and the depth; a
+    tree that passed is remembered, so each tree object is walked once."""
+    expr.valid
+
+
+def _validate(expr: Expr) -> bool:
     nodes, deepest = _check_tree(expr)
     if nodes > MAX_NODES:
         raise ExprError(f"expression has {nodes} nodes, cap is {MAX_NODES}")
     if deepest > MAX_DEPTH:
         raise ExprError(f"expression depth {deepest} exceeds cap {MAX_DEPTH}")
+    return True
 
 
 def _check_tree(node: Expr) -> tuple[int, int]:

@@ -122,6 +122,7 @@ class EvolutionConfig:
                 all(w in dsl.ALLOWED_WINDOWS for w in self.seed_windows),
                 f"must be drawn from {dsl.ALLOWED_WINDOWS}",
             ),
+            ("seed_windows", len(set(self.seed_windows)) == len(self.seed_windows), "must not repeat a window"),
         )
         for key, ok, rule in rules:
             if not ok:
@@ -477,24 +478,6 @@ class SearchRecord:
         return {rec.name: rec for rec in self.pool}
 
 
-def _pool_entry(doc: dict, memo: dict) -> FactorRecord:
-    """json_to_record(doc, memo), reusing the record of an earlier entry in
-    memo whose every field that json_to_record reads is equal and of the same
-    type. An entry with an unhashable field is decoded on its own. The same
-    memo maps expression text to its tree, so entries that differ in any
-    other field share one parse."""
-    try:
-        version, parents, step = doc["version"], doc["parents"], doc["created_step"]
-        key = (doc["name"], doc["expr"], doc["base_name"], version, doc["origin"],
-               tuple(parents), step, type(version), type(parents), type(step))
-        record = memo.get(key)
-    except (KeyError, TypeError):
-        return json_to_record(doc, memo)
-    if record is None:
-        record = memo[key] = json_to_record(doc, memo)
-    return record
-
-
 _CHECKPOINT_FIELDS = {"step": INTEGER, "pool": OBJECTS, "performance": OBJECT, "quality": OBJECT, "state": OBJECT}
 
 
@@ -504,7 +487,7 @@ def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "")
     factors and hold the numeric final_value and mean_rankic a merge reads."""
     check(doc, _CHECKPOINT_FIELDS)
     memo = {} if memo is None else memo
-    pool = tuple(_pool_entry(item, memo) for item in doc["pool"])
+    pool = tuple(json_to_record(item, memo) for item in doc["pool"])
     if doc["performance"].keys() != doc["quality"].keys():
         raise ValueError("'performance' and 'quality' name different factors")
     names = {rec.name for rec in pool}
@@ -761,7 +744,7 @@ def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = No
                 logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
                 continue
             if cand.created_step != t:
-                cand = replace(cand, created_step=t, validated=True)
+                cand = replace(cand, created_step=t)
             batch[cand.name] = cand
     if t >= cfg.lookback:
         update_tracker(run.tracker, run.pool, run.scorer, t, cfg)

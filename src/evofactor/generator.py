@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import dsl, metrics
-from .seeds import FactorRecord, is_generated_name, make_name, make_record, parse_name
+from .seeds import FactorRecord, is_generated_name, make_name, parse_name
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +81,8 @@ class GenerationRequest:
     library_factors: tuple[FactorRecord, ...]
     m_candidates: int
     recall_n: int  # the run's EvolutionConfig.recall_n: the prompt's recall@N columns
-    pool_records: tuple[FactorRecord, ...] = ()
-    rng_seed: int | None = None
+    pool_records: tuple[FactorRecord, ...]
+    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def candidate_record(
         raise ValueError(f"name {name!r} violates the naming convention")
     expr = dsl.parse(expr_text)
     origin, parents = _infer_lineage(name, pool)
-    return make_record(name, expr, origin, parents, created_step=step, validated=True)
+    return FactorRecord(name, expr, origin, parents, created_step=step)
 
 
 # ----------------------------------------------------------- validation
@@ -366,8 +366,6 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
     base+window; crossover names restart at v1 and duplicates are left for
     validation to reject.
     """
-    if req.rng_seed is None:
-        raise ValueError("offline generation needs rng_seed")
     rng = np.random.default_rng(np.random.SeedSequence([req.rng_seed, req.step]))
     parents_pool = {rec.name: rec for rec in req.library_factors}
     for tf in req.top_factors:
@@ -402,7 +400,7 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
                 parent.base_name, _name_window(parent, expr), parent.version + 1, taken
             )
         try:
-            record = make_record(name, expr, origin, parents, created_step=req.step)
+            record = FactorRecord(name, expr, origin, parents, created_step=req.step)
         except ValueError as exc:  # dsl.ExprError included
             log.append({"slot": slot, "action": action, "rejected": str(exc)})
             continue

@@ -262,9 +262,9 @@ _SNAPSHOT_FIELDS = {"schema": (repr(SNAPSHOT_SCHEMA), lambda v: v == SNAPSHOT_SC
 
 
 def load_snapshot(path: str) -> PriceTable:
-    with open(path) as handle:
-        doc = json.load(handle)
     try:
+        with open(path) as handle:
+            doc = json.load(handle)
         check(doc, _SNAPSHOT_FIELDS)
         return PriceTable(tuple(doc["asset_ids"]), tuple(doc["dates"]), np.asarray(doc["prices"], dtype=np.float64))
     except ValueError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from . import dsl
 from .dsl import Expr
@@ -71,19 +71,21 @@ def is_generated_name(name: str) -> bool:
 
 @dataclass(frozen=True)
 class FactorRecord:
-    """A named factor: its expression plus lineage metadata."""
+    """A named factor: its expression plus lineage metadata. base_name,
+    window and version follow from the name; the expression is validated."""
 
     name: str
     expr: Expr
-    base_name: str
-    version: int
     origin: str = "seed"
     parents: tuple[str, ...] = ()
     created_step: int = 0
-    window: int | None = field(default=None, compare=False)
-    validated: InitVar[bool] = False  # True when the caller has validated expr
+    base_name: str = field(init=False)
+    window: int | None = field(init=False, compare=False)
+    version: int = field(init=False)
 
-    def __post_init__(self, validated: bool) -> None:
+    def __post_init__(self) -> None:
+        for key, value in zip(("base_name", "window", "version"), parse_name(self.name)):
+            object.__setattr__(self, key, value)
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
         if self.origin == "crossover":
@@ -95,53 +97,39 @@ class FactorRecord:
                 raise ValueError("crossover base_name must contain '_comb_'")
         if len(self.parents) > 2:
             raise ValueError("at most 2 parents")
-        if not validated:
-            dsl.validate_expr(self.expr)
+        dsl.validate_expr(self.expr)
 
     @property
     def expr_text(self) -> str:
         return self.expr.text
 
 
-def make_record(
-    name: str,
-    expr: Expr,
-    origin: str,
-    parents: tuple[str, ...] = (),
-    created_step: int = 0,
-    validated: bool = False,
-) -> FactorRecord:
-    base, window, version = parse_name(name)
-    return FactorRecord(name, expr, base, version, origin, parents, created_step, window, validated)
+make_record = FactorRecord  # an alias, kept for callers that build records by this name
 
 
 # ------------------------------------------------------------ seed factors
 
 
-def _e(text: str) -> Expr:
-    return dsl.parse(text)
-
-
 def _seed_exprs(w: int) -> dict[str, Expr]:
     """The ten window-parametric factors at window w."""
     return {
-        f"mean_return_{w}": _e(f"last(ts_mean(sub(returns, 1.0), {w}))"),
-        f"std_return_{w}": _e(f"last(ts_std(returns, {w}))"),
-        f"momentum_{w}": _e(f"sub(div(last(prices), last(lag(prices, {w}))), 1.0)"),
-        f"max_drawdown_{w}": _e(f"last(ts_drawdown(prices, {w}))"),
-        f"sharpe_ratio_{w}": _e(
+        f"mean_return_{w}": dsl.parse(f"last(ts_mean(sub(returns, 1.0), {w}))"),
+        f"std_return_{w}": dsl.parse(f"last(ts_std(returns, {w}))"),
+        f"momentum_{w}": dsl.parse(f"sub(div(last(prices), last(lag(prices, {w}))), 1.0)"),
+        f"max_drawdown_{w}": dsl.parse(f"last(ts_drawdown(prices, {w}))"),
+        f"sharpe_ratio_{w}": dsl.parse(
             f"div(last(ts_mean(sub(returns, 1.0), {w})), last(ts_std(returns, {w})))"
         ),
-        f"volatility_{w}": _e(f"last(ts_std(log(returns), {w}))"),
-        f"price_position_{w}": _e(
+        f"volatility_{w}": dsl.parse(f"last(ts_std(log(returns), {w}))"),
+        f"price_position_{w}": dsl.parse(
             f"div(sub(last(prices), last(ts_min(prices, {w}))),"
             f" sub(last(ts_max(prices, {w})), last(ts_min(prices, {w}))))"
         ),
-        f"ma_{w}": _e(f"last(ts_mean(prices, {w}))"),
-        f"bb_width_{w}": _e(
+        f"ma_{w}": dsl.parse(f"last(ts_mean(prices, {w}))"),
+        f"bb_width_{w}": dsl.parse(
             f"div(mul(2.0, last(ts_std(prices, {w}))), last(ts_mean(prices, {w})))"
         ),
-        f"ema_ratio_{w}": _e(f"div(last(prices), last(ts_ema(prices, {w})))"),
+        f"ema_ratio_{w}": dsl.parse(f"div(last(prices), last(ts_ema(prices, {w})))"),
     }
 
 
@@ -150,8 +138,8 @@ def _fixed_seed_exprs() -> dict[str, Expr]:
     gain = "last(ts_mean(max2(sub(returns, 1.0), 0.0), 14))"
     loss = "last(ts_mean(max2(sub(1.0, returns), 0.0), 14))"
     return {
-        "log_return_1": _e("last(log(returns))"),
-        "rsi_14": _e(f"mul(100.0, div({gain}, add({gain}, {loss})))"),
+        "log_return_1": dsl.parse("last(log(returns))"),
+        "rsi_14": dsl.parse(f"mul(100.0, div({gain}, add({gain}, {loss})))"),
     }
 
 
@@ -165,9 +153,9 @@ def seed_factors(windows: tuple[int, ...] = dsl.ALLOWED_WINDOWS) -> list[FactorR
     records: list[FactorRecord] = []
     for w in windows:
         for name, expr in _seed_exprs(w).items():
-            records.append(make_record(name, expr, "seed", validated=True))
+            records.append(FactorRecord(name, expr))
     for name, expr in _fixed_seed_exprs().items():
-        records.append(make_record(name, expr, "seed", validated=True))
+        records.append(FactorRecord(name, expr))
     return records
 
 
@@ -184,22 +172,31 @@ def record_to_json(record: FactorRecord) -> dict:
     return doc | {"expr": record.expr_text, "parents": list(record.parents)}
 
 
-def json_to_record(doc: dict, trees: dict | None = None) -> FactorRecord:
-    """The record a record_to_json document describes. trees maps expression
-    text to its tree: a text found there is not parsed again, and a text
-    parsed here is added to it."""
-    check(doc, _RECORD_FIELDS)
-    trees, text = {} if trees is None else trees, doc["expr"]
-    if text not in trees:
+def json_to_record(doc: dict, memo: dict | None = None) -> FactorRecord:
+    """The record a record_to_json document describes. memo maps a document
+    decoded with it, by its fields and the types that == does not tell apart,
+    to its record, and an expression text to its tree: a repeated document is
+    decoded, and a repeated text parsed, once per memo."""
+    memo = {} if memo is None else memo
+    try:
+        version, parents, step = doc["version"], doc["parents"], doc["created_step"]
+        key = (doc["name"], doc["expr"], doc["base_name"], version, doc["origin"],
+               tuple(parents), step, type(version), type(parents), type(step))
+        return memo[key]
+    except (KeyError, TypeError):  # not decoded yet, or check rejects it
+        pass
+    check(doc, _RECORD_FIELDS)  # so every field is there, and key is hashable
+    text = doc["expr"]
+    if text not in memo:
         try:
-            trees[text] = dsl.parse(text)
+            memo[text] = dsl.parse(text)
         except ValueError as exc:
             raise field_error("expr", text, f"a valid expression: {exc}") from None
-    record = make_record(doc["name"], trees[text], doc["origin"], tuple(doc["parents"]), doc["created_step"],
-                         validated=True)
-    for key in ("base_name", "version"):
-        if doc[key] != getattr(record, key):
-            raise ValueError(f"{key} {doc[key]!r} does not match name {doc['name']!r}")
+    record = FactorRecord(doc["name"], memo[text], doc["origin"], tuple(doc["parents"]), doc["created_step"])
+    for name in ("base_name", "version"):
+        if doc[name] != getattr(record, name):
+            raise ValueError(f"{name} {doc[name]!r} does not match name {doc['name']!r}")
+    memo[key] = record
     return record
 
 
@@ -218,10 +215,10 @@ _LIBRARY_FIELDS = {"schema": (repr(LIBRARY_SCHEMA), lambda v: v == LIBRARY_SCHEM
 def load_library(path: str) -> list[FactorRecord]:
     """The library's factors in file order. A bad field or a repeated name
     fails naming the path and the factor's index; no factors, the path."""
-    with open(path) as handle:
-        doc = json.load(handle)
     records, where = {}, f"{path}:"
     try:
+        with open(path) as handle:
+            doc = json.load(handle)
         for i, item in enumerate(check(doc, _LIBRARY_FIELDS)["factors"]):
             where = f"{path}: factor {i}"
             record = json_to_record(item)

@@ -100,7 +100,6 @@ def write_outputs(root: Path, size: str) -> Path:
     for run, run_keys in RUNS.items():
         _cli("evolve", *common, *_sets(run_keys), "-o", str(out / f"evolve_{run}"))
     remote = out / "evolve_remote"
-    remote.mkdir()  # the audit log opens before the run writes its outputs
     with mock.patch.object(cli, "http_transport", scripted_transport):
         _cli("evolve", *common, *_sets(["generator=remote", f"audit_log={remote / 'audit.jsonl'}"]), "-o", str(remote))
     head = inputs / "checkpoints_a_first5.jsonl"

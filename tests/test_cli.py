@@ -333,6 +333,23 @@ def test_a_library_that_repeats_a_name_or_holds_none_fails_naming_the_file(tmp_p
         assert not any(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("content", ["", "not json", '{"factors": [', "[1, 2", b"\xff{"],
+                         ids=["empty", "text", "open_object", "open_list", "not_utf8"])
+@pytest.mark.parametrize("reader", ["snapshot", "library", "config"])
+def test_a_file_that_is_not_json_fails_naming_it(tmp_path, capsys, snapshot, library, reader, content) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    paths = {"snapshot": snapshot, "library": library, "config": None, reader: str(bad)}
+    config = ["--config", paths["config"]] if paths["config"] else []
+    outdir = tmp_path / "r"
+    argv = ["backtest", "--snapshot", paths["snapshot"], "--library", paths["library"], *config, "-o", str(outdir)]
+    assert main([*argv, *_SET]) == 2
+    with pytest.raises(ValueError) as failed:
+        json.loads(bad.read_text())
+    assert capsys.readouterr().err == f"error: {bad}: {failed.value}\n"
+    assert not outdir.exists()
+
+
 def test_config_file_set_precedence(tmp_path, snapshot, library) -> None:
     cfg_path = tmp_path / "cfg.json"
     base = {k.split("=")[0]: k for k in ()}  # noqa: F841 - readability anchor
@@ -429,6 +446,7 @@ def test_remote_settings_fail_before_the_snapshot_loads(tmp_path, capsys, monkey
         pytest.param(["cost_rate=nan"], "cost_rate", id="cost_rate_nan"),
         pytest.param(["keep_top_n=60"], "keep_top_n", id="keep_top_n_over_pool"),
         pytest.param(["seed_windows="], "seed_windows", id="seed_windows_empty"),
+        pytest.param(["seed_windows=7,7"], "seed_windows", id="seed_windows_repeated"),
         pytest.param(["generator=psychic"], "generator", id="generator_unknown"),
     ],
 )
@@ -538,6 +556,20 @@ def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot)
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=remote"]) == 2
     assert "EVOFACTOR_API_KEY" in capsys.readouterr().err
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=psychic"]) == 2
+
+
+def test_an_audit_log_whose_parent_is_a_file_exits_2_before_the_snapshot_loads(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("EVOFACTOR_API_KEY", "unused")
+    monkeypatch.setattr(cli, "http_transport", output_digests.scripted_transport)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    log = str(blocker / "audit.jsonl")
+    missing = str(tmp_path / "missing.json")
+    assert _evolve(missing, tmp_path / "r", ["--set", "generator=remote", "--set", f"audit_log={log}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key audit_log={log!r} cannot be opened: "), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("asset, last_date", [("prices", None), ("mean_return_7", None), (None, "mean_return_7")],

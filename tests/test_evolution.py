@@ -96,10 +96,13 @@ def test_config_validation() -> None:
         dict(recall_n=0),
         dict(stats_window=0),
         dict(seed_windows=(5,)),
+        dict(seed_windows=(7, 14, 7)),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
             EvolutionConfig(**kw)
+    with pytest.raises(ValueError, match=re.escape("config key seed_windows=(7, 7) must not repeat a window")):
+        EvolutionConfig(seed_windows=(7, 7))
 
 
 # -------------------------------------------------------------- tracker
@@ -1472,15 +1475,22 @@ def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
 def test_loading_validates_each_decoded_expression_once(tmp_path, monkeypatch) -> None:
     records = seed_factors((7,))
     path = str(tmp_path / "ck.jsonl")
-    save_checkpoints([SearchRecord(65, tuple(records), {}, {}, {})], path)
+    save_checkpoints([SearchRecord(65, tuple(records), {}, {}, {})] * 2, path)
     save_library(records, str(tmp_path / "lib.json"))
-    calls = []
-    validate = dsl.validate_expr
-    monkeypatch.setattr(dsl, "validate_expr", lambda expr: calls.append(expr) or validate(expr))
-    assert load_checkpoints(path)[0].pool == tuple(records)
-    assert load_library(str(tmp_path / "lib.json")) == records
-    assert seed_factors((7,)) == records
-    assert calls == [rec.expr for rec in records] * 3
+    walks = []
+    walk = dsl._validate
+    monkeypatch.setattr(dsl, "_validate", lambda expr: walks.append(expr) or walk(expr))
+    # Parse, record construction and checkpoint decoding each ask for
+    # validation; only the first request for a tree object walks it.
+    checkpoints = load_checkpoints(path)
+    pools = [checkpoints[0].pool, checkpoints[1].pool, tuple(load_library(str(tmp_path / "lib.json"))),
+             tuple(seed_factors((7,)))]
+    assert all(pool == tuple(records) for pool in pools)
+    for rec in pools[0]:  # building on a decoded tree walks nothing
+        dataclasses.replace(FactorRecord(rec.name, rec.expr), created_step=3)
+    assert walks == [rec.expr for rec in records] * 3
+    assert len({id(expr) for expr in walks}) == len(walks)
+    assert [id(rec.expr) for pool in pools[1:] for rec in pool] == list(map(id, walks))
 
 
 @pytest.mark.parametrize(

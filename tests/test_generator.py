@@ -36,7 +36,7 @@ def _pool(windows=(7,)) -> dict:
     return {rec.name: rec for rec in seed_factors(windows)}
 
 
-def _request(m: int = 5, seed: int | None = 0, step: int = 65, windows=(7,)) -> GenerationRequest:
+def _request(m: int = 5, seed: int = 0, step: int = 65, windows=(7,)) -> GenerationRequest:
     pool = _pool(windows)
     records = tuple(pool[name] for name in sorted(pool))
     perf = {"mean_return": 0.001, "std_return": 0.02, "sharpe_ratio": 0.05,
@@ -90,7 +90,8 @@ def test_build_prompt_lists_evolved_factors() -> None:
     req = _request()
     evolved = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", ("momentum_7",), 60)
     tops = req.top_factors + (TopFactor(evolved, {}, {}),)
-    user = build_prompt(GenerationRequest(65, tops, req.library_factors, 5, req.recall_n, req.pool_records))["user"]
+    request = GenerationRequest(65, tops, req.library_factors, 5, req.recall_n, req.pool_records, req.rng_seed)
+    user = build_prompt(request)["user"]
     assert "Previously Generated Factors:" in user
     assert "momentum_7_v2: ts_delta(prices, 7)" in user
 
@@ -361,9 +362,8 @@ def test_generate_offline_single_parent_falls_back_to_mutation() -> None:
 
 
 def test_generate_offline_requires_seed_and_pool() -> None:
-    req = _request(seed=None)
-    with pytest.raises(ValueError):
-        generate_offline(req)
+    with pytest.raises(TypeError, match="'pool_records' and 'rng_seed'"):  # a request always names both
+        GenerationRequest(65, (), (), 5, 20)
     empty = GenerationRequest(65, (), (), 5, 20, (), rng_seed=0)
     result = generate_offline(empty)
     assert result.candidates == ()

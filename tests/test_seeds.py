@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import re
 
@@ -77,29 +78,70 @@ def test_is_generated_name(name: str, expected: bool) -> None:
 
 def test_factor_record_validation() -> None:
     expr = dsl.parse("ts_mean(prices, 7)")
-    with pytest.raises(ValueError):
-        FactorRecord("x_7_v1", expr, "x", 1, origin="alien")
-    with pytest.raises(ValueError):  # crossover needs two parents
-        FactorRecord("a_comb_b_7_v1", expr, "a_comb_b", 1, "crossover", ("a_7_v1",))
-    with pytest.raises(ValueError):  # crossover restarts versions
-        FactorRecord("a_comb_b_7_v2", expr, "a_comb_b", 2, "crossover", ("a", "b"))
-    with pytest.raises(ValueError):  # crossover base must carry _comb_
-        FactorRecord("ab_7_v1", expr, "ab", 1, "crossover", ("a", "b"))
-    with pytest.raises(ValueError):  # at most two parents
-        FactorRecord("x_7_v1", expr, "x", 1, "mutated", ("a", "b", "c"))
+    with pytest.raises(ValueError, match="unknown origin 'alien'"):
+        FactorRecord("x_7_v1", expr, origin="alien")
+    with pytest.raises(ValueError, match="exactly 2 parents"):
+        FactorRecord("a_comb_b_7_v1", expr, "crossover", ("a_7_v1",))
+    with pytest.raises(ValueError, match="restart at version 1"):
+        FactorRecord("a_comb_b_7_v2", expr, "crossover", ("a", "b"))
+    with pytest.raises(ValueError, match="must contain '_comb_'"):
+        FactorRecord("ab_7_v1", expr, "crossover", ("a", "b"))
+    with pytest.raises(ValueError, match="at most 2 parents"):
+        FactorRecord("x_7_v1", expr, "mutated", ("a", "b", "c"))
+    with pytest.raises(ValueError, match="invalid factor name 'X_7_v1'"):
+        FactorRecord("X_7_v1", expr)
     with pytest.raises(dsl.ExprError):  # expression is validated on build
-        FactorRecord("x_7_v1", dsl.TimeSeries("ts_mean", dsl.Feature("prices"), 5), "x", 1)
-    rec = FactorRecord("a_comb_b_7_v1", expr, "a_comb_b", 1, "crossover", ("a", "b"))
+        FactorRecord("x_7_v1", dsl.TimeSeries("ts_mean", dsl.Feature("prices"), 5))
+    rec = FactorRecord("a_comb_b_7_v1", expr, "crossover", ("a", "b"))
     assert rec.expr_text == "ts_mean(prices, 7)"
+    assert (rec.base_name, rec.window, rec.version) == ("a_comb_b", 7, 1)
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        pytest.param(dsl.Unary("tanh", dsl.Feature("prices")), "unknown Unary op 'tanh'", id="op"),
+        pytest.param(dsl.Binary("add", dsl.Feature("volume"), dsl.Const(1.0)), "unknown feature 'volume'", id="feature"),
+        pytest.param(dsl.Last(dsl.Const(float("nan"))), "non-finite constant nan", id="constant"),
+        pytest.param(dsl.TimeSeries("ts_mean", dsl.Feature("prices"), 5), "window 5 not in allowed set", id="window"),
+        pytest.param(functools.reduce(lambda t, _: dsl.Unary("neg", t), range(dsl.MAX_DEPTH), dsl.Feature("prices")),
+                     f"expression depth {dsl.MAX_DEPTH + 1} exceeds cap {dsl.MAX_DEPTH}", id="depth"),
+        pytest.param(functools.reduce(lambda t, _: dsl.Binary("add", t, t), range(6), dsl.Const(1.0)),
+                     f"expression has 127 nodes, cap is {dsl.MAX_NODES}", id="nodes"),
+        pytest.param(dsl.Last(dsl.Unary("abs", dsl.Feature("prices"))), None, id="valid"),
+    ],
+)
+def test_a_hand_built_tree_is_validated_on_every_build_until_it_passes(tree, message) -> None:
+    for _ in range(2):  # a failure caches nothing, so a second build fails alike
+        if message is None:
+            assert FactorRecord("x_7_v1", tree).expr is tree
+        else:
+            with pytest.raises(dsl.ExprError, match=re.escape(message)):
+                FactorRecord("x_7_v1", tree)
+    assert ("valid" in vars(tree)) is (message is None)
 
 
 def test_make_record_derives_fields() -> None:
-    rec = make_record("momentum_14_v3", dsl.parse("ts_delta(prices, 14)"), "mutated", ("momentum_14_v2",), 40)
+    assert make_record is FactorRecord
+    rec = FactorRecord("momentum_14_v3", dsl.parse("ts_delta(prices, 14)"), "mutated", ("momentum_14_v2",), 40)
     assert (rec.base_name, rec.window, rec.version) == ("momentum", 14, 3)
     assert rec.created_step == 40
     bumped = dataclasses.replace(rec, created_step=55)
     assert bumped.created_step == 55 and rec.created_step == 40
     assert bumped.name == rec.name
+    # The derived fields follow a new name through replace, too.
+    renamed = dataclasses.replace(rec, name="log_return_1")
+    assert (renamed.base_name, renamed.window, renamed.version) == ("log_return_1", None, 1)
+    assert (renamed.expr, renamed.parents, renamed.created_step) == (rec.expr, rec.parents, 40)
+    bumped = dataclasses.replace(rec, name="momentum_21_v4", created_step=55)
+    assert (bumped.base_name, bumped.window, bumped.version, bumped.created_step) == ("momentum", 21, 4, 55)
+    # A derived field is no argument, so it cannot disagree with the name.
+    with pytest.raises(TypeError):
+        FactorRecord("momentum_14_v3", rec.expr, base_name="other")
+    with pytest.raises(ValueError):
+        dataclasses.replace(rec, version=9)
+    with pytest.raises(ValueError, match="restart at version 1"):
+        dataclasses.replace(rec, name="a_comb_b_7_v2", origin="crossover", parents=("a", "b"))
 
 
 # ------------------------------------------------------------- library
