@@ -48,9 +48,9 @@ def main() -> None:
     print(f"\nper-factor trailing stats at step {result.tracker.reached}:")
     print(f"{'factor':>22}  {'final_value':>11}  {'mean_rankic':>11}")
     names = sorted(rec.name for rec in result.pool)[:8]
-    stats = result.tracker.stat(names, cfg.stats_window, cfg.recall_n)
+    perf, qual = result.tracker.stat(names, cfg.stats_window, cfg.recall_n)
     for name in names:
-        print(f"{name:>22}  {stats[name]['final_value']:>11.3f}  {stats[name]['mean_rankic']:>11.4f}")
+        print(f"{name:>22}  {perf[name]['final_value']:>11.3f}  {qual[name]['mean_rankic']:>11.4f}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .evolution import (
     EvolutionConfig,
     EvolutionResult,
     Generator,
-    PerfTracker,
     ScoreCache,
     load_checkpoints,
     pool_by_name,
@@ -50,9 +49,7 @@ from .market_data import (
     save_snapshot,
     to_relative_returns,
 )
-from .seeds import FactorRecord, load_library, save_library
-
-logger = logging.getLogger(__name__)
+from .seeds import load_library, save_library
 
 C = TypeVar("C", EvolutionConfig, GeneratorConfig)
 
@@ -216,11 +213,6 @@ def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
     return summary
 
 
-def _factor_rows(tracker: PerfTracker, pool: Sequence[FactorRecord], ecfg: EvolutionConfig) -> list[dict]:
-    stats = tracker.stat([rec.name for rec in pool], ecfg.stats_window, ecfg.recall_n)
-    return [{"factor": name, **stats[name]} for name in sorted(stats)]
-
-
 def write_run_outputs(
     outdir: Path, result: EvolutionResult, ecfg: EvolutionConfig, checkpoints: bool
 ) -> dict[str, float]:
@@ -229,7 +221,7 @@ def write_run_outputs(
     if checkpoints:
         save_checkpoints(result.records, str(outdir / "checkpoints.jsonl"))
     metrics.write_factor_report(
-        _factor_rows(result.tracker, result.pool, ecfg),
+        *result.tracker.stat((rec.name for rec in result.pool), ecfg.stats_window, ecfg.recall_n),
         str(outdir / "factor_report.csv"),
         str(outdir / "factor_report.json"),
         ecfg.recall_n,
@@ -329,6 +321,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    if args.max_records < 0:
+        raise ValueError(f"--max-records must not be negative, got {args.max_records}")
     merged = aggregate_records(args.checkpoints, n_limit=args.max_records, ratio=args.ratio)
     library = pooled_library(merged)
     outdir = Path(args.output)

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import dsl, metrics, portfolio
-from .generator import GenerationRequest, GenerationResult, PromptLeakError, TopFactor, validate_candidate
+from .generator import GenerationRequest, GenerationResult, PromptLeakError, validate_candidate
 from .jsonfields import INTEGER, NUMBER, OBJECT, OBJECTS, WEIGHTS, check, field_error
 from .market_data import (
     PriceTable,
@@ -138,10 +138,10 @@ class PerfTracker:
     RankIC against next-step returns, and recall@N, kept in one float64 block
     of shape (3, rows, entries): a name's row holds one entry per step from
     its first step on. drop frees the row for the next new name, so memory
-    follows the live pool. stat computes every column over trailing windows
-    of entries through the reached step, and column the one a ranking reads,
-    each from one gather of every name's window into a block ordered by
-    entry count.
+    follows the live pool. stat computes the performance and quality columns
+    over trailing windows of entries through the reached step, and column
+    the one a ranking reads, each from one gather of every name's window
+    into a block ordered by entry count.
     """
 
     def __init__(self) -> None:
@@ -210,13 +210,17 @@ class PerfTracker:
         np.copyto(block, 1.0, where=(cols < np.subtract(ends, counts)[:, None])[:, None, :])
         return found_names, counts, block
 
-    def stat(self, names: Iterable[str], window: int, recall_n: int) -> dict[str, dict[str, float]]:
-        """Every metrics.window_stats column over each name's last `window`
-        entries, leaving out names with none, from one gathered block."""
+    def stat(self, names: Iterable[str], window: int, recall_n: int) -> tuple[dict, dict]:
+        """metrics.window_stats's performance and quality columns over each
+        name's last `window` entries, from one gathered block, as two maps of
+        name -> column -> value in increasing entry count order, leaving out
+        names with none."""
         found, counts, block = self._gather(names, window)
-        columns = metrics.window_stats(block, counts, recall_n)
-        rows = zip(*(values.tolist() for values in columns.values()))
-        return {name: dict(zip(columns, row)) for name, row in zip(found, rows)}
+        maps = []
+        for columns in metrics.window_stats(block, counts, recall_n):
+            rows = zip(*(values.tolist() for values in columns.values()))
+            maps.append({name: dict(zip(columns, row)) for name, row in zip(found, rows)})
+        return tuple(maps)
 
     def column(self, names: Iterable[str], window: int, metric: str) -> dict[str, float]:
         """stat's column for a metric of QUALITY_METRICS alone, bit for bit,
@@ -552,12 +556,6 @@ def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
     return records
 
 
-def _split_stats(row: dict[str, float]) -> tuple[dict[str, float], dict[str, float]]:
-    """A PerfTracker.stat row as its (performance, quality) column maps."""
-    perf = {c: row[c] for c in metrics.PERFORMANCE_COLUMNS}
-    return perf, {c: v for c, v in row.items() if c not in perf}
-
-
 @dataclass
 class RunState:
     """A run before its first step t: what a checkpoint stores or replays,
@@ -624,14 +622,13 @@ def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str)
     stats_window grades through t, leaving out factors not graded yet.
     run.prev, when set, holds the weights formed at t, so prev_t is t."""
     names = sorted(run.pool)
-    stats = run.tracker.stat(names, cfg.stats_window, cfg.recall_n)
-    parts = {n: _split_stats(stats[n]) for n in names if n in stats}
+    performance, quality = run.tracker.stat(names, cfg.stats_window, cfg.recall_n)
     prev = run.prev
     return SearchRecord(
         step=t,
         pool=tuple(run.pool[name] for name in names),
-        performance={n: perf for n, (perf, _) in parts.items()},
-        quality={n: qual for n, (_, qual) in parts.items()},
+        performance=performance,
+        quality=quality,
         state={
             "portfolio_value": run.value,
             "baseline_value": run.baseline,
@@ -659,12 +656,13 @@ def _build_request(
     pool: Mapping[str, FactorRecord], tracker: PerfTracker, cfg: EvolutionConfig, t: int
 ) -> GenerationRequest:
     top = rank_by_quality(pool, tracker, cfg, cfg.search_interval)[: cfg.k_top]
-    stats = tracker.stat(top, cfg.search_interval, cfg.recall_n)
-    tops = tuple(TopFactor(pool[n], *_split_stats(stats[n])) for n in top)
+    performance, quality = tracker.stat(top, cfg.search_interval, cfg.recall_n)
     library = tuple(pool[n] for n in sorted(pool) if pool[n].origin == "seed")
     return GenerationRequest(
         step=t,
-        top_factors=tops,
+        top_factors=tuple(pool[n] for n in top),
+        performance=performance,
+        quality=quality,
         library_factors=library,
         m_candidates=cfg.m_candidates,
         pool_records=tuple(pool[n] for n in sorted(pool)),

@@ -63,21 +63,15 @@ REQUIREMENTS:
 
 
 @dataclass(frozen=True)
-class TopFactor:
-    """One pool factor with its recent metric summaries for the prompt."""
-
-    record: FactorRecord
-    performance: dict[str, float]
-    quality: dict[str, float]
-
-
-@dataclass(frozen=True)
 class GenerationRequest:
     """Pool view handed to a generator: prompt material plus the full pool
-    snapshot (for version bookkeeping and lineage inference)."""
+    snapshot (for version bookkeeping and lineage inference). top_factors are
+    best first; performance and quality hold their PerfTracker.stat maps."""
 
     step: int
-    top_factors: tuple[TopFactor, ...]
+    top_factors: tuple[FactorRecord, ...]
+    performance: Mapping[str, Mapping[str, float]]
+    quality: Mapping[str, Mapping[str, float]]
     library_factors: tuple[FactorRecord, ...]
     m_candidates: int
     recall_n: int  # the run's EvolutionConfig.recall_n: the prompt's recall@N columns
@@ -103,30 +97,29 @@ class PromptLeakError(RuntimeError):
 # ------------------------------------------------------------------ prompts
 
 
-def _format_table(names: Sequence[str], rows: Sequence[Mapping[str, float]], columns: Sequence[str]) -> str:
-    width = max([len("factor")] + [len(n) for n in names]) if names else len("factor")
-    header = "factor".ljust(width) + "".join(c.rjust(16) for c in columns)
-    lines = [header]
-    for name, row in zip(names, rows):
-        cells = "".join(f"{row.get(c, 0.0):16.5f}" for c in columns)
-        lines.append(name.ljust(width) + cells)
+def _format_table(names: Sequence[str], stats: Mapping[str, Mapping[str, float]], columns: Sequence[str]) -> str:
+    """One row per name, in names order, of its stats columns."""
+    width = max([len("factor")] + [len(n) for n in names])
+    lines = ["factor".ljust(width) + "".join(c.rjust(16) for c in columns)]
+    for name in names:
+        lines.append(name.ljust(width) + "".join(f"{stats[name].get(c, 0.0):16.5f}" for c in columns))
     return "\n".join(lines)
 
 
 def build_prompt(req: GenerationRequest) -> dict[str, str]:
     """Render the system and user messages for one generation call."""
     parts: list[str] = []
-    evolved = [tf.record for tf in req.top_factors if tf.record.origin != "seed"]
+    evolved = [rec for rec in req.top_factors if rec.origin != "seed"]
     sections = (("Existing Library Factors:", req.library_factors), ("Previously Generated Factors:", evolved))
     for title, records in sections:
         if records:
             parts += [title, *(f"  {rec.name}: {rec.expr_text}" for rec in records), ""]
     if req.top_factors:
-        names = [tf.record.name for tf in req.top_factors]
+        names = [rec.name for rec in req.top_factors]
         parts.append("Recent Performance Metrics:")
-        tables = (("performance", metrics.PERFORMANCE_COLUMNS), ("quality", metrics.quality_columns(req.recall_n)))
-        for key, columns in tables:
-            parts += [_format_table(names, [getattr(tf, key) for tf in req.top_factors], columns), ""]
+        tables = (req.performance, metrics.PERFORMANCE_COLUMNS), (req.quality, metrics.quality_columns(req.recall_n))
+        for stats, columns in tables:
+            parts += [_format_table(names, stats, columns), ""]
     parts.append(
         f"Generate {req.m_candidates} new factors by mutation or crossover of the"
         " factors above. Remember: output ONLY a JSON list of"
@@ -277,7 +270,7 @@ def validate_candidate(
         if other.expr_text == text:
             return False, f"duplicate expression of {other.name!r}"
     scores = dsl.evaluate_cross_section(record.expr, _SMOKE_PRICES, _SMOKE_RETURNS)
-    if np.unique(scores).size < 2:
+    if scores.min() == scores.max():
         return False, "degenerate cross-section (constant scores)"
     return True, "ok"
 
@@ -368,8 +361,8 @@ def generate_offline(req: GenerationRequest) -> GenerationResult:
     """
     rng = np.random.default_rng(np.random.SeedSequence([req.rng_seed, req.step]))
     parents_pool = {rec.name: rec for rec in req.library_factors}
-    for tf in req.top_factors:
-        parents_pool.setdefault(tf.record.name, tf.record)
+    for rec in req.top_factors:
+        parents_pool.setdefault(rec.name, rec)
     ordered = [parents_pool[name] for name in sorted(parents_pool)]
     if not ordered:
         return GenerationResult((), 1, ({"attempt": 1, "error": "empty pool"},))

@@ -252,9 +252,8 @@ def save_snapshot(table: PriceTable, path: str) -> None:
         "dates": list(table.dates),
         "prices": [[float(v) for v in row] for row in table.prices],
     }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+    with open(path, "w") as handle:  # one dumps call runs the C encoder; json.dump never does
+        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 _SNAPSHOT_FIELDS = {"schema": (repr(SNAPSHOT_SCHEMA), lambda v: v == SNAPSHOT_SCHEMA),

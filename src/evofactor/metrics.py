@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,11 +254,12 @@ def count_runs(counts: Sequence[int]) -> Iterator[tuple[slice, int]]:
         lo = hi
 
 
-def window_stats(block: np.ndarray, counts: Sequence[int], recall_n: int) -> dict[str, np.ndarray]:
-    """Every report column after `factor`, per row of a (k, 3, width) block
-    of trailing gross returns, RankICs and recalls: row i holds its
+def window_stats(block: np.ndarray, counts: Sequence[int], recall_n: int) -> tuple[dict, dict]:
+    """The performance and quality column maps, keyed by PERFORMANCE_COLUMNS
+    and quality_columns(recall_n), with one value per row of a (k, 3, width)
+    block of trailing gross returns, RankICs and recalls: row i holds its
     counts[i] >= 1 entries at its end, left-padded with 1.0, and equal
-    counts are adjacent.
+    counts are adjacent. The stats columns split in two here only.
 
     Performance is over the net returns gross - 1 and the wealth path that
     starts at 100; max_drawdown is negative. Each row's values equal, bit
@@ -281,12 +282,17 @@ def window_stats(block: np.ndarray, counts: Sequence[int], recall_n: int) -> dic
     sharpe = np.divide(mean, std, out=np.zeros(k), where=std != 0.0)
     performance = (mean, std, sharpe, -_drawdown_rows(path), 100.0 * np.prod(gross, axis=1))
     quality = (mean_ic, std_ic, mean_rc, std_rc)
-    return dict(zip(report_columns(recall_n)[1:], performance + quality))
+    return dict(zip(PERFORMANCE_COLUMNS, performance)), dict(zip(quality_columns(recall_n), quality))
 
 
-def write_factor_report(rows: Iterable[dict], csv_path: str, json_path: str, recall_n: int) -> None:
-    """Write per-factor metric rows, canonical columns, as CSV and as JSON."""
+def write_factor_report(
+    performance: Mapping[str, dict], quality: Mapping[str, dict], csv_path: str, json_path: str, recall_n: int
+) -> None:
+    """Write one row per factor of the name -> column -> value maps that
+    PerfTracker.stat returns, in name order, as CSV and as JSON with the
+    canonical columns; a missing column is an empty cell."""
     columns = report_columns(recall_n)
+    rows = ({"factor": name, **performance[name], **quality[name]} for name in sorted(performance))
     materialized = [{c: row.get(c, "") for c in columns} for row in rows]
     with open(csv_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(columns))

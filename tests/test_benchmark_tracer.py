@@ -66,7 +66,7 @@ def _hooked_calls(tmp_path: Path) -> dict[str, tuple[str, float, list[tuple[tupl
     seeds = tuple(seed_factors((7,)))  # 12 seeds
     pool = {rec.name: rec for rec in seeds}
     relatives = np.exp(np.random.default_rng(0).normal(0.0, 0.02, size=(7, 30)))
-    req = GenerationRequest(65, (), seeds, 3, 5, seeds, rng_seed=0)
+    req = GenerationRequest(65, (), {}, {}, seeds, 3, 5, seeds, rng_seed=0)
     # Three items parse; the fourth names no operator.
     scripted = json.dumps(
         [

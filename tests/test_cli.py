@@ -640,6 +640,13 @@ def test_aggregate_truncation_flags(tmp_path, checkpoint_paths) -> None:
     assert main(["aggregate", *checkpoint_paths, "-o", str(outdir), "--ratio", "2.0"]) == 2
 
 
+def test_aggregate_rejects_a_negative_max_records(tmp_path, capsys, checkpoint_paths) -> None:
+    outdir = tmp_path / "agg"
+    assert main(["aggregate", *checkpoint_paths, "-o", str(outdir), "--max-records", "-4"]) == 2
+    assert "--max-records" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("key", ["performance", "quality", "state"])
 def test_aggregate_names_a_checkpoint_map_that_is_not_an_object(
     tmp_path, capsys, checkpoint_paths, key

@@ -153,11 +153,11 @@ def test_tracker_stat_performance_columns() -> None:
     for i, g in enumerate(grosses):
         _write(tr, ["f"], 30 + i, [g], [0.1 * i], [0.5])
         if 30 + i == 31:
-            stats3 = tr.stat(["f"], window=10, recall_n=4)["f"]
+            stats3 = tr.stat(["f"], window=10, recall_n=4)[0]["f"]
         if 30 + i == 33:
             # Trailing window: only the last two entries through step 33.
-            stats2 = tr.stat(["f"], window=2, recall_n=4)["f"]
-    stats = tr.stat(["f"], window=10, recall_n=4)["f"]
+            stats2 = tr.stat(["f"], window=2, recall_n=4)[0]["f"]
+    stats = tr.stat(["f"], window=10, recall_n=4)[0]["f"]
     net = [g - 1.0 for g in grosses]
     assert stats["mean_return"] == pytest.approx(oracles.mean(net))
     assert stats["std_return"] == pytest.approx(oracles.sstd(net))
@@ -178,21 +178,27 @@ def test_tracker_stat_quality_columns_and_absent_names() -> None:
     tr = PerfTracker()
     ics = [0.2, -0.1, 0.4]
     recalls = [0.5, 0.25, 0.75]
-    assert tr.stat(["f"], window=5, recall_n=4) == {}  # no step reached yet
+    assert tr.stat(["f"], window=5, recall_n=4) == ({}, {})  # no step reached yet
     for i, (ic, rc) in enumerate(zip(ics, recalls)):
         _write(tr, ["f"], 30 + i, [1.0], [ic], [rc])
-    stats = tr.stat(["f", "ghost"], window=5, recall_n=4)
+    perf, qual = tr.stat(["f", "ghost"], window=5, recall_n=4)
     # A name with no entries is left out, not given neutral stats.
-    assert list(stats) == ["f"]
-    q = stats["f"]
-    assert list(q) == [
+    assert list(perf) == list(qual) == ["f"]
+    p, q = perf["f"], qual["f"]
+    assert [*p, *q] == [
         "mean_return", "std_return", "sharpe_ratio", "max_drawdown", "final_value",
         "mean_rankic", "std_rankic", "mean_recall@4", "std_recall@4",
     ]  # fmt: skip
     assert q["mean_rankic"] == pytest.approx(oracles.mean(ics))
     assert q["std_rankic"] == pytest.approx(oracles.sstd(ics))
     assert q["mean_recall@4"] == pytest.approx(oracles.mean(recalls))
-    assert q["final_value"] == pytest.approx(100.0)
+    assert p["final_value"] == pytest.approx(100.0)
+
+
+def _rows(stats: tuple[dict, dict]) -> dict[str, dict[str, float]]:
+    """PerfTracker.stat's (performance, quality) maps as one row per name."""
+    performance, quality = stats
+    return {name: {**performance[name], **quality[name]} for name in performance}
 
 
 _Entry = tuple[int, float, float, float]  # step, gross, rankic, recall
@@ -267,7 +273,7 @@ def test_tracker_stat_matches_per_name_reference(ops, window) -> None:
     tr, entries = _replay_ops(ops)
     assert tr.names() == sorted(entries)
     names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
-    got = tr.stat(names, window, recall_n=4)
+    got = _rows(tr.stat(names, window, recall_n=4))
     for name in names:
         # The oracle reads the drawn entries, never the tracker's storage,
         # and sees none past the reached step.
@@ -286,6 +292,19 @@ def test_tracker_stat_matches_per_name_reference(ops, window) -> None:
             }
 
 
+@settings(max_examples=100, deadline=None)
+@given(_tracker_ops(), st.integers(1, 30), st.integers(1, 20))
+def test_tracker_stat_maps_name_the_same_factors_under_the_report_columns(ops, window, recall_n) -> None:
+    tr, _ = _replay_ops(ops)
+    names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
+    performance, quality = tr.stat(names, window, recall_n)
+    assert list(performance) == list(quality)
+    assert set(performance) == {name for name in names if tr.count(name)}
+    for name in performance:
+        assert tuple(performance[name]) == metrics.PERFORMANCE_COLUMNS
+        assert tuple(quality[name]) == metrics.quality_columns(recall_n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     # Many names created at many different steps give final_value's padded
@@ -296,7 +315,7 @@ def test_tracker_stat_matches_per_name_reference(ops, window) -> None:
 def test_tracker_column_matches_stat(ops, window) -> None:
     tr, _ = _replay_ops(ops)
     names = sorted({name for _, _, written in ops for name in written} | {"ghost"})
-    stats = tr.stat(names, window, recall_n=4)
+    stats = _rows(tr.stat(names, window, recall_n=4))
     for metric in evolution.QUALITY_METRICS:
         got = tr.column(names, window, metric)
         assert {k: repr(v) for k, v in got.items()} == {
@@ -531,7 +550,7 @@ def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
         for window in (cfg.stats_window, cfg.search_interval):
             want = {n: oracles.tracker_window_stats(*ref.series(n), window, t, cfg.recall_n) for n in names}
             want = {n: {k: repr(v) for k, v in row.items()} for n, row in want.items() if row}
-            got = tracker.stat(names, window, cfg.recall_n)
+            got = _rows(tracker.stat(names, window, cfg.recall_n))
             assert {n: {k: repr(v) for k, v in row.items()} for n, row in got.items()} == want
             for metric in evolution.QUALITY_METRICS:
                 column = tracker.column(names, window, metric)
@@ -790,8 +809,8 @@ def test_composite_scores_matches_manual_blend() -> None:
         update_tracker(tracker, pool, scorer, t, cfg)
     rows = composite_scores(pool, tracker, scorer, cfg, 70)
     # Both factors are used, best first by trailing final value.
-    stats = tracker.stat(pool, cfg.search_interval, cfg.recall_n)
-    best_first = sorted(pool, key=lambda n: (-stats[n]["final_value"], n))
+    performance, _ = tracker.stat(pool, cfg.search_interval, cfg.recall_n)
+    best_first = sorted(pool, key=lambda n: (-performance[n]["final_value"], n))
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
     manual = [
         dsl.normalize_scores(dsl.evaluate_cross_section(pool[n].expr, prices_win, returns_win))
@@ -1233,7 +1252,7 @@ def test_checkpoint_stats_cover_each_factors_last_stats_window_grades(stats_wind
     for rec in res.records:
         pool = rec.pool_map()
         want = replay_tracker(pool, scorer, cfg, rec.step).stat(pool, cfg.stats_window, cfg.recall_n)
-        assert {n: {**perf, **rec.quality[n]} for n, perf in rec.performance.items()} == want, rec.step
+        assert (rec.performance, rec.quality) == want, rec.step
 
 
 def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:

@@ -2,6 +2,7 @@
 and the remote client against stub transports."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -11,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from evofactor import dsl
+from evofactor import dsl, metrics
 from evofactor.generator import (
     MIN_LEAK_LEN,
     GenerationRequest,
     GeneratorConfig,
     PromptLeakError,
     SYSTEM_PROMPT,
-    TopFactor,
     TransportError,
     build_prompt,
     candidate_record,
@@ -43,10 +43,12 @@ def _request(m: int = 5, seed: int = 0, step: int = 65, windows=(7,)) -> Generat
             "max_drawdown": -0.1, "final_value": 104.2}
     qual = {"mean_rankic": 0.02, "std_rankic": 0.1, "mean_recall@20": 0.5,
             "std_recall@20": 0.08}
-    tops = tuple(TopFactor(rec, perf, qual) for rec in records[:3])
+    tops = records[:3]
     return GenerationRequest(
         step=step,
         top_factors=tops,
+        performance={rec.name: perf for rec in tops},
+        quality={rec.name: qual for rec in tops},
         library_factors=records,
         m_candidates=m,
         recall_n=20,
@@ -89,11 +91,32 @@ def test_build_prompt_sections() -> None:
 def test_build_prompt_lists_evolved_factors() -> None:
     req = _request()
     evolved = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", ("momentum_7",), 60)
-    tops = req.top_factors + (TopFactor(evolved, {}, {}),)
-    request = GenerationRequest(65, tops, req.library_factors, 5, req.recall_n, req.pool_records, req.rng_seed)
+    tops = req.top_factors + (evolved,)
+    perf, qual = {**req.performance, evolved.name: {}}, {**req.quality, evolved.name: {}}
+    request = GenerationRequest(
+        65, tops, perf, qual, req.library_factors, 5, req.recall_n, req.pool_records, req.rng_seed
+    )
     user = build_prompt(request)["user"]
     assert "Previously Generated Factors:" in user
     assert "momentum_7_v2: ts_delta(prices, 7)" in user
+
+
+def test_build_prompt_lists_its_tables_in_top_factors_order() -> None:
+    # PerfTracker.stat returns its maps in entry-count order, not ranking order.
+    req = _request()
+    names = [rec.name for rec in req.top_factors]
+    perf = {n: {c: 100.0 + i for c in metrics.PERFORMANCE_COLUMNS} for i, n in enumerate(names)}
+    qual = {n: {c: 0.5 + i for c in metrics.quality_columns(req.recall_n)} for i, n in enumerate(names)}
+    shuffled = [names[1], names[2], names[0]]
+    request = dataclasses.replace(
+        req, performance={n: perf[n] for n in shuffled}, quality={n: qual[n] for n in shuffled}
+    )
+    user = build_prompt(request)["user"]
+    tables = user[user.index("Recent Performance Metrics:") : user.index("Generate ")].split("\n\n")
+    for table, first in zip(tables, (100.0, 0.5)):
+        rows = [line.split() for line in table.splitlines() if line.split()[0] in names]
+        assert [row[0] for row in rows] == names
+        assert [float(row[1]) for row in rows] == [first, first + 1, first + 2]
 
 
 def test_build_prompt_contains_no_market_data_fields() -> None:
@@ -339,6 +362,8 @@ def test_generate_offline_version_bump_skips_taken_names() -> None:
     req = GenerationRequest(
         step=65,
         top_factors=(),
+        performance={},
+        quality={},
         library_factors=(momentum,),
         m_candidates=1,
         recall_n=20,
@@ -355,7 +380,7 @@ def test_generate_offline_version_bump_skips_taken_names() -> None:
 def test_generate_offline_single_parent_falls_back_to_mutation() -> None:
     pool = _pool()
     momentum = pool["momentum_7"]
-    req = GenerationRequest(65, (), (momentum,), 3, 20, (momentum,), rng_seed=0)
+    req = GenerationRequest(65, (), {}, {}, (momentum,), 3, 20, (momentum,), rng_seed=0)
     result = generate_offline(req)
     assert result.candidates
     assert all(rec.origin == "mutated" for rec in result.candidates)
@@ -363,8 +388,8 @@ def test_generate_offline_single_parent_falls_back_to_mutation() -> None:
 
 def test_generate_offline_requires_seed_and_pool() -> None:
     with pytest.raises(TypeError, match="'pool_records' and 'rng_seed'"):  # a request always names both
-        GenerationRequest(65, (), (), 5, 20)
-    empty = GenerationRequest(65, (), (), 5, 20, (), rng_seed=0)
+        GenerationRequest(65, (), {}, {}, (), 5, 20)
+    empty = GenerationRequest(65, (), {}, {}, (), 5, 20, (), rng_seed=0)
     result = generate_offline(empty)
     assert result.candidates == ()
 

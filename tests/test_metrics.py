@@ -304,33 +304,32 @@ def test_report_columns() -> None:
 
 
 def test_write_factor_report_round_trip(tmp_path) -> None:
-    rows = [
-        {
-            "factor": "momentum_7",
+    performance = {
+        "rsi_14": {},  # missing metrics render as empty cells
+        "momentum_7": {
             "mean_return": 0.0123456789012345,
             "std_return": 0.05,
             "sharpe_ratio": 0.2469,
             "max_drawdown": -0.3,
             "final_value": 181.25,
-            "mean_rankic": 0.031,
-            "std_rankic": 0.2,
-            "mean_recall@20": 0.55,
-            "std_recall@20": 0.1,
         },
-        {"factor": "rsi_14"},  # missing metrics render as empty cells
-    ]
+    }
+    quality = {
+        "rsi_14": {},
+        "momentum_7": {"mean_rankic": 0.031, "std_rankic": 0.2, "mean_recall@20": 0.55, "std_recall@20": 0.1},
+    }
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
-    write_factor_report(rows, str(csv_path), str(json_path), recall_n=20)
+    write_factor_report(performance, quality, str(csv_path), str(json_path), recall_n=20)
 
     with open(csv_path, newline="") as handle:
         parsed = list(csv.DictReader(handle))
     assert parsed[0]["factor"] == "momentum_7"
     # repr round-trip: the CSV cell reparses to the exact float
-    assert float(parsed[0]["mean_return"]) == rows[0]["mean_return"]
+    assert float(parsed[0]["mean_return"]) == performance["momentum_7"]["mean_return"]
     assert parsed[1]["mean_return"] == ""
 
     doc = json.loads(json_path.read_text())
-    assert doc[0]["mean_return"] == rows[0]["mean_return"]
+    assert doc[0]["mean_return"] == performance["momentum_7"]["mean_return"]
     assert list(doc[0]) == sorted(report_columns(20))
     assert doc[1]["final_value"] == ""
