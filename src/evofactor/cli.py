@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -28,10 +29,10 @@ from .evolution import (
     EvolutionResult,
     Generator,
     ScoreCache,
+    append_checkpoint,
     load_checkpoints,
     pool_by_name,
     run_evolution,
-    save_checkpoints,
     start_run,
     step,
     trade,
@@ -213,13 +214,9 @@ def _ledger_metrics(rows: Sequence[portfolio.LedgerRow]) -> dict[str, float]:
     return summary
 
 
-def write_run_outputs(
-    outdir: Path, result: EvolutionResult, ecfg: EvolutionConfig, checkpoints: bool
-) -> dict[str, float]:
+def write_run_outputs(outdir: Path, result: EvolutionResult, ecfg: EvolutionConfig) -> dict[str, float]:
     portfolio.write_ledger(result.ledger, str(outdir / "ledger.csv"))
     save_library(list(result.pool), str(outdir / "pool.json"))
-    if checkpoints:
-        save_checkpoints(result.records, str(outdir / "checkpoints.jsonl"))
     metrics.write_factor_report(
         *result.tracker.stat((rec.name for rec in result.pool), ecfg.stats_window, ecfg.recall_n),
         str(outdir / "factor_report.csv"),
@@ -233,14 +230,12 @@ def write_run_outputs(
     return summary
 
 
-def _finish_run(
-    cfg: dict, result: EvolutionResult, ecfg: EvolutionConfig, inputs: Sequence[str | None], checkpoints: bool
-) -> int:
+def _finish_run(cfg: dict, result: EvolutionResult, ecfg: EvolutionConfig, inputs: Sequence[str | None]) -> int:
     """Write a backtest's or search's outputs and manifest (inputs: its
     input paths, None for an absent one), then print its summary line."""
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = write_run_outputs(outdir, result, ecfg, checkpoints)
+    summary = write_run_outputs(outdir, result, ecfg)
     write_manifest(outdir, cfg, [path for path in inputs if path])
     print(
         "CW {cumulative_wealth:.4f}  SR {sharpe_ratio:.4f}  MDD {max_drawdown:.4f}  "
@@ -281,7 +276,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     library = load_library(args.library) if args.library else None
     ecfg = build_config(EvolutionConfig, cfg)
     result = run_evolution(table, ecfg, gen=None, pool=library)
-    return _finish_run(cfg, result, ecfg, (cfg["data"], args.library), checkpoints=False)
+    return _finish_run(cfg, result, ecfg, (cfg["data"], args.library))
 
 
 def _make_generator(cfg: dict) -> Callable[[PriceTable], Generator]:
@@ -316,8 +311,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if not tail:
             raise ValueError(f"no checkpoints in {args.resume_from}")
         resume = tail[-1]
-    result = run_evolution(table, ecfg, gen=gen, resume_from=resume)
-    return _finish_run(cfg, result, ecfg, (cfg["data"], args.resume_from), checkpoints=True)
+    path, memo = Path(cfg["output_dir"]) / "checkpoints.jsonl", {}
+    result = run_evolution(table, ecfg, gen=gen, resume_from=resume, emit=partial(append_checkpoint, path, memo))
+    append_checkpoint(path, memo)  # with no search step, an empty file
+    return _finish_run(cfg, result, ecfg, (cfg["data"], args.resume_from))
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -335,9 +332,11 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_wealth_curve(args: argparse.Namespace, outdir: Path) -> None:
+def _report_wealth_curve(args: argparse.Namespace, cfg: dict) -> list[list]:
     """A column per ledger, named by the fewest trailing parts of its path,
     ending in the file stem, that tell all the ledgers apart."""
+    if not args.ledger:
+        raise ValueError("wealth_curve needs at least one --ledger")
     ledgers = [portfolio.read_ledger(path) for path in args.ledger]
     parts = [Path(path).resolve().with_suffix("").parts for path in args.ledger]
     if len(set(parts)) < len(parts):
@@ -350,15 +349,11 @@ def _report_wealth_curve(args: argparse.Namespace, outdir: Path) -> None:
     if not common:
         raise ValueError("ledgers share no dates")
     by_name = [{row.date: row.portfolio_value for row in rows} for rows in ledgers]
-    with open(outdir / "wealth_curve.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date"] + names)
-        for row in ledgers[0]:
-            if row.date in common:
-                writer.writerow([row.date] + [repr(table[row.date]) for table in by_name])
+    body = [[row.date] + [repr(table[row.date]) for table in by_name] for row in ledgers[0] if row.date in common]
+    return [["date"] + names] + body
 
 
-def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> None:
+def _report_factor_sweep(args: argparse.Namespace, cfg: dict) -> list[list]:
     """A static backtest of the library for each k_top in 1..10, from one
     grading pass: row k trades as `backtest` with k_top=k."""
     if not args.snapshot or not args.library:
@@ -386,15 +381,12 @@ def _report_factor_sweep(args: argparse.Namespace, outdir: Path, cfg: dict) -> N
             if weights is not None:  # a traded step has rows
                 ics[k].append(step_ics[k - 1])
             value[k] *= r_t
-    with open(outdir / "factor_sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k_top", "cumulative_wealth", "final_value", "mean_rankic"])
-        for k in ks:
-            mean_ic = float(np.mean(ics[k])) if ics[k] else 0.0
-            writer.writerow([k, repr(value[k] - 1.0), repr(value[k]), repr(mean_ic)])
+    mean_ic = {k: float(np.mean(ics[k])) if ics[k] else 0.0 for k in ks}
+    body = [[k, repr(value[k] - 1.0), repr(value[k]), repr(mean_ic[k])] for k in ks]
+    return [["k_top", "cumulative_wealth", "final_value", "mean_rankic"]] + body
 
 
-def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> None:
+def _report_score_heatmap(args: argparse.Namespace, cfg: dict) -> list[list]:
     if not args.snapshot or not args.library or len(args.ledger) != 1:
         raise ValueError("score_heatmap needs --snapshot, --library, and one --ledger")
     table = load_snapshot(args.snapshot)
@@ -406,37 +398,34 @@ def _report_score_heatmap(args: argparse.Namespace, outdir: Path, cfg: dict) -> 
     date_to_t = {date: t - 1 for t, date in enumerate(rm.dates)}
     index_of = {asset: i for i, asset in enumerate(table.asset_ids)}
     names = sorted(records)
-    with open(outdir / "score_heatmap.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["factor"] + [row.date for row in rows])
-        cells: dict[str, list[str]] = {name: [] for name in names}
-        for row in rows:
-            t = date_to_t.get(row.date)
-            if t is None or t < ecfg.lookback:
-                for name in names:
-                    cells[name].append("")
-                continue
-            held = [index_of[a] for a in row.selected_assets if a in index_of]
-            idx = held if held else list(range(len(table.asset_ids)))
+    cells: dict[str, list[str]] = {name: [] for name in names}
+    for row in rows:
+        t = date_to_t.get(row.date)
+        if t is None or t < ecfg.lookback:
             for name in names:
-                scores = dsl.normalize_scores(scorer.scores(records[name], t))
-                cells[name].append(repr(float(scores[idx].mean())))
+                cells[name].append("")
+            continue
+        held = [index_of[a] for a in row.selected_assets if a in index_of]
+        idx = held if held else list(range(len(table.asset_ids)))
         for name in names:
-            writer.writerow([name] + cells[name])
+            scores = dsl.normalize_scores(scorer.scores(records[name], t))
+            cells[name].append(repr(float(scores[idx].mean())))
+    return [["factor"] + [row.date for row in rows]] + [[name] + cells[name] for name in names]
+
+
+REPORTS = {"wealth_curve": _report_wealth_curve, "factor_sweep": _report_factor_sweep,
+           "score_heatmap": _report_score_heatmap}
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Builds the mode's rows from its inputs, then creates the output directory
+    and writes <mode>.csv, so a report that fails leaves no directory."""
     cfg = load_run_config(args.config, args.set or [])
+    rows = REPORTS[args.mode](args, cfg)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.mode == "wealth_curve":
-        if not args.ledger:
-            raise ValueError("wealth_curve needs at least one --ledger")
-        _report_wealth_curve(args, outdir)
-    elif args.mode == "factor_sweep":
-        _report_factor_sweep(args, outdir, cfg)
-    else:
-        _report_score_heatmap(args, outdir, cfg)
+    with open(outdir / f"{args.mode}.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
     inputs = list(args.ledger or []) + [p for p in (args.snapshot, args.library) if p]
     write_manifest(outdir, cfg, inputs)
     print(f"wrote {args.mode} data under {outdir}")
@@ -488,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("report", parents=[common], help="emit plot-ready CSV matrices", **keys)
-    p.add_argument("--mode", required=True, choices=("wealth_curve", "factor_sweep", "score_heatmap"))
+    p.add_argument("--mode", required=True, choices=REPORTS)
     p.add_argument("--ledger", action="append", help="ledger CSV (repeatable)")
     p.add_argument("--snapshot", help="price snapshot (factor_sweep, score_heatmap)")
     p.add_argument("--library", help="factor library JSON (factor_sweep, score_heatmap)")

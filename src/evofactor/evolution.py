@@ -28,6 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from pathlib import Path
 from statistics import median
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -531,11 +532,20 @@ def checkpoint_line(record: SearchRecord, memo: dict[int, tuple[FactorRecord, st
     return "{" + ", ".join(f"{_encode(key)}: {text[key]}" for key in sorted(text)) + "}"
 
 
+def append_checkpoint(path: Path, memo: dict[int, tuple[object, str]], *records: SearchRecord) -> None:
+    """Each record's checkpoint_line, sharing memo, as one more line of path, closed on return.
+    The first call with memo creates path's directory and truncates the file; memo then keeps
+    path by id, as it keeps pool entries, so a record with an empty pool cannot truncate it again."""
+    if not memo:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a" if memo else "w") as handle:
+        memo[id(path)] = path, ""
+        handle.writelines(checkpoint_line(record, memo) + "\n" for record in records)
+
+
 def save_checkpoints(records: Sequence[SearchRecord], path: str) -> None:
     """One checkpoint_line per record, sharing one memo."""
-    memo: dict[int, tuple[FactorRecord, str]] = {}
-    with open(path, "w") as handle:
-        handle.writelines(checkpoint_line(record, memo) + "\n" for record in records)
+    append_checkpoint(Path(path), {}, *records)
 
 
 def load_checkpoints(path: str, memo: dict | None = None) -> list[SearchRecord]:
@@ -767,9 +777,11 @@ def run_evolution(
     gen: Generator | None = None,
     pool: Iterable[FactorRecord] | None = None,
     resume_from: SearchRecord | None = None,
+    emit: Callable[[SearchRecord], None] | None = None,
 ) -> EvolutionResult:
     """Full search-and-backtest loop over the table's steps: per step, step's
-    decisions, the trade, the ledger row and, after a search, a checkpoint.
+    decisions, the trade, the ledger row and, after a search, a checkpoint,
+    passed to emit once its row exists (kept in result.records when emit is None).
 
     gen=None disables generation (static-pool backtest); a failed generator
     call is logged and skipped, a failed live step falls back to the market
@@ -779,7 +791,8 @@ def run_evolution(
     run = start_run(table, cfg, pool, resume_from)
     rm = run.scorer.rm
     rows: list[LedgerRow] = []
-    checkpoints: list[SearchRecord] = []
+    records: list[SearchRecord] = []
+    emit = records.append if emit is None else emit
 
     for t in range(run.t, rm.values.shape[1]):
         realized = rm.values[:, t]
@@ -808,7 +821,7 @@ def run_evolution(
             )
         )
         if searching:
-            checkpoints.append(_make_search_record(run, cfg, t, phase))
+            emit(_make_search_record(run, cfg, t, phase))
 
     final_pool = tuple(run.pool[name] for name in sorted(run.pool))
-    return EvolutionResult(final_pool, tuple(rows), tuple(checkpoints), run.tracker)
+    return EvolutionResult(final_pool, tuple(rows), tuple(records), run.tracker)

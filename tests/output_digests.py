@@ -10,7 +10,9 @@ In a temporary directory the script writes a planted snapshot, then runs:
   with an `audit_log` in its run directory: the log holds every prompt the
   run sent and every response it got, among them one retry and malformed
   items;
-- `evolve --resume-from` run `a`'s first five checkpoints;
+- offline `evolve` as run `a`, stopped by a `KeyboardInterrupt` at its
+  sixth search step: it leaves only the five checkpoints it streamed;
+- `evolve --resume-from` those five checkpoints;
 - `backtest` of the seed library over the size's seed windows;
 - `aggregate` of both runs' checkpoints;
 - `report` in `factor_sweep` and `score_heatmap` modes over the pooled
@@ -39,7 +41,8 @@ from pathlib import Path
 from unittest import mock
 
 from evofactor import cli
-from evofactor.generator import GeneratorConfig, Transport
+from evofactor.evolution import Generator
+from evofactor.generator import GenerationRequest, GenerationResult, GeneratorConfig, Transport, generate_offline
 from evofactor.market_data import save_snapshot
 from evofactor.synthetic import planted_momentum_table
 
@@ -85,6 +88,19 @@ def scripted_transport(gcfg: GeneratorConfig) -> Transport:
     return call
 
 
+def stop_at(k: int) -> Generator:
+    """The offline generator, except that its k-th call raises
+    KeyboardInterrupt, as a kill during search step k would."""
+    calls = itertools.count(1)
+
+    def gen(req: GenerationRequest) -> GenerationResult:
+        if next(calls) == k:
+            raise KeyboardInterrupt
+        return generate_offline(req)
+
+    return gen
+
+
 def _sets(keys: list[str]) -> list[str]:
     return [arg for key in keys for arg in ("--set", key)]
 
@@ -102,10 +118,11 @@ def write_outputs(root: Path, size: str) -> Path:
     remote = out / "evolve_remote"
     with mock.patch.object(cli, "http_transport", scripted_transport):
         _cli("evolve", *common, *_sets(["generator=remote", f"audit_log={remote / 'audit.jsonl'}"]), "-o", str(remote))
-    head = inputs / "checkpoints_a_first5.jsonl"
-    lines = (out / "evolve_a" / "checkpoints.jsonl").read_text().splitlines(keepends=True)
-    head.write_text("".join(lines[:5]))
-    _cli("evolve", *common, *_sets(RUNS["a"]), "--resume-from", str(head), "-o", str(out / "resume_a"))
+    stopped = out / "evolve_a_stopped"
+    with mock.patch.object(cli, "generate_offline", stop_at(6)), contextlib.suppress(KeyboardInterrupt):
+        _cli("evolve", *common, *_sets(RUNS["a"]), "-o", str(stopped))
+    head = str(stopped / "checkpoints.jsonl")
+    _cli("evolve", *common, *_sets(RUNS["a"]), "--resume-from", head, "-o", str(out / "resume_a"))
     _cli("backtest", *common, "-o", str(out / "backtest"))
     checkpoints = [str(out / f"evolve_{run}" / "checkpoints.jsonl") for run in RUNS]
     _cli("aggregate", *checkpoints, "-o", str(out / "aggregate"))

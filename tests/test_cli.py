@@ -12,7 +12,9 @@ import logging
 import re
 import reprlib
 import shlex
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,6 +499,57 @@ def test_evolve_resume_produces_suffix(tmp_path, snapshot) -> None:
     assert str(tmp_path / "full" / "checkpoints.jsonl") in manifest["inputs"]
 
 
+@pytest.fixture(scope="module")
+def long_snapshot(tmp_path_factory) -> str:
+    """A planted 12 x 200 table: under _SET, steps 65, 70, ..., 195 search."""
+    path = str(tmp_path_factory.mktemp("long") / "snapshot.json")
+    save_snapshot(planted_momentum_table(n_assets=12, n_steps=200, seed=3, signal=0.6), path)
+    return path
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(max_pool=st.integers(4, 24), keep=st.integers(1, 24), stats_window=st.sampled_from([20, 120]),
+       k=st.integers(1, 27))
+def test_a_killed_evolve_resumes_from_the_checkpoints_it_streamed(tmp_path, long_snapshot, max_pool, keep,
+                                                                   stats_window, k) -> None:
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    pruning = [f"max_pool_size={max_pool}", f"keep_top_n={min(keep, max_pool)}", f"stats_window={stats_window}"]
+    pruning = [arg for key in pruning for arg in ("--set", key)]
+    assert _evolve(long_snapshot, root / "full", pruning) == 0
+    ledger = (root / "full" / "ledger.csv").read_text().splitlines(keepends=True)
+    lines = (root / "full" / "checkpoints.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 27
+    cut = root / "cut"
+    with mock.patch.object(cli, "generate_offline", output_digests.stop_at(k)), pytest.raises(KeyboardInterrupt):
+        _evolve(long_snapshot, cut, pruning)
+    if k == 1:  # killed before its first checkpoint
+        assert not cut.exists()
+        return
+    assert [path.name for path in cut.iterdir()] == ["checkpoints.jsonl"]
+    assert (cut / "checkpoints.jsonl").read_text().splitlines(keepends=True) == lines[: k - 1]
+    # Into the same directory: the file is read whole before the run truncates it.
+    assert _evolve(long_snapshot, cut, [*pruning, "--resume-from", str(cut / "checkpoints.jsonl")]) == 0
+    step = json.loads(lines[k - 2])["step"]  # ledger line t + 1 holds step t
+    assert (cut / "ledger.csv").read_text().splitlines(keepends=True) == ledger[:1] + ledger[step + 2 :]
+    assert (cut / "checkpoints.jsonl").read_text().splitlines(keepends=True) == lines[k - 1 :]
+
+
+def test_an_evolve_on_a_table_shorter_than_its_warmup_leaves_no_directory(tmp_path, capsys, snapshot) -> None:
+    # The snapshot's 90 return steps fall one short of warmup_steps + 2.
+    assert _evolve(snapshot, tmp_path / "r", ["--set", "warmup_steps=89"]) == 2
+    assert capsys.readouterr().err == "error: dataset shorter than warmup_steps + 2 return steps\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_an_evolve_with_no_search_step_writes_an_empty_checkpoints_file(tmp_path, snapshot) -> None:
+    # No step in 61..89 is a multiple of 100; a file left by an earlier run is emptied.
+    (tmp_path / "r").mkdir()
+    (tmp_path / "r" / "checkpoints.jsonl").write_text("stale\n")
+    assert _evolve(snapshot, tmp_path / "r", ["--set", "search_interval=100"]) == 0
+    assert (tmp_path / "r" / "checkpoints.jsonl").read_text() == ""
+    assert len(read_ledger(str(tmp_path / "r" / "ledger.csv"))) == 90
+
+
 def test_evolve_resume_missing_checkpoints(tmp_path, capsys, snapshot) -> None:
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -891,6 +944,23 @@ def test_report_names_a_bad_ledger_cell(tmp_path, capsys, column, cell, message)
     assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "wealth_curve"], "wealth_curve needs at least one --ledger"),
+        (["--mode", "wealth_curve", "--ledger", "nothere.csv"], "[Errno 2] No such file or directory: 'nothere.csv'"),
+        (["--mode", "factor_sweep", "--snapshot", "missing.json", "--library", "x.json"],
+         "[Errno 2] No such file or directory: 'missing.json'"),
+    ],
+    ids=["no_ledger", "missing_ledger", "missing_snapshot"],
+)
+def test_a_report_whose_inputs_fail_leaves_no_directory(tmp_path, capsys, monkeypatch, args, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", *args, "-o", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_factor_sweep(tmp_path, snapshot, library) -> None:
     outdir = tmp_path / "rep"
     assert main(["report", "--mode", "factor_sweep", "--snapshot", snapshot,
@@ -1016,7 +1086,7 @@ def test_output_digests_cover_every_command_output(tmp_path, capsys) -> None:
     run_files = ("factor_report.csv", "factor_report.json", "ledger.csv", "metrics.json", "pool.json")
     searches = ("evolve_a", "evolve_b", "evolve_remote", "resume_a")
     want = {f"{run}/{name}" for run in (*searches, "backtest") for name in run_files}
-    want |= {f"{run}/checkpoints.jsonl" for run in searches}
+    want |= {f"{run}/checkpoints.jsonl" for run in (*searches, "evolve_a_stopped")}
     want |= {
         "evolve_remote/audit.jsonl",
         "aggregate/merged.jsonl",

@@ -3,11 +3,13 @@ benchmark gate, and the full search-and-backtest loop with resume."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import re
 import reprlib
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from evofactor.evolution import (
     PerfTracker,
     ScoreCache,
     SearchRecord,
+    append_checkpoint,
     benchmark_gate,
     gate_batch,
     clean_factor_pool,
@@ -1475,6 +1478,39 @@ def test_saved_checkpoint_lines_equal_each_record_encoded_alone(records) -> None
         save_checkpoints(records, str(path))
         lines = path.read_text().splitlines()
     assert lines == [json.dumps(_checkpoint_doc(record), sort_keys=True) for record in records]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_search_records(), st.integers(0, 4))
+def test_appending_checkpoints_writes_the_saved_bytes_however_the_calls_split_them(records, split) -> None:
+    # The first call with a memo truncates; no later one does, even after
+    # records whose pools are empty.
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, appended = Path(tmp) / "saved.jsonl", Path(tmp) / "appended.jsonl"
+        save_checkpoints(records, str(saved))
+        appended.write_text("stale\n")
+        memo: dict = {}
+        append_checkpoint(appended, memo, *records[:split])
+        for record in records[split:]:
+            append_checkpoint(appended, memo, record)
+        assert appended.read_bytes() == saved.read_bytes()
+
+
+def test_a_run_keeps_no_checkpoint_it_emitted(tmp_path) -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    path, memo, refs = tmp_path / "run" / "checkpoints.jsonl", {}, []
+
+    def sink(record: SearchRecord) -> None:
+        append_checkpoint(path, memo, record)
+        refs.append(weakref.ref(record))
+
+    result = run_evolution(table, _cfg(), gen=generate_offline, emit=sink)
+    gc.collect()
+    assert result.records == () and refs
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # The streamed file holds what a run that keeps its records saves.
+    save_checkpoints(run_evolution(table, _cfg(), gen=generate_offline).records, str(tmp_path / "kept.jsonl"))
+    assert path.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
 
 
 def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
