@@ -1,8 +1,10 @@
 """Full evolutionary search with the deterministic offline generator.
 
 Plants a momentum signal in synthetic returns, lets the search mutate and
-recombine the seed library, and prints what survived: the discovered
-expressions, their lineage, and the wealth edge over the 1/N baseline.
+recombine the seed library, and prints what it decided, from the outcome of
+every step: how many candidates were rejected, gated out, admitted and
+pruned; then what survived: the discovered expressions, their lineage, and
+the wealth edge over the 1/N baseline.
 """
 from __future__ import annotations
 
@@ -32,11 +34,16 @@ def main() -> None:
         m=4, k_top=3, m_candidates=4, recall_n=5,
         seed_windows=(7,), max_pool_size=24, keep_top_n=8, rng_seed=args.seed,
     )
-    result = run_evolution(table, cfg, gen=generate_offline)
+    outcomes = []
+    result = run_evolution(table, cfg, gen=generate_offline, emit=outcomes.append)
+    searches = [outcome for outcome in outcomes if outcome.record is not None]
 
     last = result.ledger[-1]
     print(f"\nstrategy final {last.portfolio_value:.2f} vs 1/N {last.baseline_value:.2f} "
-          f"({len(result.records)} search steps, pool size {len(result.pool)})")
+          f"({len(searches)} search steps, pool size {len(result.pool)})")
+    gated_out = sum(not keep for o in searches for _, (keep, _), _ in o.gates)
+    print(f"decisions: {sum(len(o.rejected) for o in searches)} rejected, {gated_out} gated out, "
+          f"{sum(len(o.admitted) for o in searches)} admitted, {sum(len(o.pruned) for o in searches)} pruned")
 
     discovered = [r for r in result.pool if r.origin != "seed"]
     print(f"\n{len(discovered)} factors survived mutation/crossover and pruning:")

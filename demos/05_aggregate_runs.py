@@ -30,14 +30,15 @@ def main() -> None:
             seed_windows=(7,), max_pool_size=24, keep_top_n=8, rng_seed=seed,
         )
 
-    runs = []
+    streams = []
     for seed in range(args.runs):
-        result = run_evolution(table, cfg(seed), gen=generate_offline)
-        runs.append(result)
+        outcomes = []
+        result = run_evolution(table, cfg(seed), gen=generate_offline, emit=outcomes.append)
+        streams.append([outcome.record for outcome in outcomes if outcome.record is not None])
         print(f"run {seed}: final {result.ledger[-1].portfolio_value:.2f}, "
               f"pool {len(result.pool)}")
 
-    merged = merge_runs([r.records for r in runs])
+    merged = merge_runs(streams)
     library = pooled_library(merged)
     print(f"\nmerged {len(merged)} aligned checkpoints -> pooled library of "
           f"{len(library)} factors")

@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -29,6 +28,7 @@ from .evolution import (
     EvolutionResult,
     Generator,
     ScoreCache,
+    StepOutcome,
     append_checkpoint,
     load_checkpoints,
     pool_by_name,
@@ -312,7 +312,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise ValueError(f"no checkpoints in {args.resume_from}")
         resume = tail[-1]
     path, memo = Path(cfg["output_dir"]) / "checkpoints.jsonl", {}
-    result = run_evolution(table, ecfg, gen=gen, resume_from=resume, emit=partial(append_checkpoint, path, memo))
+
+    def sink(outcome: StepOutcome) -> None:
+        if outcome.record is not None:
+            append_checkpoint(path, memo, outcome.record)
+
+    result = run_evolution(table, ecfg, gen=gen, resume_from=resume, emit=sink)
     append_checkpoint(path, memo)  # with no search step, an empty file
     return _finish_run(cfg, result, ecfg, (cfg["data"], args.resume_from))
 
@@ -368,7 +373,7 @@ def _report_factor_sweep(args: argparse.Namespace, cfg: dict) -> list[list]:
     ics: dict[int, list[float]] = {k: [] for k in ks}
     returns = run.scorer.rm.values
     for t in range(returns.shape[1]):
-        rows = step(run, widest, t)
+        rows = step(run, widest, t).rows
         if rows is None:  # warm-up
             continue
         realized = returns[:, t]

@@ -8,10 +8,11 @@ accumulate history; live trading starts at warmup_steps+1. Generation fires
 at live steps divisible by search_interval.
 
 `step` makes step t's decisions for evolve, backtest and the factor sweep, in
-order: at a search step, prune, build the generator's request (only a remote
-generator renders it as a prompt), generate, validate; from lookback on, grade
-the pool; gate the batch, admit and grade the kept candidates; after warm-up,
-rank the top k_top factors into composite rows.
+order, and returns them as one StepOutcome: at a search step, prune, build the
+generator's request (only a remote generator renders it as a prompt),
+generate, validate; from lookback on, grade the pool; gate the batch, admit
+and grade the kept candidates; after warm-up, rank the top k_top factors into
+composite rows. Only run_evolution logs decisions, from the outcome.
 
 Every tracker read stops at PerfTracker.reached, so where step calls
 update_tracker decides what each decision at step t reads. Step t's grade of
@@ -442,8 +443,9 @@ def gate_batch(
     scorer: ScoreCache,
     cfg: EvolutionConfig,
     pool: Mapping[str, FactorRecord],
-) -> list[tuple[bool, str]]:
-    """benchmark_gate's (keep, reason) for each fresh candidate of a step's
+) -> list[tuple[str, tuple[bool, str], tuple[float, float, float, float | None]]]:
+    """(name, benchmark_gate's (keep, reason), the numbers it decided on:
+    fv, mean_ic, gated_fv, pool_median) for each fresh candidate of a step's
     batch, in batch order, over the last search_interval steps through
     tracker.reached; pool holds admitted factors only. Costs are ignored
     here (comparison is c=0). The candidates are graded together, and the
@@ -460,7 +462,8 @@ def gate_batch(
     pool_median = median(incumbents.values()) if incumbents else None
     gated_fv = (1.0 + cfg.t_drop) * base_fv
     fvs, mean_ics = (100.0 * np.prod(grosses, axis=1)).tolist(), np.mean(ics, axis=1).tolist()
-    return [benchmark_gate(fv, ic, gated_fv, pool_median) for fv, ic in zip(fvs, mean_ics)]
+    numbers = [(fv, ic, gated_fv, pool_median) for fv, ic in zip(fvs, mean_ics)]
+    return [(cand.name, benchmark_gate(*nums), nums) for cand, nums in zip(batch, numbers)]
 
 
 # --------------------------------------------------------------- checkpoints
@@ -487,18 +490,17 @@ _CHECKPOINT_FIELDS = {"step": INTEGER, "pool": OBJECTS, "performance": OBJECT, "
 
 
 def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "") -> SearchRecord:
-    """One checkpoint line, read from source; lines decoded with the same memo share the pool
-    records and expression trees they repeat. performance and quality must name the same pool
-    factors and hold the numeric final_value and mean_rankic a merge reads."""
+    """One checkpoint line, read from source; lines decoded with one memo share the pool records
+    and expression trees they repeat. The pool must pass pool_by_name; performance and quality
+    must name the same pool factors and hold the numeric final_value and mean_rankic a merge reads."""
     check(doc, _CHECKPOINT_FIELDS)
     memo = {} if memo is None else memo
-    pool = tuple(json_to_record(item, memo) for item in doc["pool"])
+    pool_map = pool_by_name(json_to_record(item, memo) for item in doc["pool"])
     if doc["performance"].keys() != doc["quality"].keys():
         raise ValueError("'performance' and 'quality' name different factors")
-    names = {rec.name for rec in pool}
     for key, column in (("performance", "final_value"), ("quality", "mean_rankic")):
         for name, stats in doc[key].items():
-            if name not in names:
+            if name not in pool_map:
                 raise ValueError(f"{key} entry {name!r} is not in 'pool'")
             if type(stats) is not dict:
                 raise field_error(f"{key} entry {name!r}", stats, OBJECT[0])
@@ -506,7 +508,7 @@ def json_to_search_record(doc: dict, memo: dict | None = None, source: str = "")
                 lack = f"has a non-numeric {column!r}: {stats[column]!r}" if column in stats else f"lacks {column!r}"
                 raise ValueError(f"{key} entry {name!r} {lack}")
     maps = ({k: dict(v) for k, v in doc[key].items()} for key in ("performance", "quality"))
-    return SearchRecord(doc["step"], pool, *maps, dict(doc["state"]), source)
+    return SearchRecord(doc["step"], tuple(pool_map.values()), *maps, dict(doc["state"]), source)
 
 
 # json.dumps(o, sort_keys=True), without building an encoder per call.
@@ -658,8 +660,31 @@ def _make_search_record(run: RunState, cfg: EvolutionConfig, t: int, phase: str)
 class EvolutionResult:
     pool: tuple[FactorRecord, ...]
     ledger: tuple[LedgerRow, ...]
-    records: tuple[SearchRecord, ...]
     tracker: PerfTracker
+
+
+@dataclass(frozen=True)
+class StepOutcome:
+    """What step t decided, in the order it decided it: the pool factors
+    pruned; the generator's error text (None unless its call raised), its
+    attempts and its log; the candidates validation rejected, as (name,
+    reason); one gate_batch entry per validated candidate; the candidates
+    admitted; and, after warm-up, the names ranked into the composite, best
+    first, and their rows (rows is None in warm-up). Applying pruned and
+    admitted to the pool before step t gives the pool after it. record is
+    the checkpoint run_evolution writes after a search step's ledger row."""
+
+    t: int
+    rows: list[np.ndarray] | None
+    ranked: tuple[str, ...]
+    pruned: tuple[str, ...]
+    rejected: tuple[tuple[str, str], ...]
+    gates: tuple[tuple[str, tuple[bool, str], tuple[float, float, float, float | None]], ...]
+    admitted: tuple[FactorRecord, ...]
+    error: str | None
+    attempts: int
+    log: tuple[dict, ...]
+    record: SearchRecord | None = None
 
 
 def _build_request(
@@ -687,12 +712,12 @@ def composite_scores(
     scorer: ScoreCache,
     cfg: EvolutionConfig,
     t: int,
-) -> list[np.ndarray]:
-    """Normalized score rows at step t of the top k_top factors, best first
-    by rank_by_quality over the trailing search_interval entries, normalized
-    as one block; empty when no factor has been graded yet."""
-    used = rank_by_quality(pool, tracker, cfg, cfg.search_interval)[: cfg.k_top]
-    return list(dsl.normalize_scores(np.stack([scorer.scores(pool[n], t) for n in used]))) if used else []
+) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The top k_top factors, best first by rank_by_quality over the trailing
+    search_interval entries, and their score rows at step t, normalized as
+    one block; both empty when no factor has been graded yet."""
+    used = tuple(rank_by_quality(pool, tracker, cfg, cfg.search_interval)[: cfg.k_top])
+    return used, list(dsl.normalize_scores(np.stack([scorer.scores(pool[n], t) for n in used]))) if used else []
 
 
 def trade(
@@ -730,45 +755,43 @@ def trade(
         return None, portfolio.fallback_market_return(realized), 0.0, 0.0, None
 
 
-def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = None) -> list[np.ndarray] | None:
-    """Step t's decisions in the module notes' order: the composite rows step t
-    trades, or None in warm-up. gen, passed at search steps only, proposes a
-    batch that stays out of run.pool until the gate admits it; of its errors,
-    only a PromptLeakError stops the run."""
+def step(run: RunState, cfg: EvolutionConfig, t: int, gen: Generator | None = None) -> StepOutcome:
+    """Step t's decisions in the module notes' order. gen, passed at search
+    steps only, proposes a batch that stays out of run.pool until the gate
+    admits it; of its errors, only a PromptLeakError stops the run."""
     batch: dict[str, FactorRecord] = {}  # validated, not yet gated
+    pruned, rejected, error, result = (), [], None, GenerationResult((), 0, ())
     if gen is not None:
-        run.drop(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg).keys())
+        pruned = tuple(sorted(run.pool.keys() - clean_factor_pool(run.pool, run.tracker, cfg).keys()))
+        run.drop(pruned)
         req = _build_request(run.pool, run.tracker, cfg, t)
         try:
-            candidates = gen(req).candidates
+            result = gen(req)
         except PromptLeakError:
             raise
         except Exception as exc:  # noqa: BLE001 - any other generator failure is non-fatal
-            logger.warning("generator failed at step %d: %s", t, exc)
-            candidates = ()
-        for cand in candidates[: cfg.m_candidates]:
+            error = str(exc)
+        for cand in result.candidates[: cfg.m_candidates]:
             ok, reason = validate_candidate(cand, {**run.pool, **batch})
             if not ok:
-                logger.info("step %d: rejected %s (%s)", t, cand.name, reason)
+                rejected.append((cand.name, reason))
                 continue
             if cand.created_step != t:
                 cand = replace(cand, created_step=t)
             batch[cand.name] = cand
     if t >= cfg.lookback:
         update_tracker(run.tracker, run.pool, run.scorer, t, cfg)
-    if batch:
-        # A candidate's first score request is the gate's, at the start of
-        # its trailing window; the block it anchors also serves step t.
-        decisions = gate_batch(list(batch.values()), run.tracker, run.scorer, cfg, run.pool)
-        admitted = {name: cand for (name, cand), (keep, _) in zip(batch.items(), decisions) if keep}
-        for name, (keep, why) in zip(batch, decisions):
-            if not keep:
-                logger.info("step %d: gated out %s (%s)", t, name, why)
-        run.drop(batch.keys() - admitted.keys())
-        run.pool.update(admitted)
-        if admitted:
-            update_tracker(run.tracker, admitted, run.scorer, t, cfg)
-    return composite_scores(run.pool, run.tracker, run.scorer, cfg, t) if t > cfg.warmup_steps else None
+    # A candidate's first score request is the gate's, at the start of its
+    # trailing window; the block it anchors also serves step t.
+    gates = gate_batch(list(batch.values()), run.tracker, run.scorer, cfg, run.pool) if batch else []
+    admitted = {name: batch[name] for name, (keep, _), _ in gates if keep}
+    run.drop(batch.keys() - admitted.keys())
+    run.pool.update(admitted)
+    if admitted:
+        update_tracker(run.tracker, admitted, run.scorer, t, cfg)
+    ranked, rows = composite_scores(run.pool, run.tracker, run.scorer, cfg, t) if t > cfg.warmup_steps else ((), None)
+    return StepOutcome(t, rows, ranked, pruned, tuple(rejected), tuple(gates), tuple(admitted.values()),
+                       error, result.attempts, result.transport_log)
 
 
 def run_evolution(
@@ -777,11 +800,12 @@ def run_evolution(
     gen: Generator | None = None,
     pool: Iterable[FactorRecord] | None = None,
     resume_from: SearchRecord | None = None,
-    emit: Callable[[SearchRecord], None] | None = None,
+    emit: Callable[[StepOutcome], None] | None = None,
 ) -> EvolutionResult:
     """Full search-and-backtest loop over the table's steps: per step, step's
-    decisions, the trade, the ledger row and, after a search, a checkpoint,
-    passed to emit once its row exists (kept in result.records when emit is None).
+    outcome, logged here, the trade and the ledger row; then the outcome, with
+    the checkpoint after a search step as its record, goes to emit (None
+    discards it).
 
     gen=None disables generation (static-pool backtest); a failed generator
     call is logged and skipped, a failed live step falls back to the market
@@ -791,17 +815,22 @@ def run_evolution(
     run = start_run(table, cfg, pool, resume_from)
     rm = run.scorer.rm
     rows: list[LedgerRow] = []
-    records: list[SearchRecord] = []
-    emit = records.append if emit is None else emit
 
     for t in range(run.t, rm.values.shape[1]):
         realized = rm.values[:, t]
         rbar = portfolio.fallback_market_return(realized)
         searching = gen is not None and t > cfg.warmup_steps and t % cfg.search_interval == 0
-        top = step(run, cfg, t, gen if searching else None)
+        outcome = step(run, cfg, t, gen if searching else None)
+        if outcome.error is not None:
+            logger.warning("generator failed at step %d: %s", t, outcome.error)
+        for name, reason in outcome.rejected:
+            logger.info("step %d: rejected %s (%s)", t, name, reason)
+        for name, (keep, why), _ in outcome.gates:
+            if not keep:
+                logger.info("step %d: gated out %s (%s)", t, name, why)
         weights, r_t, turn, fee, phase = None, rbar, 0.0, 0.0, "warmup"
-        if top is not None:
-            weights, r_t, turn, fee, run.prev = trade(top, realized, run.prev, cfg, t)
+        if outcome.rows is not None:
+            weights, r_t, turn, fee, run.prev = trade(outcome.rows, realized, run.prev, cfg, t)
             phase = "fallback" if weights is None else "live"
         held = {} if weights is None else weights.weights
         run.value *= r_t
@@ -820,8 +849,8 @@ def run_evolution(
                 weights=tuple(held.values()),
             )
         )
-        if searching:
-            emit(_make_search_record(run, cfg, t, phase))
+        if emit is not None:
+            emit(replace(outcome, record=_make_search_record(run, cfg, t, phase)) if searching else outcome)
 
     final_pool = tuple(run.pool[name] for name in sorted(run.pool))
-    return EvolutionResult(final_pool, tuple(rows), tuple(records), run.tracker)
+    return EvolutionResult(final_pool, tuple(rows), run.tracker)

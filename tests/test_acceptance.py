@@ -12,6 +12,7 @@ import os
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from evofactor.dsl import (
     TimeSeries,
     Unary,
 )
-from evofactor.evolution import EvolutionConfig, run_evolution
+from evofactor.evolution import EvolutionConfig, StepOutcome, run_evolution
 from evofactor.generator import generate_offline
 from evofactor.market_data import (
     to_normalized_prices,
@@ -79,14 +80,27 @@ def _planted_cfg(seed: int, cost: float = 0.0) -> EvolutionConfig:
     )
 
 
+def _checkpoints(records: list) -> Callable[[StepOutcome], None]:
+    """A run's emit that keeps each search step's checkpoint in records."""
+
+    def keep(outcome: StepOutcome) -> None:
+        if outcome.record is not None:
+            records.append(outcome.record)
+
+    return keep
+
+
 @pytest.fixture(scope="module")
 def planted() -> SimpleNamespace:
     # Process CPU time: other processes sharing the CPUs do not count.
     start = time.process_time()
     table = planted_momentum_table(n_assets=40, n_steps=800, seed=7)
     oracle_ic = momentum_rankic_oracle(table, window=7, start=30)
-    runs = [run_evolution(table, _planted_cfg(s), gen=generate_offline) for s in (0, 1, 2)]
-    merged = merge_runs([run.records for run in runs])
+    streams: tuple[list, ...] = ([], [], [])
+    runs = [
+        run_evolution(table, _planted_cfg(s), gen=generate_offline, emit=_checkpoints(streams[s])) for s in (0, 1, 2)
+    ]
+    merged = merge_runs(streams)
     library = pooled_library(merged)
 
     # Best pooled factor by merged quality, then its RankIC measured on data.
@@ -397,12 +411,13 @@ def test_criterion_09_determinism_and_resume(tmp_path) -> None:
             portfolio.write_ledger(rows, str(path))
             return path.read_bytes()
 
-        first = run_evolution(table, cfg, gen=generate_offline)
+        records: list = []
+        first = run_evolution(table, cfg, gen=generate_offline, emit=_checkpoints(records))
         second = run_evolution(table, cfg, gen=generate_offline)
         assert ledger_bytes(first.ledger, "a.csv") == ledger_bytes(second.ledger, "b.csv")
 
-        assert len(first.records) >= 5
-        for rec in first.records[:-1]:  # resume from every mid-run checkpoint
+        assert len(records) >= 5
+        for rec in records[:-1]:  # resume from every mid-run checkpoint
             resumed = run_evolution(table, cfg, gen=generate_offline, resume_from=rec)
             suffix = first.ledger[rec.step + 1:]  # ledger row index == step
             assert ledger_bytes(resumed.ledger, "r.csv") == ledger_bytes(suffix, "s.csv")

@@ -477,11 +477,13 @@ def test_aggregate_records_from_files(tmp_path) -> None:
             lookback=30, warmup_steps=60, search_interval=5, m=3, k_top=3,
             m_candidates=4, recall_n=3, seed_windows=(7,), rng_seed=seed,
         )
-        res = run_evolution(table, cfg, gen=generate_offline)
+        outcomes = []
+        run_evolution(table, cfg, gen=generate_offline, emit=outcomes.append)
+        records = [outcome.record for outcome in outcomes if outcome.record is not None]
         path = str(tmp_path / f"run{seed}.jsonl")
-        save_checkpoints(res.records, path)
+        save_checkpoints(records, path)
         paths.append(path)
-        lengths.append(len(res.records))
+        lengths.append(len(records))
     merged = aggregate_records(paths)
     assert len(merged) == min(lengths)
     library = pooled_library(merged)

@@ -604,6 +604,38 @@ def test_evolve_resume_names_a_step_off_the_table(tmp_path, capsys, snapshot, ch
     assert read_ledger(str(tmp_path / "last" / "ledger.csv")) == []
 
 
+def _no_pool(doc: dict) -> str:
+    """No entry, and stats for none."""
+    doc.update(pool=[], performance={}, quality={})
+    return "empty factor pool"
+
+
+def _repeated_name(doc: dict) -> str:
+    """A second entry under the first one's name, with another expression."""
+    doc["pool"].append({**doc["pool"][0], "expr": "ts_delta(prices, 3)"})
+    assert doc["pool"][0]["expr"] != "ts_delta(prices, 3)"
+    return f"duplicate factor name {doc['pool'][0]['name']!r}"
+
+
+@pytest.mark.parametrize("command", ["resume", "aggregate"])
+@pytest.mark.parametrize("corrupt", [_no_pool, _repeated_name], ids=["empty", "repeated_name"])
+def test_a_checkpoint_whose_pool_is_empty_or_repeats_a_name_exits_2(
+    tmp_path, capsys, snapshot, checkpoint_paths, command, corrupt
+) -> None:
+    # The last line is the one --resume-from resumes and the last aggregate reads.
+    lines = Path(checkpoint_paths[0]).read_text().splitlines()
+    doc = json.loads(lines[-1])
+    message = corrupt(doc)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([*lines[:-1], json.dumps(doc)]) + "\n")
+    if command == "resume":
+        assert _evolve(snapshot, tmp_path / "r", ["--resume-from", str(bad)]) == 2
+    else:
+        assert main(["aggregate", str(bad), checkpoint_paths[1], "-o", str(tmp_path / "agg")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{len(lines)}: bad checkpoint record: {message}\n"
+    assert not (tmp_path / "r").exists() and not (tmp_path / "agg").exists()
+
+
 def test_evolve_remote_requires_api_key(tmp_path, capsys, monkeypatch, snapshot) -> None:
     monkeypatch.delenv("EVOFACTOR_API_KEY", raising=False)
     assert _evolve(snapshot, tmp_path / "r", ["--set", "generator=remote"]) == 2
@@ -662,9 +694,10 @@ def checkpoint_paths(tmp_path_factory, snapshot) -> list[str]:
         )
         from evofactor.generator import generate_offline
 
-        result = run_evolution(table, cfg, gen=generate_offline)
+        outcomes = []
+        run_evolution(table, cfg, gen=generate_offline, emit=outcomes.append)
         path = str(base / f"run{seed}.jsonl")
-        save_checkpoints(result.records, path)
+        save_checkpoints([outcome.record for outcome in outcomes if outcome.record is not None], path)
         paths.append(path)
     return paths
 

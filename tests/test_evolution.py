@@ -8,6 +8,7 @@ import json
 import logging
 import re
 import reprlib
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -27,6 +28,7 @@ from evofactor.evolution import (
     PerfTracker,
     ScoreCache,
     SearchRecord,
+    StepOutcome,
     append_checkpoint,
     benchmark_gate,
     gate_batch,
@@ -75,6 +77,17 @@ def _cfg(**kw) -> EvolutionConfig:
     )
     base.update(kw)
     return EvolutionConfig(**base)
+
+
+def _run(table: PriceTable, cfg: EvolutionConfig, **kw) -> tuple[evolution.EvolutionResult, list[StepOutcome]]:
+    """run_evolution's result and every outcome it emitted, in step order."""
+    outcomes: list[StepOutcome] = []
+    return run_evolution(table, cfg, emit=outcomes.append, **kw), outcomes
+
+
+def _records(outcomes: list[StepOutcome]) -> list[SearchRecord]:
+    """The checkpoints among outcomes: one per search step."""
+    return [outcome.record for outcome in outcomes if outcome.record is not None]
 
 
 # --------------------------------------------------------------- config
@@ -429,14 +442,13 @@ def test_warmup_populates_every_factor() -> None:
 def test_replay_tracker_reproduces_the_live_tracker() -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
-    res = run_evolution(table, cfg, gen=generate_offline)
-    pools = [set(rec.pool_map()) for rec in res.records]
-    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    res, outcomes = _run(table, cfg, gen=generate_offline)
+    assert any(outcome.pruned for outcome in outcomes)
     # A name pruned and proposed again later starts a new series, so only the
     # factors that stay in the pool through the end are compared.
     final = set(res.pool)
     generated = 0
-    for rec in res.records:
+    for rec in _records(outcomes):
         replayed = replay_tracker(rec.pool_map(), _scorer(table, cfg), cfg, rec.step)
         for name in sorted(r.name for r in final.intersection(rec.pool)):
             steps, *columns = res.tracker.series(name)
@@ -575,9 +587,9 @@ def test_block_graded_tracker_matches_the_per_step_reference(data) -> None:
         patch.setattr(evolution.RunState, "drop", checked_drop)
         chunk = data.draw(st.sampled_from([1, 50, 200, 16_000]), label="chunk")
         patch.setattr(evolution, "GRADE_CHUNK", chunk)  # small chunks split a block over several calls
-        full = run_evolution(table, cfg, gen=generate_offline, pool=pool)
-        if full.records:
-            rec = full.records[data.draw(st.integers(0, len(full.records) - 1), label="checkpoint")]
+        full, outcomes = _run(table, cfg, gen=generate_offline, pool=pool)
+        if records := _records(outcomes):
+            rec = records[data.draw(st.integers(0, len(records) - 1), label="checkpoint")]
             resumed = run_evolution(table, cfg, gen=generate_offline, pool=pool, resume_from=rec)
             assert resumed.ledger == full.ledger[rec.step + 1 :]
     for tracker, ref in references.values():
@@ -588,41 +600,30 @@ def test_the_step_order_is_the_timeline(monkeypatch) -> None:
     # Every tracker read stops at PerfTracker.reached, so the order of calls
     # in step alone decides which grades a decision at step t reads. Pruning
     # and the prompt run before step t is graded; the gate and the composite
-    # run after it, and so read the grade of the return step t trades.
-    at: dict[str, object] = {"t": None, "decision": None}
+    # run after it, and so read the grade of the return step t trades. A read
+    # is charged to the decision whose call it runs in, found on the stack,
+    # and t is that of the enclosing step call.
+    decisions = {getattr(evolution, name).__code__: name
+                 for name in ("clean_factor_pool", "_build_request", "gate_batch", "composite_scores")}
     reads: set[tuple[str, int]] = set()  # (decision, t - reached) of each tracker read
-
-    def timed_step(run, cfg, t, gen=None, _step=evolution.step):
-        at["t"] = t
-        return _step(run, cfg, t, gen)
-
-    def labelled(name, fn):
-        def decide(*args):
-            at["decision"] = name
-            try:
-                return fn(*args)
-            finally:
-                at["decision"] = None
-
-        return decide
 
     def seen(read):
         def traced(self, *args):
-            if at["decision"] is not None:
-                reads.add((at["decision"], at["t"] - self.reached))
+            frame, decision = sys._getframe(1), None
+            while frame is not None and frame.f_code is not evolution.step.__code__:
+                decision = decision or decisions.get(frame.f_code)
+                frame = frame.f_back
+            if decision is not None and frame is not None:
+                reads.add((decision, frame.f_locals["t"] - self.reached))
             return read(self, *args)
 
         return traced
 
-    monkeypatch.setattr(evolution, "step", timed_step)
-    for name in ("clean_factor_pool", "_build_request", "gate_batch", "composite_scores"):
-        monkeypatch.setattr(evolution, name, labelled(name, getattr(evolution, name)))
     for name in ("count", "_gather"):  # every read of stat, column and count
         monkeypatch.setattr(PerfTracker, name, seen(getattr(PerfTracker, name)))
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
-    res = run_evolution(table, _cfg(recall_n=3, max_pool_size=14, keep_top_n=4), gen=generate_offline)
-    pools = [set(rec.pool_map()) for rec in res.records]
-    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    _, outcomes = _run(table, _cfg(recall_n=3, max_pool_size=14, keep_top_n=4), gen=generate_offline)
+    assert any(outcome.pruned for outcome in outcomes)
     assert reads == {("clean_factor_pool", 1), ("_build_request", 1), ("gate_batch", 0), ("composite_scores", 0)}
 
 
@@ -707,9 +708,9 @@ def test_benchmark_gate_keeps_signal_and_drops_noise() -> None:
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
 
     scorer = ScoreCache(rm, cfg.lookback)
-    [(keep, why)] = gate_batch([good], tracker, scorer, cfg, {**pool, good.name: good})
+    [(_, (keep, why), _)] = gate_batch([good], tracker, scorer, cfg, {**pool, good.name: good})
     assert keep, why
-    [(keep, why)] = gate_batch([bad], tracker, scorer, cfg, {**pool, bad.name: bad})
+    [(_, (keep, why), _)] = gate_batch([bad], tracker, scorer, cfg, {**pool, bad.name: bad})
     assert not keep
     assert "final_value" in why and "rankic" in why
 
@@ -718,7 +719,7 @@ def test_benchmark_gate_without_incumbents_keeps() -> None:
     _, cfg, rm, _, tracker = _gate_fixture()
     cand = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
     scorer = ScoreCache(rm, cfg.lookback)
-    [(keep, why)] = gate_batch([cand], tracker, scorer, cfg, {cand.name: cand})
+    [(_, (keep, why), _)] = gate_batch([cand], tracker, scorer, cfg, {cand.name: cand})
     assert keep and "no incumbents" in why
 
 
@@ -729,10 +730,10 @@ def test_benchmark_gate_t_drop_raises_the_bar() -> None:
     good = make_record("momentum_7_v2", dsl.parse("ts_delta(prices, 7)"), "mutated", (), 70)
     strict = _cfg(m=5, recall_n=5, t_drop=10.0)  # baseline x11 is unbeatable
     scorer = ScoreCache(rm, strict.lookback)
-    [(keep, why)] = gate_batch([good], tracker, scorer, strict, {**pool, good.name: good})
+    [(_, (keep, why), _)] = gate_batch([good], tracker, scorer, strict, {**pool, good.name: good})
     assert keep  # saved by the RankIC leg
     bad = make_record("antimom_7_v2", dsl.parse("neg(ts_delta(prices, 7))"), "mutated", (), 70)
-    [(keep, _)] = gate_batch([bad], tracker, scorer, strict, {**pool, bad.name: bad})
+    [(_, (keep, _), _)] = gate_batch([bad], tracker, scorer, strict, {**pool, bad.name: bad})
     assert not keep
 
 
@@ -757,25 +758,21 @@ def test_gating_a_batch_equals_gating_each_candidate_alone(picks, incumbents, t_
     together = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, pool)
     alone = [gate_batch([cand], tracker, ScoreCache(rm, cfg.lookback), cfg, pool)[0] for cand in batch]
     assert together == alone
-    for keep, why in together:
+    for _, (keep, why), _ in together:
         event(why.split(" ")[0] if keep else "gated out")
 
 
-def test_gate_batch_decides_each_candidate_through_benchmark_gate(monkeypatch) -> None:
-    # One benchmark_gate call per candidate, whose result is the candidate's
-    # decision: a profiler counts gated and kept candidates at that call.
+def test_gate_batch_decides_each_candidate_through_benchmark_gate() -> None:
+    # Each entry holds benchmark_gate's decision on the numbers it carries;
+    # the baseline and the pool median are read once per batch.
     _, cfg, rm, pool, tracker = _gate_fixture()
     batch = [make_record(f"cand{i}_7_v2", expr, "mutated", (), 70) for i, expr in enumerate(_GATE_EXPRS)]
-    calls: list[tuple[bool, str]] = []
-
-    def recording_gate(*args, _gate=benchmark_gate):
-        calls.append(_gate(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(evolution, "benchmark_gate", recording_gate)
-    decisions = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, pool)
-    assert calls == decisions and len(decisions) == len(batch)
-    assert {keep for keep, _ in decisions} == {True, False}
+    entries = gate_batch(batch, tracker, ScoreCache(rm, cfg.lookback), cfg, pool)
+    assert [name for name, _, _ in entries] == [cand.name for cand in batch]
+    for _, decision, numbers in entries:
+        assert benchmark_gate(*numbers) == decision
+    assert len({numbers[2:] for _, _, numbers in entries}) == 1
+    assert {keep for _, (keep, _), _ in entries} == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -810,10 +807,11 @@ def test_composite_scores_matches_manual_blend() -> None:
     scorer = ScoreCache(rm, cfg.lookback)
     for t in range(30, 71):
         update_tracker(tracker, pool, scorer, t, cfg)
-    rows = composite_scores(pool, tracker, scorer, cfg, 70)
+    ranked, rows = composite_scores(pool, tracker, scorer, cfg, 70)
     # Both factors are used, best first by trailing final value.
     performance, _ = tracker.stat(pool, cfg.search_interval, cfg.recall_n)
     best_first = sorted(pool, key=lambda n: (-performance[n]["final_value"], n))
+    assert ranked == tuple(best_first)
     prices_win, returns_win = window_matrices(norm, rm, 70, cfg.lookback)
     manual = [
         dsl.normalize_scores(dsl.evaluate_cross_section(pool[n].expr, prices_win, returns_win))
@@ -824,10 +822,10 @@ def test_composite_scores_matches_manual_blend() -> None:
         assert row == pytest.approx(expected)
     assert portfolio.aggregate_scores(rows) == pytest.approx(np.mean(manual, axis=0))
     # k_top=1 keeps only the better-ranked factor.
-    (solo,) = composite_scores(pool, tracker, scorer, _cfg(k_top=1, recall_n=2), 70)
-    assert np.array_equal(solo, rows[0])
+    (name,), (solo,) = composite_scores(pool, tracker, scorer, _cfg(k_top=1, recall_n=2), 70)
+    assert name == ranked[0] and np.array_equal(solo, rows[0])
     # No graded factor, no rows.
-    assert composite_scores(pool, PerfTracker(), scorer, cfg, 70) == []
+    assert composite_scores(pool, PerfTracker(), scorer, cfg, 70) == ((), [])
 
 
 # ---------------------------------------------------------- score cache
@@ -979,7 +977,7 @@ def test_score_cache_feeds_a_block_only_its_receptive_field(monkeypatch) -> None
         assert got == [(t, rf - 1 + min(lookback, last - t + 1)) for t in (30, 60, 90)], rf
 
 
-def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> None:
+def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch) -> None:
     caches: list[ScoreCache] = []
 
     class RecordingCache(ScoreCache):
@@ -990,11 +988,9 @@ def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> 
     monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
-    with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
-        res = run_evolution(table, cfg, gen=generate_offline)
-    assert any("gated out" in rec.getMessage() for rec in caplog.records)
-    pools = [set(rec.pool_map()) for rec in res.records]
-    assert any(before - after for before, after in zip(pools, pools[1:]))  # pruned
+    res, outcomes = _run(table, cfg, gen=generate_offline)
+    assert any(not keep for outcome in outcomes for _, (keep, _), _ in outcome.gates)
+    assert any(outcome.pruned for outcome in outcomes)
     (cache,) = caches
     assert cache.names() == sorted(rec.name for rec in res.pool)
 
@@ -1002,7 +998,6 @@ def test_pruned_and_gated_factors_leave_the_score_cache(monkeypatch, caplog) -> 
 def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
     step = {"t": -1}  # the search step whose round is running
     panel_calls: list[tuple[int, dsl.Expr]] = []
-    kept: dict[str, bool] = {}
     tracked: set[str] = set()
 
     def generator(req):
@@ -1013,24 +1008,19 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
         panel_calls.append((step["t"], expr))
         return _panel(expr, prices, returns)
 
-    def recording_gate(batch, *args, _gate=gate_batch):
-        decisions = _gate(batch, *args)
-        kept.update((cand.name, keep) for cand, (keep, _) in zip(batch, decisions))
-        return decisions
-
     def recording_write(self, names, *args, _write=PerfTracker.write):
         tracked.update(names)
         _write(self, names, *args)
 
     monkeypatch.setattr(dsl, "evaluate_panel", counting_panel)
-    monkeypatch.setattr(evolution, "gate_batch", recording_gate)
     monkeypatch.setattr(PerfTracker, "write", recording_write)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
-    res = run_evolution(table, cfg, gen=generator)
+    _, outcomes = _run(table, cfg, gen=generator)
+    kept = {name: keep for outcome in outcomes for name, (keep, _), _ in outcome.gates}
     admitted = {
         rec.name: rec
-        for record in res.records
+        for record in _records(outcomes)
         for rec in record.pool
         if kept.get(rec.name) and rec.created_step == record.step
     }
@@ -1046,11 +1036,10 @@ def test_admitted_candidates_are_scored_once_at_admission(monkeypatch) -> None:
     assert gated_out and not gated_out & tracked
 
 
-def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch, caplog) -> None:
+def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch) -> None:
     # The generator leaves created_step at 0, and it ends each batch with a
     # repeat of its first candidate's expression under a fresh name.
     caches: list[ScoreCache] = []
-    gates: list[tuple[int, FactorRecord, bool, dict[str, FactorRecord]]] = []
     repeats: dict[int, tuple[str, str]] = {}  # step -> (repeat, the member it copies)
 
     class RecordingCache(ScoreCache):
@@ -1067,30 +1056,33 @@ def test_candidates_stay_out_of_the_pool_until_the_gate_admits_them(monkeypatch,
             batch.append(repeat)
         return GenerationResult(tuple(dataclasses.replace(c, created_step=0) for c in batch), 1, ())
 
-    def recording_gate(batch, tracker, scorer, cfg, pool, _gate=gate_batch):
-        decisions = _gate(batch, tracker, scorer, cfg, pool)
-        gates.extend((tracker.reached, cand, keep, dict(pool)) for cand, (keep, _) in zip(batch, decisions))
-        return decisions
-
     monkeypatch.setattr(evolution, "ScoreCache", RecordingCache)
-    monkeypatch.setattr(evolution, "gate_batch", recording_gate)
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
-    with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
-        res = run_evolution(table, cfg, gen=generator)
-    checkpoints = {record.step: record.pool_map() for record in res.records}
-    assert any(keep for *_, keep, _ in gates) and not all(keep for *_, keep, _ in gates)
-    for t, cand, keep, pool in gates:
-        assert cand.created_step == t and cand.name not in pool
-        assert all(rec.created_step < t for rec in pool.values())
-        assert (checkpoints[t].get(cand.name) == cand) == keep
-    messages = {rec.getMessage() for rec in caplog.records}
-    gated = {(t, cand.name) for t, cand, _, _ in gates}
+    res, outcomes = _run(table, cfg, gen=generator)
+    checkpoints = {record.step: record.pool_map() for record in _records(outcomes)}
+    pool = {rec.name: rec for rec in seed_factors(cfg.seed_windows)}
+    gated: set[tuple[int, str]] = set()
+    for outcome in outcomes:  # the pool each gate saw: after pruning, before admission
+        t = outcome.t
+        for name in outcome.pruned:
+            del pool[name]
+        assert not outcome.gates or all(rec.created_step < t for rec in pool.values())
+        admitted = {rec.name: rec for rec in outcome.admitted}
+        for name, (keep, _), _ in outcome.gates:
+            gated.add((t, name))
+            assert name not in pool and (name in admitted) == keep
+            assert checkpoints[t].get(name) == admitted.get(name)
+        assert all(rec.created_step == t for rec in admitted.values())
+        pool.update(admitted)
+    kept = [keep for outcome in outcomes for _, (keep, _), _ in outcome.gates]
+    assert any(kept) and not all(kept)
+    rejected = {(outcome.t, *entry) for outcome in outcomes for entry in outcome.rejected}
     assert not gated & {(t, repeat) for t, (repeat, _) in repeats.items()}
     copied = [(t, *repeats[t]) for t, name in gated if repeats[t][1] == name]
     assert copied
     for t, repeat, first in copied:
-        assert f"step {t}: rejected {repeat} (duplicate expression of {first!r})" in messages
+        assert (t, repeat, f"duplicate expression of {first!r}") in rejected
     (cache,) = caches
     names = [rec.name for rec in res.pool]
     assert res.tracker.names() == cache.names() == names
@@ -1119,11 +1111,12 @@ def test_readme_quick_start_runs_as_documented(capsys) -> None:
 def test_static_run_ledger_invariants(cost_rate) -> None:
     table = dominant_asset_table(8, 100, seed=11)
     cfg = _cfg(m=2, cost_rate=cost_rate)
-    res = run_evolution(table, cfg)
+    res, outcomes = _run(table, cfg)
     rm = to_relative_returns(table)
     n_steps = rm.values.shape[1]
     assert len(res.ledger) == n_steps
-    assert res.records == ()  # no generator, no checkpoints
+    assert [outcome.t for outcome in outcomes] == list(range(n_steps))
+    assert _records(outcomes) == []  # no generator, no checkpoints
     assert [r.name for r in res.pool] == sorted(r.name for r in seed_factors((7,)))
 
     value = 100.0
@@ -1157,7 +1150,7 @@ def test_live_scoring_failure_falls_back_to_the_market(monkeypatch) -> None:
 
     def flaky(pool, tracker, scorer, cfg, t):
         # No rows reach trade at fail_at, as before any factor is graded.
-        return [] if t == fail_at else real(pool, tracker, scorer, cfg, t)
+        return ((), []) if t == fail_at else real(pool, tracker, scorer, cfg, t)
 
     monkeypatch.setattr(evolution, "composite_scores", flaky)
     ledger = run_evolution(table, cfg).ledger
@@ -1226,13 +1219,14 @@ def test_run_rejects_bad_input() -> None:
 def test_evolution_with_offline_generator() -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
-    res = run_evolution(table, cfg, gen=generate_offline)
+    res, outcomes = _run(table, cfg, gen=generate_offline)
+    records = _records(outcomes)
     # Search steps: multiples of s strictly after warm-up.
-    assert [rec.step for rec in res.records] == [65, 70, 75, 80, 85, 90, 95]
+    assert [rec.step for rec in records] == [65, 70, 75, 80, 85, 90, 95]
     assert len(res.pool) > 12  # accepted candidates joined the pool
     new = [r for r in res.pool if r.origin != "seed"]
     assert new and all(r.created_step >= 65 for r in new)
-    for rec in res.records:
+    for rec in records:
         names = [r.name for r in rec.pool]
         assert names == sorted(names)
         assert set(rec.performance) == set(names) == set(rec.quality)
@@ -1249,10 +1243,10 @@ def test_checkpoint_stats_cover_each_factors_last_stats_window_grades(stats_wind
     # Checkpoints, pruning and the factor report read one window.
     table = planted_momentum_table(n_assets=10, n_steps=120, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3, stats_window=stats_window)
-    res = run_evolution(table, cfg, gen=generate_offline)
+    records = _records(_run(table, cfg, gen=generate_offline)[1])
     scorer = ScoreCache(to_relative_returns(table), cfg.lookback)
-    assert len(res.records) == 11
-    for rec in res.records:
+    assert len(records) == 11
+    for rec in records:
         pool = rec.pool_map()
         want = replay_tracker(pool, scorer, cfg, rec.step).stat(pool, cfg.stats_window, cfg.recall_n)
         assert (rec.performance, rec.quality) == want, rec.step
@@ -1270,8 +1264,8 @@ def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:
         rows.append(self._values.shape[1])  # rows allocated so far
 
     monkeypatch.setattr(PerfTracker, "write", recording_write)
-    res = run_evolution(table, cfg, gen=generate_offline)
-    bound = max(len(rec.pool) for rec in res.records) + cfg.m_candidates
+    res, outcomes = _run(table, cfg, gen=generate_offline)
+    bound = max(len(rec.pool) for rec in _records(outcomes)) + cfg.m_candidates
     # More names than the bound passed through, so only reused rows keep to it.
     assert len(tracked) > bound
     assert max(rows) <= bound
@@ -1283,11 +1277,11 @@ def test_tracker_rows_stay_bounded_by_the_live_pool(monkeypatch) -> None:
 def test_evolution_determinism() -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
-    a = run_evolution(table, cfg, gen=generate_offline)
-    b = run_evolution(table, cfg, gen=generate_offline)
+    a, a_outcomes = _run(table, cfg, gen=generate_offline)
+    b, b_outcomes = _run(table, cfg, gen=generate_offline)
     assert a.ledger == b.ledger
     assert a.pool == b.pool
-    assert a.records == b.records
+    assert _records(a_outcomes) == _records(b_outcomes)
 
 
 def test_failing_generator_matches_static_ledger() -> None:
@@ -1301,13 +1295,14 @@ def test_failing_generator_matches_static_ledger() -> None:
         return GenerationResult((), 1, ())
 
     static = run_evolution(table, cfg)
-    with_boom = run_evolution(table, cfg, gen=boom)
+    with_boom, outcomes = _run(table, cfg, gen=boom)
     with_empty = run_evolution(table, cfg, gen=empty)
     assert with_boom.ledger == static.ledger
     assert with_empty.ledger == static.ledger
     assert with_boom.pool == static.pool
-    # Checkpoints are still written at search steps.
-    assert [rec.step for rec in with_boom.records] == [65, 70, 75, 80, 85, 90, 95]
+    # Checkpoints are still written at search steps, and each failure is told.
+    assert [rec.step for rec in _records(outcomes)] == [65, 70, 75, 80, 85, 90, 95]
+    assert [outcome.error for outcome in outcomes if outcome.record] == ["api down"] * 7
 
 
 def test_prompt_leakage_tripwire() -> None:
@@ -1332,7 +1327,7 @@ def test_prompt_leakage_tripwire() -> None:
         with pytest.raises(PromptLeakError, match=rf"^prompt leaks dataset tokens: \['{asset}'\]$"):
             run_evolution(poisoned, _cfg(recall_n=2), gen=remote)
         assert sent == [], asset
-        assert run_evolution(poisoned, _cfg(recall_n=2), gen=generate_offline).records, asset
+        assert _records(_run(poisoned, _cfg(recall_n=2), gen=generate_offline)[1]), asset
 
 
 def test_an_offline_run_renders_and_scans_no_prompt(tmp_path, monkeypatch) -> None:
@@ -1347,8 +1342,8 @@ def test_an_offline_run_renders_and_scans_no_prompt(tmp_path, monkeypatch) -> No
     for where in ("evofactor.generator", "evofactor.evolution"):
         for name in ("build_prompt", "scan_for_leakage"):
             monkeypatch.setattr(f"{where}.{name}", boom, raising=False)
-    got = run_evolution(table, cfg, gen=generate_offline)
-    assert got.records
+    got, outcomes = _run(table, cfg, gen=generate_offline)
+    assert _records(outcomes)
     portfolio.write_ledger(got.ledger, str(tmp_path / "got.csv"))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -1356,13 +1351,75 @@ def test_an_offline_run_renders_and_scans_no_prompt(tmp_path, monkeypatch) -> No
 def test_resume_from_every_checkpoint() -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
-    full = run_evolution(table, cfg, gen=generate_offline)
-    assert full.records
-    for k, rec in enumerate(full.records):
-        resumed = run_evolution(table, cfg, gen=generate_offline, resume_from=rec)
+    full, outcomes = _run(table, cfg, gen=generate_offline)
+    records = _records(outcomes)
+    assert records
+    for k, rec in enumerate(records):
+        resumed, tail = _run(table, cfg, gen=generate_offline, resume_from=rec)
         assert resumed.ledger == full.ledger[rec.step + 1 :], f"checkpoint {k}"
-        assert resumed.records == full.records[k + 1 :], f"checkpoint {k}"
+        assert _records(tail) == records[k + 1 :], f"checkpoint {k}"
         assert resumed.pool == full.pool, f"checkpoint {k}"
+
+
+def _assert_outcomes_replay_the_pool(start, outcomes: list[StepOutcome], result) -> None:
+    """From the starting pool, each outcome's pruned and admitted give the
+    pool after its step: its checkpoint's pool, and the final pool last."""
+    pool = {rec.name: rec for rec in start}
+    for outcome in outcomes:
+        for name in outcome.pruned:
+            del pool[name]
+        pool.update((rec.name, rec) for rec in outcome.admitted)
+        if outcome.record is not None:
+            assert outcome.record.pool == tuple(pool[name] for name in sorted(pool)), outcome.t
+    assert result.pool == tuple(pool[name] for name in sorted(pool))
+
+
+def test_outcomes_replay_the_pool() -> None:
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+    full, outcomes = _run(table, cfg, gen=generate_offline)
+    assert any(outcome.pruned for outcome in outcomes) and any(outcome.admitted for outcome in outcomes)
+    _assert_outcomes_replay_the_pool(seed_factors(cfg.seed_windows), outcomes, full)
+    records = _records(outcomes)
+    middle = records[len(records) // 2]
+    resumed, tail = _run(table, cfg, gen=generate_offline, resume_from=middle)
+    _assert_outcomes_replay_the_pool(middle.pool, tail, resumed)
+    assert [outcome.t for outcome in tail] == [outcome.t for outcome in outcomes if outcome.t > middle.step]
+
+
+def _logged(outcome: StepOutcome) -> list[tuple[int, str]]:
+    """The (level, message) lines run_evolution logs for outcome."""
+    t, lines = outcome.t, []
+    if outcome.error is not None:
+        lines.append((logging.WARNING, f"generator failed at step {t}: {outcome.error}"))
+    lines += [(logging.INFO, f"step {t}: rejected {name} ({reason})") for name, reason in outcome.rejected]
+    for name, (keep, why), _ in outcome.gates:
+        if not keep:
+            lines.append((logging.INFO, f"step {t}: gated out {name} ({why})"))
+    return lines
+
+
+def test_the_log_is_a_function_of_the_outcomes(caplog) -> None:
+    # Every decision line comes from an emitted outcome, in today's words and
+    # order. The generator fails at every third search step, so the run also
+    # logs generator failures; it still prunes, rejects and gates out.
+    table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
+    cfg = _cfg(recall_n=3, max_pool_size=14, keep_top_n=4)
+
+    def flaky(req):
+        if req.step % 15 == 0:
+            raise RuntimeError(f"no answer at {req.step}")
+        return generate_offline(req)
+
+    for gen in (generate_offline, flaky):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="evofactor.evolution"):
+            _, outcomes = _run(table, cfg, gen=gen)
+        got = [(rec.levelno, rec.getMessage()) for rec in caplog.records if rec.levelno >= logging.INFO]
+        assert got == [line for outcome in outcomes for line in _logged(outcome)]
+        assert any(outcome.pruned for outcome in outcomes)
+        assert {level for level, _ in got} == {logging.INFO} | ({logging.WARNING} if gen is flaky else set())
+        assert {message.split(" ")[2] for _, message in got if message.startswith("step")} == {"rejected", "gated"}
 
 
 @settings(max_examples=12, deadline=None)
@@ -1395,18 +1452,21 @@ def test_resume_from_a_drawn_checkpoint_matches_the_uninterrupted_run(data) -> N
         dataclasses.replace(rec, created_step=data.draw(st.integers(0, latest), label=rec.name))
         for rec in seed_factors(cfg.seed_windows)
     ]
-    full = run_evolution(table, cfg, gen=generate_offline, pool=pool)
-    k = data.draw(st.integers(0, len(full.records) - 1), label="checkpoint")
-    rec = full.records[k]
-    resumed = run_evolution(table, cfg, gen=generate_offline, pool=pool, resume_from=rec)
+    full, outcomes = _run(table, cfg, gen=generate_offline, pool=pool)
+    records = _records(outcomes)
+    k = data.draw(st.integers(0, len(records) - 1), label="checkpoint")
+    rec = records[k]
+    resumed, tail = _run(table, cfg, gen=generate_offline, pool=pool, resume_from=rec)
     assert resumed.ledger == full.ledger[rec.step + 1 :]
-    assert resumed.records == full.records[k + 1 :]
+    assert _records(tail) == records[k + 1 :]
     assert resumed.pool == full.pool
+    _assert_outcomes_replay_the_pool(pool, outcomes, full)
+    _assert_outcomes_replay_the_pool(rec.pool, tail, resumed)
     # A checkpoint's prev_weights are the weights formed at its own step,
     # drifted by that step's returns, so prev_t is that step; or none at all.
     rm = to_relative_returns(table)
     index = {asset: i for i, asset in enumerate(table.asset_ids)}
-    for record in full.records:
+    for record in records:
         row, state = full.ledger[record.step], record.state
         if row.phase != "live":
             assert state["prev_weights"] is None and state["prev_t"] == -1
@@ -1434,15 +1494,15 @@ def _checkpoint_doc(record: SearchRecord) -> dict:
 def test_checkpoint_serialization_round_trip(tmp_path) -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     cfg = _cfg(recall_n=3)
-    res = run_evolution(table, cfg, gen=generate_offline)
+    records = _records(_run(table, cfg, gen=generate_offline)[1])
     path = str(tmp_path / "checkpoints.jsonl")
-    save_checkpoints(res.records, path)
+    save_checkpoints(records, path)
     loaded = load_checkpoints(path)
-    assert tuple(loaded) == res.records
+    assert loaded == records
     save_checkpoints(loaded, str(tmp_path / "again.jsonl"))
     assert (tmp_path / "checkpoints.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
 
-    rec = res.records[0]
+    rec = records[0]
     doc = _checkpoint_doc(rec)
     assert json_to_search_record(doc) == rec
     broken = dict(doc)
@@ -1500,22 +1560,24 @@ def test_a_run_keeps_no_checkpoint_it_emitted(tmp_path) -> None:
     table = planted_momentum_table(n_assets=10, n_steps=100, seed=5, signal=0.6)
     path, memo, refs = tmp_path / "run" / "checkpoints.jsonl", {}, []
 
-    def sink(record: SearchRecord) -> None:
-        append_checkpoint(path, memo, record)
-        refs.append(weakref.ref(record))
+    def sink(outcome: StepOutcome) -> None:
+        refs.append(weakref.ref(outcome))
+        if outcome.record is not None:
+            append_checkpoint(path, memo, outcome.record)
+            refs.append(weakref.ref(outcome.record))
 
     result = run_evolution(table, _cfg(), gen=generate_offline, emit=sink)
     gc.collect()
-    assert result.records == () and refs
+    assert len(refs) == len(result.ledger) + 7  # every step's outcome and its 7 checkpoints
     assert [ref() for ref in refs] == [None] * len(refs)
-    # The streamed file holds what a run that keeps its records saves.
-    save_checkpoints(run_evolution(table, _cfg(), gen=generate_offline).records, str(tmp_path / "kept.jsonl"))
+    # The streamed file holds what a run whose records are kept saves.
+    save_checkpoints(_records(_run(table, _cfg(), gen=generate_offline)[1]), str(tmp_path / "kept.jsonl"))
     assert path.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
 
 
 def test_load_checkpoints_reports_bad_line(tmp_path) -> None:
     path = tmp_path / "ck.jsonl"
-    rec = SearchRecord(step=65, pool=(), performance={}, quality={}, state={})
+    rec = SearchRecord(step=65, pool=tuple(seed_factors((7,))[:1]), performance={}, quality={}, state={})
     good = _checkpoint_doc(rec)
     import json as _json
 
@@ -1652,12 +1714,23 @@ def test_interned_pool_entries_decode_like_each_entry_alone(pools) -> None:
     for step, entries in enumerate(pools):
         doc = {"step": step, "pool": entries, "performance": {}, "quality": {}, "state": {}}
         # Entries are decoded in order, so a pool fails with the message of
-        # its first entry that fails alone, and only then.
-        errors = [got for got in map(_decode_alone, entries) if isinstance(got, str)]
+        # its first entry that fails alone or repeats an earlier name, and
+        # only then; a pool with no entry fails too.
+        errors, names = [], set()
+        for got in map(_decode_alone, entries):
+            if isinstance(got, str):
+                errors.append(got)
+            elif got.name in names:
+                errors.append(f"duplicate factor name {got.name!r}")
+            else:
+                names.add(got.name)
+        if not entries:
+            errors.append("empty factor pool")
         if errors:
             with pytest.raises(ValueError) as failed:
                 json_to_search_record(doc, memo)
             assert str(failed.value) == errors[0]
+            event(errors[0].split(" ")[0])
             continue
         decoded = json_to_search_record(doc, memo)
         assert len(decoded.pool) == len(entries)
